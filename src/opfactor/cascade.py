@@ -7,6 +7,10 @@ table when the integrand is tabulated, otherwise from a cumulative
 Simpson quadrature; quasi-linear kernels use a separable closed form
 when the coefficient shape permits, else a Runge-Kutta integration.
 
+Every coefficient evaluated at many points (quadrature samples, RK4
+stages, trajectory residuals) is compiled once per call with
+`compile_float`, which reproduces `evaluate` bit for bit.
+
 Integration constants are canonical: table antiderivatives carry no
 constant term, numeric homogeneous solutions are normalized to value
 one at the interval midpoint, and the inhomogeneous integral starts
@@ -21,8 +25,8 @@ from fractions import Fraction
 from .errors import (DomainError, QuadratureFailure, ShapeMismatch,
                      SingularLeadingCoefficient, StepCountTooSmall,
                      UnsupportedTemplate)
-from .expr import (Const, DepVar, Div, Expr, Fun, IndepVar, Var, ZERO, ONE,
-                   evaluate, expr_to_poly, is_constant, render, simplify)
+from .expr import (Const, DepVar, Div, Expr, Fun, IndepVar, Var, ZERO,
+                   compile_float, evaluate, expr_to_poly, simplify)
 from .operator import (DiffOperator, MatrixOperator, apply_to_expr,
                        expand_product, operator_from_jet)
 from .conditions import FactorizationCandidate
@@ -194,16 +198,15 @@ def _cumulative_simpson(vals, h):
     return out
 
 
-def _eval_x(e: Expr, x: float, u: "float | None" = None) -> float:
-    bind = {IndepVar(1): x}
-    if u is not None:
-        bind[DepVar(1)] = u
-    return evaluate(e, bind)
+# argument orders of the compiled coefficients: f(x1) and f(x1, u1)
+_X = (IndepVar(1),)
+_XU = (IndepVar(1), DepVar(1))
 
 
 def _sample(e: Expr, grid) -> list:
+    f = compile_float(e, _X)
     try:
-        return [_eval_x(e, x) for x in grid]
+        return [f(x) for x in grid]
     except DomainError as err:
         raise QuadratureFailure(f"integrand not evaluable: {err}") from err
 
@@ -217,8 +220,9 @@ def _check_factor(Q: DiffOperator, grid, who: str):
         raise SingularLeadingCoefficient(f"{who} has no derivative slot")
     if not Q.linear:
         return
+    f = compile_float(lead, _X)
     for x in grid:
-        if abs(_eval_x(lead, x)) <= _TINY:
+        if abs(f(x)) <= _TINY:
             raise SingularLeadingCoefficient(
                 f"leading coefficient of {who} vanishes near x1 = {x:.6g}")
 
@@ -302,13 +306,14 @@ def _quasilinear_u0(Q2, grid, h, opts) -> SolutionPiece:
                             Var(IndepVar(1)) + Const(opts.constant)))
         return SolutionPiece("u0", form, None, "closed-form", 0.0)
     mid = len(grid) // 2
+    b0f, b1f = compile_float(b0, _XU), compile_float(b1, _XU)
 
     def f(x, u):
-        lead = _eval_x(b1, x, u)
+        lead = b1f(x, u)
         if abs(lead) <= _TINY:
             raise SingularLeadingCoefficient(
                 f"leading coefficient vanishes at x1 = {x:.6g}")
-        return -_eval_x(b0, x, u) * u / lead
+        return -b0f(x, u) * u / lead
 
     fwd = _rk4_scalar(f, grid[mid:], 1.0)
     bwd = _rk4_scalar(f, grid[mid::-1], 1.0)
@@ -398,6 +403,7 @@ def _verify_trajectory(P: DiffOperator, traj: Trajectory,
     inner = range(1, len(grid) - 1)
     idxs = sorted({inner[int(t * (len(inner) - 1) / max(1, limit - 1))]
                    for t in range(limit)})
+    coeffs = [(dv.k, compile_float(coeff, _XU)) for dv, coeff in P.coeffs]
     rows = []
     worst = 0.0
     for i in idxs:
@@ -405,8 +411,8 @@ def _verify_trajectory(P: DiffOperator, traj: Trajectory,
              1: (vals[i + 1] - vals[i - 1]) / (2 * h),
              2: (vals[i + 1] - 2 * vals[i] + vals[i - 1]) / (h * h)}
         r = 0.0
-        for dv, coeff in P.coeffs:
-            r += _eval_x(coeff, grid[i], vals[i]) * d[dv.k]
+        for k, coeff in coeffs:
+            r += coeff(grid[i], vals[i]) * d[k]
         val = abs(r) / sup
         worst = max(worst, val)
         rows.append(((grid[i],), val))
@@ -445,8 +451,7 @@ def cascade_system_numeric(cand: FactorizationCandidate, interval=None,
     def rhs_kernel(leads, b):
         def f(x, y):
             return tuple(
-                -sum(_eval_x(b[p][q], x) * y[q] for q in range(m))
-                / _eval_x(leads[p], x)
+                -sum(b[p][q](x) * y[q] for q in range(m)) / leads[p](x)
                 for p in range(m))
         return f
 
@@ -457,12 +462,12 @@ def cascade_system_numeric(cand: FactorizationCandidate, interval=None,
         v, w = y[:m], y[m:]
         dv = f1(x, v)
         dw = tuple(
-            (v[p] - sum(_eval_x(b2[p][q], x) * w[q] for q in range(m)))
-            / _eval_x(a2[p], x)
+            (v[p] - sum(b2[p][q](x) * w[q] for q in range(m))) / a2[p](x)
             for p in range(m))
         return dv + dw
 
-    M = _expanded_system(N1, N2)
+    M = _compiled_table(_expanded_system(N1, N2))
+    T1 = _compiled_table(N1.entries)
     u0c, v1c, u1c = [], [], []
     for col in range(m):
         e = tuple(1.0 if p == col else 0.0 for p in range(m))
@@ -472,30 +477,32 @@ def cascade_system_numeric(cand: FactorizationCandidate, interval=None,
         v1 = [y[:m] for y in pair]
         u1 = [y[m:] for y in pair]
         u0c.append(_system_piece(f"u0[{col + 1}]", grid, u0, M))
-        v1c.append(_system_piece(f"v1[{col + 1}]", grid, v1, _factor_table(N1)))
+        v1c.append(_system_piece(f"v1[{col + 1}]", grid, v1, T1))
         u1c.append(_system_piece(f"u1[{col + 1}]", grid, u1, M))
     return CascadeSolution(tuple(u0c), tuple(v1c), tuple(u1c),
                            (float(interval[0]), float(interval[1])), steps)
 
 
 def _diag_leads(N: MatrixOperator, grid, who: str) -> list:
+    """Compiled diagonal leading coefficients, checked on the grid."""
     leads = []
     for p in range(N.m):
         lead = N.entries[p][p].coeff(1, 1)
         if lead == ZERO:
             raise SingularLeadingCoefficient(
                 f"diagonal entry ({p + 1},{p + 1}) of {who} has no derivative slot")
+        f = compile_float(lead, _X)
         for x in grid:
-            if abs(_eval_x(lead, x)) <= _TINY:
+            if abs(f(x)) <= _TINY:
                 raise SingularLeadingCoefficient(
                     f"leading coefficient of {who}[{p + 1},{p + 1}] vanishes "
                     f"near x1 = {x:.6g}")
-        leads.append(lead)
+        leads.append(f)
     return leads
 
 
 def _entry_table(N: MatrixOperator) -> list:
-    return [[N.entries[p][q].coeff(0, 1) for q in range(N.m)]
+    return [[compile_float(N.entries[p][q].coeff(0, 1), _X) for q in range(N.m)]
             for p in range(N.m)]
 
 
@@ -522,11 +529,14 @@ def _expanded_system(N1: MatrixOperator, N2: MatrixOperator) -> list:
              for q in range(N1.m)] for p in range(N1.m)]
 
 
-def _factor_table(N: MatrixOperator) -> list:
-    return [[N.entries[p][q] for q in range(N.m)] for p in range(N.m)]
+def _compiled_table(table) -> list:
+    """Cellwise (order, compiled coefficient) lists of an operator table."""
+    return [[[(dv.k, compile_float(coeff, _X)) for dv, coeff in cell.coeffs]
+             for cell in row] for row in table]
 
 
 def _system_piece(label, grid, vals, table) -> SolutionPiece:
+    """Trajectory piece with its residual under a compiled table."""
     m = len(table)
     h = grid[1] - grid[0]
     sup = max(1.0, max(abs(c) for row in vals for c in row))
@@ -539,8 +549,8 @@ def _system_piece(label, grid, vals, table) -> SolutionPiece:
                 d = {0: vals[i][q],
                      1: (vals[i + 1][q] - vals[i - 1][q]) / (2 * h),
                      2: (vals[i + 1][q] - 2 * vals[i][q] + vals[i - 1][q]) / (h * h)}
-                for dv, coeff in table[p][q].coeffs:
-                    r += _eval_x(coeff, x) * d[dv.k]
+                for k, coeff in table[p][q]:
+                    r += coeff(x) * d[k]
             worst = max(worst, abs(r) / sup)
     traj = Trajectory(tuple(grid), tuple(tuple(v) for v in vals))
     return SolutionPiece(label, None, traj, "rk4", worst)

@@ -22,7 +22,7 @@ from .conditions import (TEMPLATES, CheckOptions, condition_residuals,
                          render_condition_system, template_traits)
 from .errors import (CapacityExceeded, EngineError, OrderOverflow, ParseError,
                      UnsupportedTemplate, ValidationError)
-from .expr import ZERO, evaluate, render, IndepVar
+from .expr import ZERO, compile_float, render, IndepVar
 from .factor import SearchConfig, factor_ode, factor_pde_second_order
 from .operator import expand_product, matrix_expand_product, render_jet
 from .problemfile import ProblemFile, SolveSettings, parse_problem
@@ -377,7 +377,8 @@ def _piece_rows(piece, sol: CascadeSolution) -> list:
     a, b = sol.interval
     h = (b - a) / sol.steps
     grid = [a + i * h for i in range(sol.steps + 1)]
-    return [(x, evaluate(piece.form, {IndepVar(1): x})) for x in grid]
+    f = compile_float(piece.form, (IndepVar(1),))
+    return [(x, f(x)) for x in grid]
 
 
 if __name__ == "__main__":

@@ -682,50 +682,188 @@ def is_constant(e: Expr) -> bool:
     return not expr_variables(e)
 
 
+# Float domain rules, shared by `evaluate` and `compile_float`.  Each
+# maps evaluated operands to the float result or raises DomainError, so
+# that a fully bound evaluation fails with nothing else.
+
+def _const_float(q: Fraction) -> float:
+    try:
+        return float(q)
+    except OverflowError:
+        raise DomainError("constant too large for a float") from None
+
+
+def _divisor(den: float) -> float:
+    if den == 0.0:
+        raise DomainError("division by zero")
+    return den
+
+
+def _pow(base: float, k: int) -> float:
+    if k < 0 and base == 0.0:
+        raise DomainError("zero raised to a negative power")
+    try:
+        return base ** k
+    except OverflowError:
+        raise DomainError("power overflows a float") from None
+
+
+def _exp(a: float) -> float:
+    if a > 700:
+        raise DomainError("exp overflow")
+    return math.exp(a)
+
+
+def _log(a: float) -> float:
+    if a <= 0:
+        raise DomainError("log of a non-positive number")
+    return math.log(a)
+
+
+def _sin(a: float) -> float:
+    if math.isinf(a):
+        raise DomainError("sin of an infinite number")
+    return math.sin(a)
+
+
+def _cos(a: float) -> float:
+    if math.isinf(a):
+        raise DomainError("cos of an infinite number")
+    return math.cos(a)
+
+
+def _sqrt(a: float) -> float:
+    if a < 0:
+        raise DomainError("square root of a negative number")
+    return math.sqrt(a)
+
+
+_FUN_RULES = {"exp": _exp, "log": _log, "sin": _sin, "cos": _cos, "sqrt": _sqrt}
+
+
 def evaluate(e: Expr, bindings: dict) -> float:
-    """Evaluate to a float; every variable must be bound."""
+    """Evaluate to a float; every variable must be bound.
+
+    A Sum adds its terms left to right starting from 0, a Product
+    multiplies its factors into 1.0, and a Div evaluates its
+    denominator first.
+    """
     if isinstance(e, Const):
-        return float(e.value)
+        return _const_float(e.value)
     if isinstance(e, Var):
         try:
             return float(bindings[e.vid])
         except KeyError:
             raise UnboundVariable(f"no binding for {render(e)}") from None
     if isinstance(e, Sum):
-        return sum(evaluate(t, bindings) for t in e.terms)
+        out = 0
+        for t in e.terms:
+            out = out + evaluate(t, bindings)
+        return out
     if isinstance(e, Product):
         out = 1.0
         for f in e.factors:
             out *= evaluate(f, bindings)
         return out
     if isinstance(e, Power):
-        base = evaluate(e.base, bindings)
-        if e.exp < 0 and base == 0.0:
-            raise DomainError("zero raised to a negative power")
-        return base ** e.exp
+        return _pow(evaluate(e.base, bindings), e.exp)
     if isinstance(e, Div):
-        den = evaluate(e.den, bindings)
-        if den == 0.0:
-            raise DomainError("division by zero")
+        den = _divisor(evaluate(e.den, bindings))
         return evaluate(e.num, bindings) / den
     if isinstance(e, Fun):
-        a = evaluate(e.arg, bindings)
-        if e.name == "exp":
-            if a > 700:
-                raise DomainError("exp overflow")
-            return math.exp(a)
-        if e.name == "log":
-            if a <= 0:
-                raise DomainError("log of a non-positive number")
-            return math.log(a)
-        if e.name == "sin":
-            return math.sin(a)
-        if e.name == "cos":
-            return math.cos(a)
-        if a < 0:
-            raise DomainError("square root of a negative number")
-        return math.sqrt(a)
+        return _FUN_RULES[e.name](evaluate(e.arg, bindings))
     raise TypeError(f"not an Expr: {e!r}")
+
+
+# operands per generated statement of a long Sum or Product, which keeps
+# each statement shallow for Python's compiler
+_CHAIN = 32
+
+
+def compile_float(e: Expr, vids: tuple):
+    """Compile e once into a function of floats bound in order to vids.
+
+    `compile_float(e, vids)(*xs)` equals `evaluate(e, dict(zip(vids, xs)))`
+    bit for bit, and raises the same exception type where evaluate does
+    (an unbound variable raises UnboundVariable only when reached).  The
+    generated code is straight-line, one local per node, performing
+    evaluate's float operations in evaluate's order with the same domain
+    rules; constants are converted once and bound by name, never
+    printed into the source.  Compiling costs about as much as 15-20
+    `evaluate` walks of the same tree, so single-point callers keep
+    `evaluate`.
+    """
+    params = {v: f"a{i}" for i, v in enumerate(vids)}
+    ns = {"_divisor": _divisor, "_pow": _pow}
+    ns.update((f"_{name}", rule) for name, rule in _FUN_RULES.items())
+    leaves = {}
+    body = []
+
+    def local(expr_text):
+        name = f"t{len(body)}"
+        body.append(f"    {name} = {expr_text}")
+        return name
+
+    def chain(start, op, names):
+        out = local(f"{start} {op} " + f" {op} ".join(names[:_CHAIN]))
+        for i in range(_CHAIN, len(names), _CHAIN):
+            body.append(f"    {out} = {out} {op} " + f" {op} ".join(names[i:i + _CHAIN]))
+        return out
+
+    def leaf(node):
+        """Name bound to a constant or unbound leaf, and whether it is a
+        function that raises the leaf's evaluation error."""
+        key = node.value if isinstance(node, Const) else node
+        if key not in leaves:
+            name = f"c{len(leaves)}"
+            try:
+                ns[name] = evaluate(node, {})
+                leaves[key] = (name, False)
+            except (DomainError, UnboundVariable) as err:
+                ns[name] = _raiser(err)
+                leaves[key] = (name, True)
+        return leaves[key]
+
+    # plain loops, not comprehensions, keep one frame per tree level
+    def emit(node):
+        if isinstance(node, Var) and node.vid in params:
+            return params[node.vid]
+        if isinstance(node, (Const, Var)):
+            name, fails = leaf(node)
+            return local(f"{name}()") if fails else name
+        if isinstance(node, Sum):
+            names = []
+            for t in node.terms:
+                names.append(emit(t))
+            return chain("0", "+", names)
+        if isinstance(node, Product):
+            names = []
+            for f in node.factors:
+                names.append(emit(f))
+            return chain("1.0", "*", names)
+        if isinstance(node, Power):
+            return local(f"_pow({emit(node.base)}, {node.exp})")
+        if isinstance(node, Div):
+            den = local(f"_divisor({emit(node.den)})")
+            return local(f"{emit(node.num)} / {den}")
+        if isinstance(node, Fun):
+            return local(f"_{node.name}({emit(node.arg)})")
+        raise TypeError(f"not an Expr: {node!r}")
+
+    result = emit(e)
+    src = "\n".join([f"def compiled({', '.join(params.values())}):", *body,
+                     f"    return {result}"])
+    exec(compile(src, "<compile_float>", "exec"), ns)
+    return ns["compiled"]
+
+
+def _raiser(err: Exception):
+    """A function raising a fresh copy of err, for a leaf that always fails."""
+    kind, args = type(err), err.args
+
+    def fail():
+        raise kind(*args)
+    return fail
 
 
 # ---------------------------------------------------------------------------

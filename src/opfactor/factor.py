@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (NonPolynomialCoefficients, NonPolynomialSqrtDelta,
+from .errors import (DomainError, NonPolynomialCoefficients, NonPolynomialSqrtDelta,
                      NoRealFactorization, NotConstant, UnsupportedTemplate)
 from .expr import (Const, Div, Expr, Fun, FuncSym, IndepVar, Power, Product,
                    Sum, Var, ZERO, ONE, evaluate, expr_to_poly,
@@ -477,7 +477,7 @@ def _probably_negative(delta: Expr, seed: int) -> bool:
         try:
             if evaluate(delta, point) >= 0:
                 return False
-        except Exception:
+        except DomainError:
             return False
     return True
 

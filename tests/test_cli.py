@@ -232,6 +232,19 @@ def test_cascade_bad_interval_flag(capsys):
     assert code == 2
 
 
+def test_cascade_blowup_is_domain_error(tmp_path, capsys):
+    # Q2 = D - u^3: u0' = u0^4 with u0(2) = 1 blows up at x1 = 7/3
+    ini = tmp_path / "blowup.ini"
+    ini.write_text('[problem]\nkind = nonlinear-ode\n\n'
+                   '[operator]\ng[2,1] = "1"\ng[1,1] = "-4*u^3"\n\n'
+                   '[Q1]\nb[1,1] = "1"\n\n'
+                   '[Q2]\nb[0,1] = "-u^3"\nb[1,1] = "1"\n\n'
+                   '[solve]\ninterval = 0,4\n', encoding="utf-8")
+    code, out, _ = run(capsys, "cascade", "--json", str(ini))
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DomainError"
+
+
 def test_cascade_pde_unsupported(capsys):
     code, _, err = run(capsys, "cascade", path("pde2-wave.ini"))
     assert code == 1

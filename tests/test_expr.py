@@ -1,6 +1,7 @@
 """Canonical form, differentiation, and evaluation of the expression core."""
 
 import math
+import struct
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from opfactor.expr import (
     Sum,
     Var,
     ZERO,
+    compile_float,
     const,
     diff,
     evaluate,
@@ -217,6 +219,108 @@ def test_evaluate_domain_errors():
         evaluate(P("log(x1)"), {IndepVar(1): -1.0})
     with pytest.raises(DomainError):
         evaluate(Fun("sqrt", x_(1)), {IndepVar(1): -4.0})
+    # float overflow and infinite trigonometric arguments are domain
+    # errors too, never OverflowError or ValueError
+    with pytest.raises(DomainError):
+        evaluate(P("x1^400"), {IndepVar(1): 1e200})
+    with pytest.raises(DomainError):
+        evaluate(Power(x_(1), -400), {IndepVar(1): 1e-200})
+    with pytest.raises(DomainError):
+        evaluate(Const(Fraction(10) ** 400), {})
+    with pytest.raises(DomainError):
+        evaluate(Fun("sin", Div(const(10) ** 308, x_(1))), {IndepVar(1): 0.5})
+    with pytest.raises(DomainError):
+        evaluate(Fun("cos", x_(1)), {IndepVar(1): -math.inf})
+
+
+# ---------------------------------------------------------------------------
+# compiled evaluation
+
+
+def _outcome(fn):
+    """Float bits of fn(), with every NaN alike, or the exception type."""
+    try:
+        v = fn()
+    except Exception as err:  # the comparison is of exception types
+        return ("raises", type(err))
+    return ("nan",) if math.isnan(v) else ("value", struct.pack("<d", v))
+
+
+def _same_as_evaluate(e, vids, xs):
+    f = compile_float(e, vids)
+    got = _outcome(lambda: f(*xs))
+    assert got == _outcome(lambda: evaluate(e, dict(zip(vids, xs))))
+    return got
+
+
+VIDS = (IndepVar(1), IndepVar(2), DepVar(1))
+
+
+@st.composite
+def float_exprs(draw, depth=0):
+    # mostly variables and small constants; rarely zero or a constant
+    # too large for a float
+    leaf = st.sampled_from([Var(v) for v in VIDS] * 4 + [ZERO, Const(Fraction(10) ** 400)]
+                           + [None] * 4).flatmap(
+        lambda v: st.just(v) if v is not None else st.fractions(-9, 9, max_denominator=50).map(const))
+    if depth >= 4:
+        return draw(leaf)
+    branch = draw(st.integers(0, 5))
+    if branch == 0:
+        return draw(leaf)
+    sub = float_exprs(depth=depth + 1)
+    if branch == 1:
+        return Sum(tuple(draw(st.lists(sub, min_size=2, max_size=4))))
+    if branch == 2:
+        return Product(tuple(draw(st.lists(sub, min_size=2, max_size=3))))
+    if branch == 3:
+        return Power(draw(sub), draw(st.sampled_from([-3, -2, -1, 0, 1, 2, 3, 5, 40])))
+    if branch == 4:
+        return Div(draw(sub), draw(sub))
+    return Fun(draw(st.sampled_from(["exp", "log", "sin", "cos", "sqrt"])), draw(sub))
+
+
+binding_floats = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e200, -1e-200, math.inf]),
+    st.floats(allow_nan=False),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(float_exprs(), st.tuples(binding_floats, binding_floats, binding_floats))
+def test_compile_float_matches_evaluate_bitwise(e, xs):
+    _same_as_evaluate(e, VIDS, xs)
+
+
+def test_compile_float_long_sum_and_deep_nesting():
+    x = x_(1)
+    # rounding makes this sum depend on the order of its terms
+    long_sum = Sum(tuple(Product((const(Fraction(1, k + 1)), Power(x, k % 7)))
+                         for k in range(5000)))
+    assert _same_as_evaluate(long_sum, (IndepVar(1),), (0.3,))[0] == "value"
+    deep = x
+    for i in range(400):
+        c = const(Fraction(i + 2, 3))
+        deep = (Sum((deep, c)), Product((deep, c)), Div(deep, c), Fun("sin", deep))[i % 4]
+    assert _same_as_evaluate(deep, (IndepVar(1),), (0.25,))[0] == "value"
+
+
+def test_compile_float_raises_where_evaluate_does():
+    from opfactor.errors import DomainError, UnboundVariable
+
+    x = (IndepVar(1),)
+    # an unbound variable or an oversized constant fails only when reached
+    f = compile_float(P("1/x1 + x2"), x)
+    with pytest.raises(DomainError):
+        f(0.0)
+    with pytest.raises(UnboundVariable, match="x2"):
+        f(1.0)
+    g = compile_float(Div(Const(Fraction(10) ** 400), x_(1)), x)
+    with pytest.raises(DomainError, match="division by zero"):
+        g(0.0)
+    with pytest.raises(DomainError, match="constant too large"):
+        g(1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -289,6 +289,18 @@ def test_pde_negative_definite_discriminant():
         factor_pde_second_order(P)
 
 
+def test_probably_negative_treats_undefined_points_as_not_negative():
+    from opfactor.expr import Div, Sum
+    from opfactor.factor import _probably_negative
+
+    assert _probably_negative(E("-1 - x1^2"), 0)
+    # negative wherever defined, undefined wherever x1 <= 0
+    assert not _probably_negative(E("-1 - log(x1)^2"), 0)
+    # sin of an overflowed quotient is a DomainError too
+    assert not _probably_negative(
+        Sum((Fun("sin", Div(const(10) ** 308, x_(1))), const(-2))), 0)
+
+
 def test_pde_constant_surd_discriminant():
     P = pde({(2, 1): "1", (2, 4): "-2"})
     res = factor_pde_second_order(P)
