@@ -32,6 +32,9 @@ from .operator import (DiffOperator, MatrixOperator, apply_to_expr,
 from .conditions import FactorizationCandidate
 
 MIN_STEPS = 16
+# points at which a residual is checked: a grid over the interval for a
+# closed form, grid samples for a trajectory
+RESIDUAL_POINTS = 32
 _TINY = 1e-12
 
 
@@ -40,7 +43,6 @@ class CascadeOptions:
     interval: tuple = (-1.0, 1.0)
     steps: int = 1024
     constant: Fraction = Fraction(1)
-    residual_points: int = 32
 
 
 @dataclass(frozen=True)
@@ -357,7 +359,7 @@ def _with_residual(P: DiffOperator, piece: SolutionPiece,
                    opts: CascadeOptions) -> SolutionPiece:
     if piece.form is not None:
         rep = verify_solution(P, piece.form,
-                              _residual_grid(opts.interval, opts.residual_points))
+                              _residual_grid(opts.interval, RESIDUAL_POINTS))
     else:
         rep = verify_solution(P, piece.trajectory)
     return SolutionPiece(piece.label, piece.form, piece.trajectory,
@@ -369,8 +371,8 @@ def verify_solution(P: DiffOperator, u, points=None) -> ResidualReport:
 
     Closed forms are differentiated symbolically; an identically zero
     residual is reported exactly.  Trajectories are differenced on
-    their own grid.  `points` (tuples for n > 1) defaults to 32 values
-    spanning [-1, 1] per axis for closed forms.
+    their own grid.  `points` (tuples for n > 1) defaults to
+    RESIDUAL_POINTS values spanning [-1, 1] per axis for closed forms.
     """
     if isinstance(u, Trajectory):
         return _verify_trajectory(P, u)
@@ -378,7 +380,7 @@ def verify_solution(P: DiffOperator, u, points=None) -> ResidualReport:
     if resid == ZERO:
         return ResidualReport(0.0, True, ())
     if points is None:
-        points = _residual_grid((-1.0, 1.0), 32)
+        points = _residual_grid((-1.0, 1.0), RESIDUAL_POINTS)
     rows = []
     worst = 0.0
     for pt in points:
@@ -391,8 +393,7 @@ def verify_solution(P: DiffOperator, u, points=None) -> ResidualReport:
     return ResidualReport(worst, False, tuple(rows))
 
 
-def _verify_trajectory(P: DiffOperator, traj: Trajectory,
-                       limit: int = 32) -> ResidualReport:
+def _verify_trajectory(P: DiffOperator, traj: Trajectory) -> ResidualReport:
     if P.n != 1:
         raise UnsupportedTemplate("trajectory residuals are one dimensional")
     grid, vals = traj.grid, traj.values
@@ -401,8 +402,8 @@ def _verify_trajectory(P: DiffOperator, traj: Trajectory,
     h = grid[1] - grid[0]
     sup = max(1.0, max(abs(v) for v in vals))
     inner = range(1, len(grid) - 1)
-    idxs = sorted({inner[int(t * (len(inner) - 1) / max(1, limit - 1))]
-                   for t in range(limit)})
+    idxs = sorted({inner[int(t * (len(inner) - 1) / (RESIDUAL_POINTS - 1))]
+                   for t in range(RESIDUAL_POINTS)})
     coeffs = [(dv.k, compile_float(coeff, _XU)) for dv, coeff in P.coeffs]
     rows = []
     worst = 0.0
@@ -543,12 +544,14 @@ def _system_piece(label, grid, vals, table) -> SolutionPiece:
     worst = 0.0
     for i in range(1, len(grid) - 1):
         x = grid[i]
+        stencils = [{0: vals[i][q],
+                     1: (vals[i + 1][q] - vals[i - 1][q]) / (2 * h),
+                     2: (vals[i + 1][q] - 2 * vals[i][q] + vals[i - 1][q]) / (h * h)}
+                    for q in range(m)]
         for p in range(m):
             r = 0.0
             for q in range(m):
-                d = {0: vals[i][q],
-                     1: (vals[i + 1][q] - vals[i - 1][q]) / (2 * h),
-                     2: (vals[i + 1][q] - 2 * vals[i][q] + vals[i - 1][q]) / (h * h)}
+                d = stencils[q]
                 for k, coeff in table[p][q]:
                     r += coeff(x) * d[k]
             worst = max(worst, abs(r) / sup)

@@ -13,7 +13,6 @@ limits.
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .cascade import (CascadeOptions, CascadeSolution, cascade_ode,
                       cascade_system_numeric)
@@ -48,25 +47,26 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="opfactor",
         description="factorization engine for second order differential operators")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, needs_file in (("expand", True), ("conditions", False),
-                             ("check", True), ("factor", True), ("cascade", True)):
-        p = sub.add_parser(name)
-        if needs_file:
-            p.add_argument("problem", help="problem file path")
-        else:
+    cmd = {name: sub.add_parser(name)
+           for name in ("expand", "conditions", "check", "factor", "cascade")}
+    for name, p in cmd.items():
+        if name == "conditions":
             p.add_argument("problem", nargs="?", help="problem file path")
             p.add_argument("--kind", help="template kind instead of a file")
             p.add_argument("--m", type=int, default=None,
                            help="number of components for system kinds")
+        else:
+            p.add_argument("problem", help="problem file path")
         p.add_argument("--json", action="store_true", dest="as_json")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=8)
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--ansatz-degree", type=int, default=3)
-        p.add_argument("--interval", default=None, help="a,b working interval")
-        p.add_argument("--steps", type=int, default=None)
-        p.add_argument("--csv", default=None, metavar="PATH",
-                       help="export cascade trajectories as CSV")
+    for name in ("check", "factor"):
+        cmd[name].add_argument("--seed", type=int, default=0)
+    cmd["check"].add_argument("--samples", type=int, default=8)
+    cmd["check"].add_argument("--tol", type=float, default=1e-9)
+    cmd["factor"].add_argument("--ansatz-degree", type=int, default=3)
+    cmd["cascade"].add_argument("--interval", default=None, help="a,b working interval")
+    cmd["cascade"].add_argument("--steps", type=int, default=None)
+    cmd["cascade"].add_argument("--csv", default=None, metavar="PATH",
+                                help="export cascade trajectories as CSV")
     return ap
 
 
@@ -208,19 +208,9 @@ def _cmd_check(args, problem: ProblemFile) -> int:
 # factor
 
 def _factor_doc(cand) -> dict:
-    out = {}
-    if cand.is_matrix:
-        for name, f in zip(("N1", "N2"), cand.factors):
-            entry = {}
-            for p in range(f.m):
-                for q in range(f.m):
-                    for d, e in f.entries[p][q].coeffs:
-                        entry[f"a[{p + 1},{q + 1},{d.k},{d.h}]"] = render(e)
-            out[name] = entry
-    else:
-        for name, f in zip(("Q1", "Q2"), cand.factors):
-            out[name] = {f"b[{d.k},{d.h}]": render(e) for d, e in f.coeffs}
-    return out
+    """Coefficient table of a scalar candidate; factor searches no systems."""
+    return {name: {f"b[{d.k},{d.h}]": render(e) for d, e in f.coeffs}
+            for name, f in zip(("Q1", "Q2"), cand.factors)}
 
 
 def _factor_lines(cand) -> list:
@@ -316,8 +306,7 @@ def _cmd_cascade(args, problem: ProblemFile) -> int:
         if problem.is_system:
             raise UnsupportedTemplate(
                 "system cascades need explicit [N1]/[N2] sections")
-        cfg = SearchConfig(ansatz_degree=args.ansatz_degree, seed=args.seed)
-        found = factor_ode(problem.operator, cfg)
+        found = factor_ode(problem.operator, SearchConfig())
         if not found:
             raise UnsupportedTemplate(
                 "no candidate in the file and the factor search found none")

@@ -2,36 +2,37 @@
 
 For each template ({linear, nonlinear} x {scalar, system} x {one or
 two independent variables}) the product of two generic first order
-factors is expanded symbolically and identified against a generic
-second order operator.  Identification buckets every monomial of the
-expansion: a single degree-one jet coordinate of the target component
-(times explicit order-0 factors, which fold into the coefficient
-function) equates to the matching operator coefficient; a pure order-0
-monomial folds similarly after pulling one factor of the target
-component; anything else has no counterpart and its coefficient must
-vanish identically, a zero condition.
+factors is expanded symbolically and identified, cell by cell, against
+a generic second order operator.  A scalar template is the 1x1 system:
+only its symbol families (g, b instead of f, a) and its lack of block
+labels differ.  Identification (`operator.identify`) buckets every
+monomial of a cell: a single degree-one jet coordinate of the target
+component (times explicit order-0 factors, which fold into the
+coefficient function) equates to the matching operator coefficient; a
+pure order-0 monomial folds similarly after pulling one factor of the
+target component; anything else has no counterpart and its
+coefficient must vanish identically, a zero condition.
 
-Zero conditions of system templates are normalized: the diagonal
-first-axis leading symbols of the left factor are nonvanishing by
-standing assumption and are divided out, duplicates merge, and an
-equation is dropped when every one of its terms is a multiple of
-another zero condition that reduced to a bare symbol.  The scalar
-templates keep their prefactors.
+Zero conditions of nonlinear system templates are normalized: the
+diagonal first-axis leading symbols of the left factor are
+nonvanishing by standing assumption and are divided out, duplicates
+merge, and an equation is dropped when every one of its terms is a
+multiple of another zero condition that reduced to a bare symbol.  The
+other templates keep their prefactors.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UnsupportedTemplate
-from .expr import (Const, DepVar, Expr, FuncSym, IndepVar, Power, Product,
-                   Var, ZERO, ONE, diff, expr_to_poly, expr_variables,
-                   is_constant, poly_to_expr, render, simplify, sort_key,
-                   substitute)
+from .expr import (Const, DepVar, Expr, FuncSym, IndepVar, Power, Var, ZERO,
+                   _poly_content, diff, evaluate, expr_to_poly,
+                   expr_variables, poly_to_expr, render, simplify, sort_key,
+                   substitute, sum_exprs)
 from .jet import DerivIndex, canonical_slot, slot_count
-from .operator import (DiffOperator, JetPolynomial, MatrixOperator,
-                       apply_operator, apply_to_expr, expand_product,
-                       make_operator, matrix_apply, matrix_expand_product,
-                       render_mono)
+from .operator import (DiffOperator, MatrixOperator, apply_to_expr, as_matrix,
+                       identify, make_operator, matrix_apply,
+                       matrix_expand_product, render_mono)
 
 TEMPLATES = (
     "linear-ode", "linear-pde2", "nonlinear-ode", "nonlinear-pde2",
@@ -78,12 +79,7 @@ def symbolic_operator(template: str, m: int = 1):
     linear, system, n = template_traits(template)
     _check_m(system, m)
     deps = _deps(linear, n, m)
-    if not system:
-        coeffs = {}
-        for k in range(3):
-            for h in range(1, slot_count(n, k) + 1):
-                coeffs[(k, h)] = g_sym(k, h, deps)
-        return make_operator(n, 1, coeffs, linear)
+    sym = f_sym if system else (lambda p, q, k, h, deps: g_sym(k, h, deps))
     rows = []
     for p in range(1, m + 1):
         row = []
@@ -92,10 +88,11 @@ def symbolic_operator(template: str, m: int = 1):
             top = 2 if p == q else 1
             for k in range(top + 1):
                 for h in range(1, slot_count(n, k) + 1):
-                    coeffs[(k, h)] = f_sym(p, q, k, h, deps)
+                    coeffs[(k, h)] = sym(p, q, k, h, deps)
             row.append(make_operator(n, m, coeffs, linear))
         rows.append(tuple(row))
-    return MatrixOperator(n, m, tuple(rows))
+    mop = MatrixOperator(n, m, tuple(rows))
+    return mop if system else mop.entries[0][0]
 
 
 def symbolic_factors(template: str, m: int = 1):
@@ -103,25 +100,21 @@ def symbolic_factors(template: str, m: int = 1):
     linear, system, n = template_traits(template)
     _check_m(system, m)
     deps = _deps(linear, n, m)
+    sym = a_sym if system else (lambda i, p, q, k, h, deps: b_sym(i, k, h, deps))
     factors = []
     for i in (1, 2):
-        if not system:
-            coeffs = {(0, 1): b_sym(i, 0, 1, deps)}
-            for h in range(1, n + 1):
-                coeffs[(1, h)] = b_sym(i, 1, h, deps)
-            factors.append(make_operator(n, 1, coeffs, linear))
-        else:
-            rows = []
-            for p in range(1, m + 1):
-                row = []
-                for q in range(1, m + 1):
-                    coeffs = {(0, 1): a_sym(i, p, q, 0, 1, deps)}
-                    if p == q:
-                        for h in range(1, n + 1):
-                            coeffs[(1, h)] = a_sym(i, p, q, 1, h, deps)
-                    row.append(make_operator(n, m, coeffs, linear))
-                rows.append(tuple(row))
-            factors.append(MatrixOperator(n, m, tuple(rows)))
+        rows = []
+        for p in range(1, m + 1):
+            row = []
+            for q in range(1, m + 1):
+                coeffs = {(0, 1): sym(i, p, q, 0, 1, deps)}
+                if p == q:
+                    for h in range(1, n + 1):
+                        coeffs[(1, h)] = sym(i, p, q, 1, h, deps)
+                row.append(make_operator(n, m, coeffs, linear))
+            rows.append(tuple(row))
+        mop = MatrixOperator(n, m, tuple(rows))
+        factors.append(mop if system else mop.entries[0][0])
     return tuple(factors)
 
 
@@ -169,43 +162,14 @@ class FactorizationCandidate:
         return isinstance(self.factors[0], MatrixOperator)
 
 
-def _identify(jp: JetPolynomial, target: int):
-    """Bucket a jet polynomial; returns ({(k, h): rhs}, [zero rhs])."""
-    buckets = {}
-    zeros = []
-    for mono, coeff in jp.terms:
-        high = [(key, e) for key, e in mono if key[1] >= 1]
-        lows = [(key, e) for key, e in mono if key[1] == 0]
-        if len(high) == 1 and high[0][1] == 1 and high[0][0][0] == target:
-            _, k, h = high[0][0]
-            extra = _explicit(lows)
-            buckets[(k, h)] = buckets.get((k, h), ZERO) + coeff * extra
-        elif not high and len(lows) == 1 and lows[0][0][0] == target:
-            e = lows[0][1]
-            extra = Power(Var(DepVar(target)), e - 1) if e > 2 else (
-                Var(DepVar(target)) if e == 2 else ONE)
-            buckets[(0, 1)] = buckets.get((0, 1), ZERO) + coeff * extra
-        else:
-            zeros.append(simplify(coeff))
-    return buckets, zeros
-
-
-def _explicit(lows) -> Expr:
-    out = ONE
-    for (j, _, _), e in lows:
-        v = Var(DepVar(j))
-        out = out * (Power(v, e) if e > 1 else v)
-    return out
-
-
-def _lhs_for(meta, k, h, n):
-    """Operator symbol for a bucket; mixed-partial twins appear summed."""
-    make, deps = meta
+def _lhs_for(sym, k, h, n):
+    """Operator symbol `sym(k, h)` for a bucket; mixed-partial twins
+    appear summed."""
     others = [h2 for h2 in range(1, slot_count(n, k) + 1)
               if h2 != h and canonical_slot(DerivIndex(k, h2, n)).h == h]
-    lhs = make(k, h, deps)
+    lhs = sym(k, h)
     for h2 in others:
-        lhs = lhs + make(k, h2, deps)
+        lhs = lhs + sym(k, h2)
     return simplify(lhs)
 
 
@@ -261,33 +225,13 @@ def _strip(e: Expr, nonvanishing, singles) -> Expr:
                     out.append((a, x))
             return tuple(out)
         p = {cut(mono): c for mono, c in p.items()}
-    content = Fraction(0)
-    for c in p.values():
-        content = _frac_gcd(content, c)
-    lead = p[max(p, key=_zero_mono_key)]
-    scale = (1 if lead > 0 else -1) / content
+    scale = 1 / _poly_content(p)
     return poly_to_expr({mono: c * scale for mono, c in p.items()})
 
 
-def _zero_mono_key(mono):
-    return (sum(e for _, e in mono), tuple((sort_key(a), e) for a, e in mono))
-
-
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    import math
-    if a == 0:
-        return abs(b)
-    return Fraction(math.gcd(a.numerator, b.numerator),
-                    math.lcm(a.denominator, b.denominator))
-
-
-def _nonvanishing_symbols(template: str, m: int) -> frozenset:
-    """Leading symbols assumed nonzero: the first-axis diagonal
-    coefficients of the left factor."""
-    linear, system, n = template_traits(template)
-    deps = _deps(linear, n, m)
-    if not system:
-        return frozenset()
+def _nonvanishing_symbols(deps, m: int) -> frozenset:
+    """Leading symbols of a system template assumed nonzero: the
+    first-axis diagonal coefficients of the left factor."""
     return frozenset(FuncSym("a", (1, p, p, 1, 1), deps=deps)
                      for p in range(1, m + 1))
 
@@ -298,33 +242,25 @@ def derive_conditions(template: str, m: int = 1) -> ConditionSystem:
     linear, system, n = template_traits(template)
     _check_m(system, m)
     deps = _deps(linear, n, m)
-    factors = symbolic_factors(template, m)
+    factors = [as_matrix(f) for f in symbolic_factors(template, m)]
+    grid = matrix_expand_product(factors)
+    blocks = sorted(((p, q) for p in range(1, m + 1) for q in range(1, m + 1)),
+                    key=lambda pq: (pq[0] != pq[1], pq[0], pq[1]))
     equations = []
-    if not system:
-        jp = expand_product(list(factors))
-        buckets, zeros = _identify(jp, 1)
-        meta = (g_sym, deps)
+    for p, q in blocks:
+        buckets, others = identify(grid[p - 1][q - 1], q)
+        if system:
+            sym, block = (lambda k, h: f_sym(p, q, k, h, deps)), (p, q)
+        else:
+            sym, block = (lambda k, h: g_sym(k, h, deps)), None
         for (k, h) in sorted(buckets, key=lambda kh: (-kh[0], kh[1])):
-            equations.append(Equation(_lhs_for(meta, k, h, n), simplify(buckets[(k, h)])))
-        for z in sorted({simplify(z) for z in zeros}, key=sort_key):
-            if z != ZERO:
-                equations.append(Equation(ZERO, z))
-    else:
-        grid = matrix_expand_product(list(factors))
-        nonvanishing = _nonvanishing_symbols(template, m)
-        blocks = sorted(((p, q) for p in range(1, m + 1) for q in range(1, m + 1)),
-                        key=lambda pq: (pq[0] != pq[1], pq[0], pq[1]))
-        for p, q in blocks:
-            jp = grid[p - 1][q - 1]
-            buckets, zeros = _identify(jp, q)
-            meta = ((lambda k, h, d, p=p, q=q: f_sym(p, q, k, h, d)), deps)
-            for (k, h) in sorted(buckets, key=lambda kh: (-kh[0], kh[1])):
-                equations.append(Equation(
-                    _lhs_for(meta, k, h, n), simplify(buckets[(k, h)]), (p, q)))
-            zeros = _normalize_zeros(zeros, nonvanishing) if not linear else [
-                z for z in (simplify(z) for z in zeros) if z != ZERO]
-            for z in sorted(set(zeros), key=sort_key):
-                equations.append(Equation(ZERO, z, (p, q)))
+            equations.append(Equation(
+                _lhs_for(sym, k, h, n), simplify(buckets[(k, h)]), block))
+        zeros = [c for _, c in others]
+        if system and not linear:
+            zeros = _normalize_zeros(zeros, _nonvanishing_symbols(deps, m))
+        for z in sorted(set(zeros), key=sort_key):
+            equations.append(Equation(ZERO, z, block))
     return ConditionSystem(template, n, m, tuple(equations))
 
 # ---------------------------------------------------------------------------
@@ -357,24 +293,20 @@ def check_candidate(P, candidate: FactorizationCandidate,
     """
     import random
     rng = random.Random(opts.seed)
+    matrix = isinstance(P, MatrixOperator)
+    if candidate.is_matrix != matrix:
+        raise UnsupportedTemplate("matrix operator needs matrix factors" if matrix
+                                  else "scalar operator needs scalar factors")
+    P = as_matrix(P)
+    factors = [as_matrix(f) for f in candidate.factors]
+    grid_p = matrix_expand_product([P])
+    grid_c = matrix_expand_product(factors)
     residuals = []
-    if isinstance(P, MatrixOperator):
-        if not candidate.is_matrix:
-            raise UnsupportedTemplate("matrix operator needs matrix factors")
-        grid_p = matrix_expand_product([P])
-        grid_c = matrix_expand_product(list(candidate.factors))
-        for p in range(P.m):
-            for q in range(P.m):
-                for label, r in _jet_residuals(grid_p[p][q], grid_c[p][q]):
-                    residuals.append((f"({p+1},{q+1}) {label}", r))
-        numeric_max = _numeric_probe_matrix(P, candidate, rng, opts)
-    else:
-        if candidate.is_matrix:
-            raise UnsupportedTemplate("scalar operator needs scalar factors")
-        jp_p = expand_product([P])
-        jp_c = expand_product(list(candidate.factors))
-        residuals.extend(_jet_residuals(jp_p, jp_c))
-        numeric_max = _numeric_probe_scalar(P, candidate, rng, opts)
+    for p in range(P.m):
+        for q in range(P.m):
+            for label, r in _jet_residuals(grid_p[p][q], grid_c[p][q]):
+                residuals.append((f"({p+1},{q+1}) {label}" if matrix else label, r))
+    numeric_max = _numeric_probe(P, factors, rng, opts)
     passed = not residuals and numeric_max <= opts.tol
     return CheckReport(passed, tuple(residuals), numeric_max,
                        opts.samples, opts.tol, opts.seed)
@@ -413,38 +345,17 @@ def _rel_gap(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-def _numeric_probe_scalar(P, candidate, rng, opts) -> float:
-    from .expr import evaluate
-    Q1, Q2 = candidate.factors
-    worst = 0.0
-    ue = _random_poly(rng, P.n)
-    u_exprs = {1: ue}
-    left = apply_operator(P, 1, u_exprs)
-    inner = apply_to_expr(Q2, ue, u_exprs)
-    right = apply_to_expr(Q1, inner, u_exprs)
-    for pt in _probe_points(rng, P.n, opts.samples):
-        worst = max(worst, _rel_gap(evaluate(left, pt), evaluate(right, pt)))
-    return worst
-
-
-def _numeric_probe_matrix(P, candidate, rng, opts) -> float:
-    from .expr import evaluate
-    N1, N2 = candidate.factors
-    worst = 0.0
+def _numeric_probe(P: MatrixOperator, factors, rng, opts) -> float:
+    """Largest relative gap between P u and N1 (N2 u) over the probe
+    points, for a random polynomial u per component."""
+    N1, N2 = factors
     u_exprs = {j: _random_poly(rng, P.n) for j in range(1, P.m + 1)}
     left = matrix_apply(P, u_exprs)
-    inner = []
-    for l in range(P.m):
-        acc = ZERO
-        for q in range(P.m):
-            acc = acc + apply_operator(N2.entries[l][q], q + 1, u_exprs)
-        inner.append(simplify(acc))
-    right = []
-    for p in range(P.m):
-        acc = ZERO
-        for l in range(P.m):
-            acc = acc + apply_to_expr(N1.entries[p][l], inner[l], u_exprs)
-        right.append(simplify(acc))
+    inner = matrix_apply(N2, u_exprs)
+    right = [sum_exprs([apply_to_expr(N1.entries[p][l], inner[l], u_exprs)
+                        for l in range(P.m)])
+             for p in range(P.m)]
+    worst = 0.0
     for pt in _probe_points(rng, P.n, opts.samples):
         for p in range(P.m):
             worst = max(worst, _rel_gap(evaluate(left[p], pt), evaluate(right[p], pt)))

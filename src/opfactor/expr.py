@@ -20,7 +20,7 @@ coefficient functions.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -514,6 +514,11 @@ def simplify(e: Expr) -> Expr:
     return Div(poly_to_expr(num), poly_to_expr(den))
 
 
+def sum_exprs(terms) -> Expr:
+    """Simplified sum of simplified terms; a single term is returned as is."""
+    return terms[0] if len(terms) == 1 else simplify(sum(terms[1:], terms[0]))
+
+
 def is_zero(e: Expr) -> bool:
     return simplify(e) == ZERO
 
@@ -536,58 +541,21 @@ def diff(e: Expr, vid: VarId) -> Expr:
     Opaque symbols differentiate to tagged derivative symbols when the
     variable is among their declared base coordinates, else to zero.
     """
-    return simplify(_diff(e, vid))
-
-
-def _diff(e: Expr, vid) -> Expr:
-    if isinstance(e, Const):
-        return ZERO
-    if isinstance(e, Var):
-        if e.vid == vid:
+    def leaf(v):
+        if v == vid:
             return ONE
-        if isinstance(e.vid, FuncSym):
-            if isinstance(vid, IndepVar) and ("x", vid.index) in e.vid.deps:
-                return Var(e.vid.partial(("x", vid.index)))
-            if isinstance(vid, DepVar) and ("u", vid.component) in e.vid.deps:
-                return Var(e.vid.partial(("u", vid.component)))
+        if isinstance(v, FuncSym):
+            if isinstance(vid, IndepVar) and ("x", vid.index) in v.deps:
+                return Var(v.partial(("x", vid.index)))
+            if isinstance(vid, DepVar) and ("u", vid.component) in v.deps:
+                return Var(v.partial(("u", vid.component)))
         return ZERO
-    if isinstance(e, Sum):
-        return Sum(tuple(_diff(t, vid) for t in e.terms))
-    if isinstance(e, Product):
-        terms = []
-        for i, f in enumerate(e.factors):
-            rest = e.factors[:i] + e.factors[i + 1:]
-            terms.append(Product((_diff(f, vid),) + rest))
-        return Sum(tuple(terms)) if len(terms) > 1 else terms[0]
-    if isinstance(e, Power):
-        return Const(Fraction(e.exp)) * Power(e.base, e.exp - 1) * _diff(e.base, vid)
-    if isinstance(e, Div):
-        return Div(_diff(e.num, vid) * e.den - e.num * _diff(e.den, vid),
-                   Power(e.den, 2))
-    if isinstance(e, Fun):
-        da = _diff(e.arg, vid)
-        if e.name == "exp":
-            return Fun("exp", e.arg) * da
-        if e.name == "log":
-            return Div(da, e.arg)
-        if e.name == "sin":
-            return Fun("cos", e.arg) * da
-        if e.name == "cos":
-            return -(Fun("sin", e.arg) * da)
-        return Div(da, Const(Fraction(2)) * Fun("sqrt", e.arg))
-    raise TypeError(f"not an Expr: {e!r}")
+    return simplify(_chain(e, leaf))
 
 
 def total_derivative(e: Expr, axis: int, n: int) -> Expr:
     """Total derivative along x^axis, prolonging through jet coordinates."""
-    return simplify(_total(e, axis, n))
-
-
-def _total(e: Expr, axis: int, n: int) -> Expr:
-    if isinstance(e, Const):
-        return ZERO
-    if isinstance(e, Var):
-        v = e.vid
+    def leaf(v):
         if isinstance(v, IndepVar):
             return ONE if v.index == axis else ZERO
         if isinstance(v, DepVar):
@@ -604,21 +572,30 @@ def _total(e: Expr, axis: int, n: int) -> Expr:
         if not parts:
             return ZERO
         return parts[0] if len(parts) == 1 else Sum(tuple(parts))
+    return simplify(_chain(e, leaf))
+
+
+def _chain(e: Expr, leaf) -> Expr:
+    """Unsimplified chain rule; `leaf(vid)` is the derivative of a variable."""
+    if isinstance(e, Const):
+        return ZERO
+    if isinstance(e, Var):
+        return leaf(e.vid)
     if isinstance(e, Sum):
-        return Sum(tuple(_total(t, axis, n) for t in e.terms))
+        return Sum(tuple(_chain(t, leaf) for t in e.terms))
     if isinstance(e, Product):
         terms = []
         for i, f in enumerate(e.factors):
             rest = e.factors[:i] + e.factors[i + 1:]
-            terms.append(Product((_total(f, axis, n),) + rest))
+            terms.append(Product((_chain(f, leaf),) + rest))
         return Sum(tuple(terms)) if len(terms) > 1 else terms[0]
     if isinstance(e, Power):
-        return Const(Fraction(e.exp)) * Power(e.base, e.exp - 1) * _total(e.base, axis, n)
+        return Const(Fraction(e.exp)) * Power(e.base, e.exp - 1) * _chain(e.base, leaf)
     if isinstance(e, Div):
-        return Div(_total(e.num, axis, n) * e.den - e.num * _total(e.den, axis, n),
+        return Div(_chain(e.num, leaf) * e.den - e.num * _chain(e.den, leaf),
                    Power(e.den, 2))
     if isinstance(e, Fun):
-        da = _total(e.arg, axis, n)
+        da = _chain(e.arg, leaf)
         if e.name == "exp":
             return Fun("exp", e.arg) * da
         if e.name == "log":

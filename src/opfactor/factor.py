@@ -15,26 +15,21 @@ from fractions import Fraction
 
 from .errors import (DomainError, NonPolynomialCoefficients, NonPolynomialSqrtDelta,
                      NoRealFactorization, NotConstant, UnsupportedTemplate)
-from .expr import (Const, Div, Expr, Fun, FuncSym, IndepVar, Power, Product,
-                   Sum, Var, ZERO, ONE, evaluate, expr_to_poly,
-                   expr_variables, is_constant, poly_sqrt, render, simplify,
-                   sort_key, substitute, total_derivative, _fraction_sqrt)
+from .expr import (Const, Div, Expr, Fun, FuncSym, IndepVar, Power, Var, ZERO,
+                   ONE, evaluate, expr_to_poly, expr_variables, is_constant,
+                   poly_sqrt, render, simplify, sort_key, substitute,
+                   total_derivative, _fraction_sqrt)
 from .conditions import FactorizationCandidate, discriminant
 from .operator import DiffOperator, make_operator
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the search strategies.
-
-    root_tolerance is reserved; root extraction is exact and the field
-    exists only so configurations can carry it through reports.
-    """
+    """Knobs for the search strategies."""
 
     ansatz_degree: int = 3
     allow_swap: bool = True
     seed: int = 0
-    root_tolerance: Fraction = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -326,35 +321,22 @@ def _swap_coord(c):
 
 def _swap_expr(e: Expr) -> Expr:
     """Exchange x1 and x2, including derivative tags on opaque symbols."""
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Var):
-        v = e.vid
+    mapping = {}
+    for v in expr_variables(e):
         if isinstance(v, IndepVar):
-            return Var(IndepVar(3 - v.index))
-        if isinstance(v, FuncSym):
-            return Var(FuncSym(v.family, v.indices,
-                               tuple(sorted(_swap_coord(c) for c in v.derivs)),
-                               tuple(sorted(_swap_coord(c) for c in v.deps))))
-        return e
-    if isinstance(e, Sum):
-        return Sum(tuple(_swap_expr(t) for t in e.terms))
-    if isinstance(e, Product):
-        return Product(tuple(_swap_expr(f) for f in e.factors))
-    if isinstance(e, Power):
-        return Power(_swap_expr(e.base), e.exp)
-    if isinstance(e, Div):
-        return Div(_swap_expr(e.num), _swap_expr(e.den))
-    if isinstance(e, Fun):
-        return Fun(e.name, _swap_expr(e.arg))
-    raise TypeError(f"unexpected expression node {type(e).__name__}")
+            mapping[v] = Var(IndepVar(3 - v.index))
+        elif isinstance(v, FuncSym):
+            mapping[v] = Var(FuncSym(v.family, v.indices,
+                                     tuple(sorted(_swap_coord(c) for c in v.derivs)),
+                                     tuple(sorted(_swap_coord(c) for c in v.deps))))
+    return substitute(e, mapping)
 
 
 def _swap_axes(op: DiffOperator) -> DiffOperator:
     """Exchange the two independent variables, slots and coefficients."""
     coeffs = {}
     for d, c in op.coeffs:
-        coeffs[_SLOT_SWAP[(d.k, d.h)]] = simplify(_swap_expr(c))
+        coeffs[_SLOT_SWAP[(d.k, d.h)]] = _swap_expr(c)
     return make_operator(op.n, op.m, coeffs, op.linear)
 
 
@@ -436,7 +418,7 @@ def _swap_candidate(c: FactorizationCandidate) -> FactorizationCandidate:
 
 
 def _swap_result(res: PdeFactorResult) -> PdeFactorResult:
-    sub = lambda e: simplify(_swap_expr(e))
+    sub = _swap_expr
     branches = tuple(PdeBranch(_swap_candidate(b.candidate), sub(b.residual), b.sign)
                      for b in res.branches)
     ob = res.obligation

@@ -14,13 +14,13 @@ through the jet coordinates, which is where quasi-linear coefficients
 pick up their chain rule terms.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArityMismatch, NotQuasiLinear, OrderOverflow, ShapeMismatch
-from .expr import (Const, DepVar, Div, Expr, Fun, FuncSym, IndepVar, JetVar,
-                   Power, Product, Sum, Var, ZERO, ONE, expr_variables,
-                   is_constant, render, simplify, substitute, total_derivative)
+from .expr import (Const, DepVar, Div, Expr, IndepVar, JetVar, Power, Product,
+                   Sum, Var, ZERO, ONE, expr_variables, render, simplify,
+                   substitute, sum_exprs, total_derivative)
 from .jet import DerivIndex, canonical_slot, index_to_axes, index_to_multiindex
 
 DEFAULT_ORDER_CAP = 6
@@ -140,6 +140,13 @@ class MatrixOperator:
         return all(op.linear for row in self.entries for op in row)
 
 
+def as_matrix(op) -> MatrixOperator:
+    """A matrix operator unchanged; a scalar operator as its 1x1 system."""
+    if isinstance(op, MatrixOperator):
+        return op
+    return MatrixOperator(op.n, 1, ((op,),))
+
+
 @dataclass(frozen=True)
 class JetPolynomial:
     """Canonical expansion result: sorted (monomial, coefficient) terms."""
@@ -240,19 +247,6 @@ def jet_polynomial(n: int, m: int, e: Expr) -> JetPolynomial:
     return _jet_poly(n, m, acc)
 
 
-def canonicalize_jet(jp: JetPolynomial) -> JetPolynomial:
-    """Re-merge slots and like monomials; idempotent."""
-    return jet_polynomial(jp.n, jp.m, jp.to_expr())
-
-
-def _mono_expr(mono: JetMono, n: int) -> Expr:
-    out = ONE
-    for (j, k, h), e in mono:
-        v = Var(DepVar(j)) if k == 0 else Var(JetVar(j, DerivIndex(k, h, n)))
-        out = out * (Power(v, e) if e > 1 else v)
-    return out
-
-
 def _apply_to_jet(op: DiffOperator, jp: JetPolynomial) -> JetPolynomial:
     """Apply one operator to an already expanded jet polynomial."""
     acc = {}
@@ -275,26 +269,13 @@ def generic_jet(n: int, m: int, component: int) -> JetPolynomial:
     return JetPolynomial(n, m, (((((component, 0, 1), 1),), ONE),))
 
 
-def expand_product(factors, order_cap: int = DEFAULT_ORDER_CAP,
-                   component: int = 1) -> JetPolynomial:
+def expand_product(factors, order_cap: int = DEFAULT_ORDER_CAP) -> JetPolynomial:
     """Expand the product of scalar factors applied to a generic component.
 
-    Folds right to left: the last factor acts first.  Raises
-    OrderOverflow when the accumulated order would exceed `order_cap`.
+    The (1, 1) cell of `matrix_expand_product` over the factors as 1x1
+    systems.
     """
-    if not factors:
-        raise ValueError("need at least one factor")
-    n, m = factors[0].n, factors[0].m
-    for f in factors:
-        if f.n != n or f.m != m:
-            raise ShapeMismatch("factors live over different dimensions")
-    total = sum(f.order for f in factors)
-    if total > order_cap:
-        raise OrderOverflow(f"product order {total} exceeds cap {order_cap}")
-    jp = generic_jet(n, m, component)
-    for f in reversed(factors):
-        jp = _apply_to_jet(f, jp)
-    return jp
+    return matrix_expand_product([as_matrix(f) for f in factors], order_cap)[0][0]
 
 
 def matrix_expand_product(factors, order_cap: int = DEFAULT_ORDER_CAP):
@@ -302,7 +283,9 @@ def matrix_expand_product(factors, order_cap: int = DEFAULT_ORDER_CAP):
 
     Returns an m x m tuple grid; cell (p, q) is the jet polynomial of
     everything row p picks up from source component q, so that row p of
-    the product applied to u is the sum of its row cells.
+    the product applied to u is the sum of its row cells.  Folds right
+    to left: the last factor acts first.  Raises OrderOverflow when the
+    accumulated order would exceed `order_cap`.
     """
     if not factors:
         raise ValueError("need at least one factor")
@@ -320,12 +303,10 @@ def matrix_expand_product(factors, order_cap: int = DEFAULT_ORDER_CAP):
         new = [[empty] * m for _ in range(m)]
         for p in range(m):
             for q in range(m):
-                acc = empty
-                for l in range(m):
-                    cell = grid[l][q]
-                    if cell.terms:
-                        acc = acc + _apply_to_jet(f.entries[p][l], cell)
-                new[p][q] = acc
+                parts = [_apply_to_jet(f.entries[p][l], grid[l][q]) for l in range(m)
+                         if grid[l][q].terms and f.entries[p][l].coeffs]
+                if parts:
+                    new[p][q] = sum(parts[1:], parts[0])
         grid = new
     return tuple(tuple(row) for row in grid)
 
@@ -399,17 +380,45 @@ def apply_to_expr(op: DiffOperator, target_expr: Expr, u_exprs: dict) -> Expr:
 
 def matrix_apply(mop: MatrixOperator, u_exprs: dict) -> tuple:
     """Row results of a matrix operator applied to a concrete u."""
-    rows = []
-    for p in range(mop.m):
-        acc = ZERO
-        for q in range(mop.m):
-            acc = acc + apply_operator(mop.entries[p][q], q + 1, u_exprs)
-        rows.append(simplify(acc))
-    return tuple(rows)
+    return tuple(sum_exprs([apply_operator(mop.entries[p][q], q + 1, u_exprs)
+                            for q in range(mop.m)])
+                 for p in range(mop.m))
 
 
 # ---------------------------------------------------------------------------
 # reading an expansion back as an operator
+
+def identify(jp: JetPolynomial, target: int):
+    """Bucket a jet polynomial against the slots of component `target`.
+
+    A monomial that is a single degree-one jet coordinate of the target,
+    times order-0 factors that fold into the coefficient, goes to that
+    coordinate's slot (k, h); a pure power of the target goes to (0, 1)
+    after one factor is pulled out.  Returns ({(k, h): unsimplified
+    coefficient sum}, [(monomial, coefficient)] of everything else).
+    """
+    buckets = {}
+    others = []
+    for mono, coeff in jp.terms:
+        high = [(key, e) for key, e in mono if key[1] >= 1]
+        lows = [(key, e) for key, e in mono if key[1] == 0]
+        if len(high) == 1 and high[0][1] == 1 and high[0][0][0] == target:
+            key = high[0][0][1:]
+            extra = ONE
+            for (j, _, _), e in lows:
+                v = Var(DepVar(j))
+                extra = extra * (Power(v, e) if e > 1 else v)
+        elif not high and len(lows) == 1 and lows[0][0][0] == target:
+            e = lows[0][1]
+            key = (0, 1)
+            extra = Power(Var(DepVar(target)), e - 1) if e > 2 else (
+                Var(DepVar(target)) if e == 2 else ONE)
+        else:
+            others.append((mono, coeff))
+            continue
+        buckets[key] = buckets.get(key, ZERO) + coeff * extra
+    return buckets, others
+
 
 def operator_from_jet(jp: JetPolynomial, component: int = 1) -> DiffOperator:
     """Quasi-linear operator whose expansion is jp, if one exists.
@@ -418,37 +427,25 @@ def operator_from_jet(jp: JetPolynomial, component: int = 1) -> DiffOperator:
     component, optionally times powers of order-0 components, which
     fold back into the coefficient.
     """
-    coeffs = {}
-    for mono, coeff in jp.terms:
-        high = [((j, k, h), e) for (j, k, h), e in mono if k >= 1]
-        lows = [((j, k, h), e) for (j, k, h), e in mono if k == 0]
-        if len(high) > 1 or (high and high[0][1] != 1):
-            raise NotQuasiLinear(f"monomial {mono} is not degree one in jets")
-        extra = ONE
-        for (j, _, _), e in lows:
-            extra = extra * Power(Var(DepVar(j)), e) if e > 1 else extra * Var(DepVar(j))
-        if high:
-            (j, k, h), _ = high[0]
-            if j != component:
-                raise NotQuasiLinear(
-                    f"jet coordinate of component u{j}, expected u{component}")
-            key = (k, h)
-        else:
-            if not lows:
-                raise NotQuasiLinear("free term with no dependence")
-            # pull one factor of the target component out of the monomial
-            if lows[0][0][0] != component or len(lows) != 1:
-                raise NotQuasiLinear(f"order-0 monomial {mono} mixes components")
-            e = lows[0][1]
-            extra = Power(Var(DepVar(component)), e - 1) if e > 2 else (
-                Var(DepVar(component)) if e == 2 else ONE)
-            key = (0, 1)
-        coeffs[key] = simplify(coeffs.get(key, ZERO) + coeff * extra)
-    linear = True
-    for c in coeffs.values():
-        if any(isinstance(v, DepVar) for v in expr_variables(c)):
-            linear = False
+    buckets, others = identify(jp, component)
+    if others:
+        raise NotQuasiLinear(_no_slot(others[0][0], component))
+    coeffs = {key: simplify(c) for key, c in buckets.items()}
+    linear = not any(isinstance(v, DepVar)
+                     for c in coeffs.values() for v in expr_variables(c))
     return make_operator(jp.n, jp.m, coeffs, linear)
+
+
+def _no_slot(mono: JetMono, component: int) -> str:
+    """Why `identify` found no operator slot for a monomial."""
+    high = [((j, k, h), e) for (j, k, h), e in mono if k >= 1]
+    if len(high) > 1 or (high and high[0][1] != 1):
+        return f"monomial {mono} is not degree one in jets"
+    if high:
+        return f"jet coordinate of component u{high[0][0][0]}, expected u{component}"
+    if not mono:
+        return "free term with no dependence"
+    return f"order-0 monomial {mono} mixes components"
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,10 @@ Format by example:
 Scalar kinds describe the operator with g[k,h] keys and candidates
 with b[k,h] under [Q1]/[Q2]; system kinds use f[p,q,k,h] and
 a[p,q,k,h] under [N1]/[N2].  Expression values are double quoted.
-Missing coefficients default to zero, but each diagonal second order
-block needs at least one key so the operator really has order two.
+A scalar operator is read as the 1x1 system whose cell (1,1) holds
+its g[k,h] (or b[k,h]) keys.  Missing coefficients default to zero,
+but each diagonal cell of the operator needs a nonzero second order
+coefficient so the operator really has order two.
 """
 
 import re
@@ -38,7 +40,7 @@ from fractions import Fraction
 from .conditions import TEMPLATES, FactorizationCandidate, template_traits
 from .errors import EngineError, ParseError, ValidationError
 from .expr import DepVar, Expr, ZERO, expr_variables, render, simplify
-from .operator import DiffOperator, MatrixOperator, make_operator
+from .operator import DiffOperator, MatrixOperator, as_matrix, make_operator
 from .parse import parse_expr
 
 _SECTIONS = ("problem", "operator", "Q1", "Q2", "N1", "N2", "solve")
@@ -142,37 +144,19 @@ def _check_linear(e: Expr, kind: str, key: str, line: int):
             f"{key} on line {line}: dependent variable in a linear coefficient")
 
 
-def _scalar_operator(items: dict, kind: str, n: int, family: str,
-                     need_lead: bool) -> DiffOperator:
-    linear = template_traits(kind)[0]
-    coeffs = {}
-    for key, (value, line, column) in items.items():
-        idx = _coeff_key(key, family, line)
-        if len(idx) != 2:
-            raise ValidationError(f"{key} on line {line}: expected {family}[k,h]")
-        k, h = idx
-        _check_slot(k, h, n, key, line)
-        e = _parse_value_expr(value, line, column)
-        _check_linear(e, kind, key, line)
-        coeffs[(k, h)] = e
-    if need_lead and not any(k == 2 and e != ZERO for (k, _), e in coeffs.items()):
-        raise ValidationError("operator needs a nonzero second order coefficient")
-    try:
-        return make_operator(n, 1, coeffs, linear)
-    except EngineError as err:
-        raise ValidationError(str(err)) from err
-
-
-def _matrix_operator(items: dict, kind: str, n: int, m: int, family: str,
-                     max_order: int, need_lead: bool) -> MatrixOperator:
-    linear = template_traits(kind)[0]
+def _read_operator(items: dict, kind: str, n: int, m: int, family: str,
+                   max_order: int, need_lead: bool):
+    """One operator section.  System kinds key cells as family[p,q,k,h];
+    scalar kinds key family[k,h], read as cell (1,1) of a 1x1 system and
+    returned as its scalar entry."""
+    linear, system, _ = template_traits(kind)
+    shape, arity = ("p,q,k,h", 4) if system else ("k,h", 2)
     cells = {}
     for key, (value, line, column) in items.items():
         idx = _coeff_key(key, family, line)
-        if len(idx) != 4:
-            raise ValidationError(
-                f"{key} on line {line}: expected {family}[p,q,k,h]")
-        p, q, k, h = idx
+        if len(idx) != arity:
+            raise ValidationError(f"{key} on line {line}: expected {family}[{shape}]")
+        p, q, k, h = idx if system else (1, 1) + idx
         if not (1 <= p <= m and 1 <= q <= m):
             raise ValidationError(
                 f"{key} on line {line}: component out of range 1..{m}")
@@ -186,17 +170,19 @@ def _matrix_operator(items: dict, kind: str, n: int, m: int, family: str,
     if need_lead:
         for p in range(1, m + 1):
             block = cells.get((p, p), {})
-            if not any(k == 2 for (k, _) in block):
+            if not any(k == 2 and e != ZERO for (k, _), e in block.items()):
                 raise ValidationError(
-                    f"diagonal entry ({p},{p}) needs a second order coefficient")
+                    f"diagonal entry ({p},{p}) needs a second order coefficient"
+                    if system else "operator needs a nonzero second order coefficient")
     try:
         rows = tuple(
             tuple(make_operator(n, m, cells.get((p, q), {}), linear)
                   for q in range(1, m + 1))
             for p in range(1, m + 1))
-        return MatrixOperator(n, m, rows)
+        mop = MatrixOperator(n, m, rows)
     except EngineError as err:
         raise ValidationError(str(err)) from err
+    return mop if system else mop.entries[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +223,8 @@ def parse_problem(text: str) -> ProblemFile:
         if m != 1:
             raise ValidationError(f"scalar kinds fix m = 1, file says {m}")
 
-    if system:
-        operator = _matrix_operator(sections["operator"], kind, n, m, "f",
-                                    max_order=2, need_lead=True)
-    else:
-        operator = _scalar_operator(sections["operator"], kind, n, "g",
-                                    need_lead=True)
+    operator = _read_operator(sections["operator"], kind, n, m,
+                              "f" if system else "g", max_order=2, need_lead=True)
 
     names = ("N1", "N2") if system else ("Q1", "Q2")
     wrong = ("Q1", "Q2") if system else ("N1", "N2")
@@ -254,15 +236,11 @@ def parse_problem(text: str) -> ProblemFile:
     if len(present) == 1:
         raise ValidationError(f"candidate needs both [{names[0]}] and [{names[1]}]")
     if len(present) == 2:
-        if system:
-            factors = tuple(
-                _matrix_operator(sections[nm], kind, n, m, "a",
-                                 max_order=1, need_lead=False)
-                for nm in names)
-        else:
-            factors = tuple(
-                _scalar_operator(sections[nm], kind, n, "b", need_lead=False)
-                for nm in names)
+        # a scalar factor of order 2 is caught below, by name
+        factors = tuple(
+            _read_operator(sections[nm], kind, n, m, "a" if system else "b",
+                           max_order=1 if system else 2, need_lead=False)
+            for nm in names)
         for nm, f in zip(names, factors):
             if f.order != 1:
                 raise ValidationError(f"factor [{nm}] must have order exactly 1")
@@ -320,27 +298,27 @@ def _coeff_lines(op: DiffOperator, family: str, prefix=()) -> list:
     return out
 
 
+def _operator_lines(op, family: str, system: bool) -> list:
+    mop = as_matrix(op)
+    out = []
+    for p in range(mop.m):
+        for q in range(mop.m):
+            out.extend(_coeff_lines(mop.entries[p][q], family,
+                                    (p + 1, q + 1) if system else ()))
+    return out
+
+
 def print_problem(problem: ProblemFile) -> str:
     """Canonical text form; parse_problem round-trips it."""
     lines = ["[problem]", f"kind = {problem.kind}",
              f"n = {problem.n}", f"m = {problem.m}", "", "[operator]"]
-    if problem.is_system:
-        op = problem.operator
-        for p in range(op.m):
-            for q in range(op.m):
-                lines.extend(_coeff_lines(op.entries[p][q], "f", (p + 1, q + 1)))
-    else:
-        lines.extend(_coeff_lines(problem.operator, "g"))
+    system = problem.is_system
+    lines.extend(_operator_lines(problem.operator, "f" if system else "g", system))
     if problem.candidate is not None:
-        names = ("N1", "N2") if problem.is_system else ("Q1", "Q2")
+        names = ("N1", "N2") if system else ("Q1", "Q2")
         for nm, f in zip(names, problem.candidate.factors):
             lines.extend(["", f"[{nm}]"])
-            if problem.is_system:
-                for p in range(f.m):
-                    for q in range(f.m):
-                        lines.extend(_coeff_lines(f.entries[p][q], "a", (p + 1, q + 1)))
-            else:
-                lines.extend(_coeff_lines(f, "b"))
+            lines.extend(_operator_lines(f, "a" if system else "b", system))
     if problem.solve is not None:
         s = problem.solve
         lines.extend(["", "[solve]",

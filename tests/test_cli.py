@@ -287,6 +287,16 @@ def test_cascade_scalar_csv(tmp_path, capsys):
 # cross-cutting contract
 
 
+def test_flags_of_other_commands_are_rejected(capsys):
+    for argv in (["expand", "--seed", "5"], ["check", "--csv", "out.csv"],
+                 ["factor", "--steps", "3"], ["cascade", "--seed", "1"],
+                 ["conditions", "--samples", "5"]):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, path("ode-const-factorable.ini")])
+        assert info.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_missing_file_is_validation_error(capsys):
     code, _, err = run(capsys, "check", "no-such-file.ini")
     assert code == 2

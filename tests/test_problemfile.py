@@ -138,6 +138,21 @@ def test_missing_second_order_coefficient():
     assert "second order" in msg
 
 
+def test_system_diagonal_needs_nonzero_second_order_coefficient():
+    base = ('[problem]\nkind = linear-ode-system\nm = 2\n\n[operator]\n'
+            'f[1,1,1,1] = "-3"\nf[2,2,2,1] = "1"\n')
+    msg = bad(base + 'f[1,1,2,1] = "0"\n')
+    assert "diagonal entry (1,1)" in msg
+    assert "second order" in msg
+    bad(base + 'f[1,1,2,1] = "x1 - x1"\n')
+    assert parse_problem(base + 'f[1,1,2,1] = "1"\n').operator.order == 2
+
+
+def test_scalar_zero_second_order_coefficient_rejected():
+    msg = bad('[problem]\nkind = linear-ode\n\n[operator]\ng[2,1] = "0"\ng[1,1] = "1"\n')
+    assert msg == "operator needs a nonzero second order coefficient"
+
+
 def test_linear_kind_rejects_dependent_coefficient():
     bad('[problem]\nkind = linear-ode\n\n[operator]\ng[2,1] = "1"\ng[1,1] = "u1"\n')
 
