@@ -39,11 +39,10 @@ from .jet import (DerivIndex, axes_to_index, canonical_slot, compose_index,
                   jet_size, multiindex_to_index, slot_count)
 from .operator import (DEFAULT_ORDER_CAP, DiffOperator, JetPolynomial,
                        MatrixOperator, apply_operator, apply_to_expr,
-                       expand_product, instantiate, jet_polynomial,
-                       make_operator, matrix_apply, matrix_expand_product,
+                       expand_product, jet_polynomial, make_operator,
+                       matrix_apply, matrix_expand_product,
                        operator_from_jet, render_jet, render_mono)
 from .parse import parse_expr
-from .problemfile import (ProblemFile, SolveSettings, parse_problem,
-                          print_problem)
+from .problemfile import ProblemFile, parse_problem, print_problem
 
 __version__ = "0.1.0"

@@ -27,7 +27,7 @@ from .errors import (DomainError, QuadratureFailure, ShapeMismatch,
                      UnsupportedTemplate)
 from .expr import (Const, DepVar, Div, Expr, Fun, IndepVar, Var, ZERO,
                    compile_float, evaluate, expr_to_poly, simplify)
-from .operator import (DiffOperator, MatrixOperator, apply_to_expr,
+from .operator import (DiffOperator, MatrixOperator, apply_to_expr, as_matrix,
                        expand_product, operator_from_jet)
 from .conditions import FactorizationCandidate
 
@@ -216,19 +216,6 @@ def _sample(e: Expr, grid) -> list:
 # ---------------------------------------------------------------------------
 # scalar cascade
 
-def _check_factor(Q: DiffOperator, grid, who: str):
-    lead = Q.coeff(1, 1)
-    if lead == ZERO:
-        raise SingularLeadingCoefficient(f"{who} has no derivative slot")
-    if not Q.linear:
-        return
-    f = compile_float(lead, _X)
-    for x in grid:
-        if abs(f(x)) <= _TINY:
-            raise SingularLeadingCoefficient(
-                f"leading coefficient of {who} vanishes near x1 = {x:.6g}")
-
-
 def _kernel_piece(Q: DiffOperator, grid, h, label: str) -> SolutionPiece:
     """Solution of Q y = 0 for a linear first order factor."""
     ratio = simplify(Div(Q.coeff(0, 1), Q.coeff(1, 1)))
@@ -264,8 +251,8 @@ def cascade_ode(cand: FactorizationCandidate,
         u0 = _quasilinear_u0(Q2, grid, h, opts)
         u0 = _with_residual(P, u0, opts)
         return CascadeSolution(u0, None, None, tuple(opts.interval), steps)
-    _check_factor(Q2, grid, "Q2")
-    _check_factor(Q1, grid, "Q1")
+    _diag_leads(as_matrix(Q2), grid, "Q2")
+    _diag_leads(as_matrix(Q1), grid, "Q1")
     u0 = _kernel_piece(Q2, grid, h, "u0")
     v1 = _kernel_piece(Q1, grid, h, "v1")
     u1 = _second_solution(Q2, u0, v1, grid, h)
@@ -399,25 +386,38 @@ def _verify_trajectory(P: DiffOperator, traj: Trajectory) -> ResidualReport:
     grid, vals = traj.grid, traj.values
     if len(grid) < 3:
         raise StepCountTooSmall("need at least three samples to difference")
-    h = grid[1] - grid[0]
-    sup = max(1.0, max(abs(v) for v in vals))
     inner = range(1, len(grid) - 1)
     idxs = sorted({inner[int(t * (len(inner) - 1) / (RESIDUAL_POINTS - 1))]
                    for t in range(RESIDUAL_POINTS)})
-    coeffs = [(dv.k, compile_float(coeff, _XU)) for dv, coeff in P.coeffs]
-    rows = []
-    worst = 0.0
+    res = _fd_residuals(grid, [(v,) for v in vals],
+                        _compiled_table(as_matrix(P).entries), idxs)
+    rows = tuple(((grid[i],), r) for i, r in zip(idxs, res))
+    return ResidualReport(max([0.0, *res]), False, rows)
+
+
+def _fd_residuals(grid, vals, table, idxs) -> list:
+    """Central-difference residuals of a compiled operator table on a
+    trajectory whose vals[i] holds one float per component: |row p of
+    the table applied to vals| / sup |vals| at each grid index of idxs,
+    in (index, row) order."""
+    m = len(table)
+    h = grid[1] - grid[0]
+    h2, hh = 2 * h, h * h
+    sup = max(1.0, max(abs(c) for row in vals for c in row))
+    out = []
     for i in idxs:
-        d = {0: vals[i],
-             1: (vals[i + 1] - vals[i - 1]) / (2 * h),
-             2: (vals[i + 1] - 2 * vals[i] + vals[i - 1]) / (h * h)}
-        r = 0.0
-        for k, coeff in coeffs:
-            r += coeff(grid[i], vals[i]) * d[k]
-        val = abs(r) / sup
-        worst = max(worst, val)
-        rows.append(((grid[i],), val))
-    return ResidualReport(worst, False, tuple(rows))
+        y, lo, hi = vals[i], vals[i - 1], vals[i + 1]
+        args = (grid[i], *y)
+        stencils = [(y[q], (hi[q] - lo[q]) / h2, (hi[q] - 2 * y[q] + lo[q]) / hh)
+                    for q in range(m)]
+        for p in range(m):
+            r = 0.0
+            for q in range(m):
+                d = stencils[q]
+                for k, coeff in table[p][q]:
+                    r += coeff(*args) * d[k]
+            out.append(abs(r) / sup)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -485,19 +485,20 @@ def cascade_system_numeric(cand: FactorizationCandidate, interval=None,
 
 
 def _diag_leads(N: MatrixOperator, grid, who: str) -> list:
-    """Compiled diagonal leading coefficients, checked on the grid."""
+    """Compiled diagonal leading coefficients of a first order factor,
+    checked nonzero on the grid; a scalar factor is its 1x1 system."""
     leads = []
-    for p in range(N.m):
-        lead = N.entries[p][p].coeff(1, 1)
+    for p in range(1, N.m + 1):
+        lead = N.entries[p - 1][p - 1].coeff(1, 1)
         if lead == ZERO:
             raise SingularLeadingCoefficient(
-                f"diagonal entry ({p + 1},{p + 1}) of {who} has no derivative slot")
+                f"diagonal entry ({p},{p}) of {who} has no derivative slot")
         f = compile_float(lead, _X)
+        name = f"{who}[{p},{p}]" if N.m > 1 else who
         for x in grid:
             if abs(f(x)) <= _TINY:
                 raise SingularLeadingCoefficient(
-                    f"leading coefficient of {who}[{p + 1},{p + 1}] vanishes "
-                    f"near x1 = {x:.6g}")
+                    f"leading coefficient of {name} vanishes near x1 = {x:.6g}")
         leads.append(f)
     return leads
 
@@ -531,29 +532,15 @@ def _expanded_system(N1: MatrixOperator, N2: MatrixOperator) -> list:
 
 
 def _compiled_table(table) -> list:
-    """Cellwise (order, compiled coefficient) lists of an operator table."""
-    return [[[(dv.k, compile_float(coeff, _X)) for dv, coeff in cell.coeffs]
+    """Cellwise (order, coefficient) lists of an m x m operator table,
+    each coefficient compiled over (x1, u1, ..., um) for _fd_residuals."""
+    vids = _X + tuple(DepVar(j) for j in range(1, len(table) + 1))
+    return [[[(dv.k, compile_float(coeff, vids)) for dv, coeff in cell.coeffs]
              for cell in row] for row in table]
 
 
 def _system_piece(label, grid, vals, table) -> SolutionPiece:
     """Trajectory piece with its residual under a compiled table."""
-    m = len(table)
-    h = grid[1] - grid[0]
-    sup = max(1.0, max(abs(c) for row in vals for c in row))
-    worst = 0.0
-    for i in range(1, len(grid) - 1):
-        x = grid[i]
-        stencils = [{0: vals[i][q],
-                     1: (vals[i + 1][q] - vals[i - 1][q]) / (2 * h),
-                     2: (vals[i + 1][q] - 2 * vals[i][q] + vals[i - 1][q]) / (h * h)}
-                    for q in range(m)]
-        for p in range(m):
-            r = 0.0
-            for q in range(m):
-                d = stencils[q]
-                for k, coeff in table[p][q]:
-                    r += coeff(x) * d[k]
-            worst = max(worst, abs(r) / sup)
+    res = _fd_residuals(grid, vals, table, range(1, len(grid) - 1))
     traj = Trajectory(tuple(grid), tuple(tuple(v) for v in vals))
-    return SolutionPiece(label, None, traj, "rk4", worst)
+    return SolutionPiece(label, None, traj, "rk4", max([0.0, *res]))

@@ -13,8 +13,9 @@ limits.
 import argparse
 import json
 import sys
+from dataclasses import replace
 
-from .cascade import (CascadeOptions, CascadeSolution, cascade_ode,
+from .cascade import (CascadeOptions, CascadeSolution, _grid, cascade_ode,
                       cascade_system_numeric)
 from .conditions import (TEMPLATES, CheckOptions, condition_residuals,
                          check_candidate, derive_conditions,
@@ -24,12 +25,28 @@ from .errors import (CapacityExceeded, EngineError, OrderOverflow, ParseError,
 from .expr import ZERO, compile_float, render, IndepVar
 from .factor import SearchConfig, factor_ode, factor_pde_second_order
 from .operator import expand_product, matrix_expand_product, render_jet
-from .problemfile import ProblemFile, SolveSettings, parse_problem
+from .problemfile import ProblemFile, parse_problem
+
+
+COMMANDS = ("expand", "conditions", "check", "factor", "cascade")
+
+
+class _JsonParser(argparse.ArgumentParser):
+    """Raises a usage error as ValidationError, which main reports as a
+    JSON error document; the default parser prints usage and exits 2."""
+
+    def error(self, message):
+        raise ValidationError(message)
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # --json, or an abbreviation of it that argparse accepts
+    as_json = any(len(a) > 2 and "--json".startswith(a) for a in argv)
+    args = argparse.Namespace(
+        command=argv[0] if argv and argv[0] in COMMANDS else None, as_json=as_json)
     try:
+        args = _build_parser(as_json).parse_args(argv)
         return _dispatch(args)
     except (ParseError, ValidationError) as err:
         _emit_error(args, err)
@@ -42,13 +59,12 @@ def main(argv=None) -> int:
         return 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+def _build_parser(as_json: bool) -> argparse.ArgumentParser:
+    ap = (_JsonParser if as_json else argparse.ArgumentParser)(
         prog="opfactor",
         description="factorization engine for second order differential operators")
     sub = ap.add_subparsers(dest="command", required=True)
-    cmd = {name: sub.add_parser(name)
-           for name in ("expand", "conditions", "check", "factor", "cascade")}
+    cmd = {name: sub.add_parser(name) for name in COMMANDS}
     for name, p in cmd.items():
         if name == "conditions":
             p.add_argument("problem", nargs="?", help="problem file path")
@@ -102,10 +118,8 @@ def _emit(args, doc: dict, text: str):
 
 def _emit_error(args, err: EngineError):
     name = type(err).__name__
-    if getattr(args, "as_json", False):
-        doc = {"schema": 1, "command": args.command,
-               "error": {"type": name, "message": str(err)}}
-        print(json.dumps(doc, sort_keys=True, indent=2))
+    if args.as_json:
+        _emit(args, {"error": {"type": name, "message": str(err)}}, "")
     else:
         print(f"error: {name}: {err}", file=sys.stderr)
 
@@ -225,8 +239,7 @@ def _cmd_factor(args, problem: ProblemFile) -> int:
     if problem.is_system:
         raise UnsupportedTemplate(
             "factor searches cover scalar templates; system kinds are check-only")
-    linear = not problem.kind.startswith("nonlinear")
-    if not linear:
+    if not template_traits(problem.kind)[0]:
         raise UnsupportedTemplate(
             "no search strategy for nonlinear kinds; supply a candidate and use check")
     cfg = SearchConfig(ansatz_degree=args.ansatz_degree, seed=args.seed)
@@ -279,8 +292,7 @@ def _cmd_factor(args, problem: ProblemFile) -> int:
 # cascade
 
 def _solve_options(args, problem: ProblemFile) -> CascadeOptions:
-    s = problem.solve if problem.solve is not None else SolveSettings()
-    interval, steps, constant = s.interval, s.steps, s.constant
+    opts = problem.solve if problem.solve is not None else CascadeOptions()
     if args.interval is not None:
         parts = args.interval.split(",")
         if len(parts) != 2:
@@ -291,9 +303,10 @@ def _solve_options(args, problem: ProblemFile) -> CascadeOptions:
             raise ValidationError("--interval wants numbers a,b")
         if not interval[1] > interval[0]:
             raise ValidationError("--interval is empty")
+        opts = replace(opts, interval=interval)
     if args.steps is not None:
-        steps = args.steps
-    return CascadeOptions(interval=interval, steps=steps, constant=constant)
+        opts = replace(opts, steps=args.steps)
+    return opts
 
 
 def _cmd_cascade(args, problem: ProblemFile) -> int:
@@ -363,9 +376,7 @@ def _piece_rows(piece, sol: CascadeSolution) -> list:
         if values and isinstance(values[0], tuple):
             return [(x, *v) for x, v in zip(grid, values)]
         return [(x, v) for x, v in zip(grid, values)]
-    a, b = sol.interval
-    h = (b - a) / sol.steps
-    grid = [a + i * h for i in range(sol.steps + 1)]
+    grid, _ = _grid(sol.interval, sol.steps)
     f = compile_float(piece.form, (IndepVar(1),))
     return [(x, f(x)) for x in grid]
 

@@ -28,11 +28,11 @@ from .errors import UnsupportedTemplate
 from .expr import (Const, DepVar, Expr, FuncSym, IndepVar, Power, Var, ZERO,
                    _poly_content, diff, evaluate, expr_to_poly,
                    expr_variables, poly_to_expr, render, simplify, sort_key,
-                   substitute, sum_exprs)
+                   substitute)
 from .jet import DerivIndex, canonical_slot, slot_count
-from .operator import (DiffOperator, MatrixOperator, apply_to_expr, as_matrix,
-                       identify, make_operator, matrix_apply,
-                       matrix_expand_product, render_mono)
+from .operator import (DiffOperator, MatrixOperator, as_matrix, identify,
+                       make_operator, matrix_apply, matrix_expand_product,
+                       render_mono)
 
 TEMPLATES = (
     "linear-ode", "linear-pde2", "nonlinear-ode", "nonlinear-pde2",
@@ -58,64 +58,43 @@ def _deps(linear: bool, n: int, m: int) -> tuple:
     return coords
 
 
-def g_sym(k, h, deps) -> Expr:
-    return Var(FuncSym("g", (k, h), deps=deps))
+def coeff_sym(family: str, head: tuple, p: int, q: int, k: int, h: int,
+              deps) -> Expr:
+    """Coefficient symbol family[head, p, q, k, h]; the scalar families
+    g (operator) and b (factors) leave out the cell (p, q)."""
+    cell = () if family in ("g", "b") else (p, q)
+    return Var(FuncSym(family, head + cell + (k, h), deps=deps))
 
 
-def b_sym(i, k, h, deps) -> Expr:
-    return Var(FuncSym("b", (i, k, h), deps=deps))
-
-
-def f_sym(p, q, k, h, deps) -> Expr:
-    return Var(FuncSym("f", (p, q, k, h), deps=deps))
-
-
-def a_sym(i, p, q, k, h, deps) -> Expr:
-    return Var(FuncSym("a", (i, p, q, k, h), deps=deps))
+def _generic(template: str, m: int, factor: int = 0):
+    """Generic operator (factor 0) or first order factor 1 or 2 of a
+    template, with one symbol per slot: order 2 on the diagonal and 1
+    off it for the operator, 1 and 0 for a factor."""
+    linear, system, n = template_traits(template)
+    _check_m(system, m)
+    deps = _deps(linear, n, m)
+    family = ("fa" if system else "gb")[factor > 0]
+    head = (factor,) if factor else ()
+    top = 1 if factor else 2
+    rows = tuple(
+        tuple(make_operator(n, m, {
+            (k, h): coeff_sym(family, head, p, q, k, h, deps)
+            for k in range(top + 1 if p == q else top)
+            for h in range(1, slot_count(n, k) + 1)}, linear)
+            for q in range(1, m + 1))
+        for p in range(1, m + 1))
+    mop = MatrixOperator(n, m, rows)
+    return mop if system else mop.entries[0][0]
 
 
 def symbolic_operator(template: str, m: int = 1):
     """Generic second order operator of a template, with symbol coefficients."""
-    linear, system, n = template_traits(template)
-    _check_m(system, m)
-    deps = _deps(linear, n, m)
-    sym = f_sym if system else (lambda p, q, k, h, deps: g_sym(k, h, deps))
-    rows = []
-    for p in range(1, m + 1):
-        row = []
-        for q in range(1, m + 1):
-            coeffs = {}
-            top = 2 if p == q else 1
-            for k in range(top + 1):
-                for h in range(1, slot_count(n, k) + 1):
-                    coeffs[(k, h)] = sym(p, q, k, h, deps)
-            row.append(make_operator(n, m, coeffs, linear))
-        rows.append(tuple(row))
-    mop = MatrixOperator(n, m, tuple(rows))
-    return mop if system else mop.entries[0][0]
+    return _generic(template, m)
 
 
 def symbolic_factors(template: str, m: int = 1):
     """The two generic first order factors of a template."""
-    linear, system, n = template_traits(template)
-    _check_m(system, m)
-    deps = _deps(linear, n, m)
-    sym = a_sym if system else (lambda i, p, q, k, h, deps: b_sym(i, k, h, deps))
-    factors = []
-    for i in (1, 2):
-        rows = []
-        for p in range(1, m + 1):
-            row = []
-            for q in range(1, m + 1):
-                coeffs = {(0, 1): sym(i, p, q, 0, 1, deps)}
-                if p == q:
-                    for h in range(1, n + 1):
-                        coeffs[(1, h)] = sym(i, p, q, 1, h, deps)
-                row.append(make_operator(n, m, coeffs, linear))
-            rows.append(tuple(row))
-        mop = MatrixOperator(n, m, tuple(rows))
-        factors.append(mop if system else mop.entries[0][0])
-    return tuple(factors)
+    return _generic(template, m, 1), _generic(template, m, 2)
 
 
 def _check_m(system: bool, m: int):
@@ -246,13 +225,12 @@ def derive_conditions(template: str, m: int = 1) -> ConditionSystem:
     grid = matrix_expand_product(factors)
     blocks = sorted(((p, q) for p in range(1, m + 1) for q in range(1, m + 1)),
                     key=lambda pq: (pq[0] != pq[1], pq[0], pq[1]))
+    family = "f" if system else "g"
     equations = []
     for p, q in blocks:
         buckets, others = identify(grid[p - 1][q - 1], q)
-        if system:
-            sym, block = (lambda k, h: f_sym(p, q, k, h, deps)), (p, q)
-        else:
-            sym, block = (lambda k, h: g_sym(k, h, deps)), None
+        sym = lambda k, h: coeff_sym(family, (), p, q, k, h, deps)
+        block = (p, q) if system else None
         for (k, h) in sorted(buckets, key=lambda kh: (-kh[0], kh[1])):
             equations.append(Equation(
                 _lhs_for(sym, k, h, n), simplify(buckets[(k, h)]), block))
@@ -351,10 +329,7 @@ def _numeric_probe(P: MatrixOperator, factors, rng, opts) -> float:
     N1, N2 = factors
     u_exprs = {j: _random_poly(rng, P.n) for j in range(1, P.m + 1)}
     left = matrix_apply(P, u_exprs)
-    inner = matrix_apply(N2, u_exprs)
-    right = [sum_exprs([apply_to_expr(N1.entries[p][l], inner[l], u_exprs)
-                        for l in range(P.m)])
-             for p in range(P.m)]
+    right = matrix_apply(N1, u_exprs, matrix_apply(N2, u_exprs))
     worst = 0.0
     for pt in _probe_points(rng, P.n, opts.samples):
         for p in range(P.m):
@@ -380,7 +355,7 @@ def condition_residuals(system: ConditionSystem, P, candidate) -> list:
             if isinstance(v, FuncSym):
                 syms.add(v)
     for s in syms:
-        mapping[s] = _concrete_symbol(s, system, P, candidate)
+        mapping[s] = _concrete_symbol(s, P, candidate)
     out = []
     for i, eq in enumerate(system.equations):
         r = simplify(substitute(eq.rhs, mapping) - substitute(eq.lhs, mapping))
@@ -388,21 +363,14 @@ def condition_residuals(system: ConditionSystem, P, candidate) -> list:
     return out
 
 
-def _concrete_symbol(s: FuncSym, system, P, candidate) -> Expr:
-    if s.family == "g":
-        k, h = s.indices
-        base = P.coeff(k, h)
-    elif s.family == "f":
-        p, q, k, h = s.indices
-        base = P.entries[p - 1][q - 1].coeff(k, h)
-    elif s.family == "b":
-        i, k, h = s.indices
-        base = candidate.factors[i - 1].coeff(k, h)
-    elif s.family == "a":
-        i, p, q, k, h = s.indices
-        base = candidate.factors[i - 1].entries[p - 1][q - 1].coeff(k, h)
-    else:
+def _concrete_symbol(s: FuncSym, P, candidate) -> Expr:
+    if s.family not in ("g", "b", "f", "a"):
         raise UnsupportedTemplate(f"unknown symbol family {s.family!r}")
+    op, indices = P, s.indices
+    if s.family in ("b", "a"):
+        op, indices = candidate.factors[indices[0] - 1], indices[1:]
+    p, q, k, h = indices if len(indices) == 4 else (1, 1) + indices
+    base = as_matrix(op).entries[p - 1][q - 1].coeff(k, h)
     for kind, idx in s.derivs:
         base = diff(base, IndepVar(idx) if kind == "x" else DepVar(idx))
     return base

@@ -17,8 +17,8 @@ from .errors import (DomainError, NonPolynomialCoefficients, NonPolynomialSqrtDe
                      NoRealFactorization, NotConstant, UnsupportedTemplate)
 from .expr import (Const, Div, Expr, Fun, FuncSym, IndepVar, Power, Var, ZERO,
                    ONE, evaluate, expr_to_poly, expr_variables, is_constant,
-                   poly_sqrt, render, simplify, sort_key, substitute,
-                   total_derivative, _fraction_sqrt)
+                   poly_sqrt, poly_to_expr, render, simplify, sort_key,
+                   substitute, total_derivative, _fraction_sqrt)
 from .conditions import FactorizationCandidate, discriminant
 from .operator import DiffOperator, make_operator
 
@@ -28,19 +28,18 @@ class SearchConfig:
     """Knobs for the search strategies."""
 
     ansatz_degree: int = 3
-    allow_swap: bool = True
     seed: int = 0
 
 
 # ---------------------------------------------------------------------------
 # constant coefficients
 
-def factor_constant(P: DiffOperator, config: SearchConfig = SearchConfig()) -> list:
+def factor_constant(P: DiffOperator) -> list:
     """Split a constant coefficient operator over one variable.
 
     Roots of g21 t^2 - g11 t + g01 give the candidates
-    (g21 t1 + g21 D, t2 + D); with allow_swap both root orders are
-    returned.  Irrational roots are kept exact as square root atoms.
+    (g21 t1 + g21 D, t2 + D), one per root order.  Irrational roots are
+    kept exact as square root atoms.
     """
     if P.n != 1:
         raise UnsupportedTemplate("constant strategy works over one variable")
@@ -70,8 +69,6 @@ def factor_constant(P: DiffOperator, config: SearchConfig = SearchConfig()) -> l
         t1 = simplify((Const(A) + sq) * Const(Fraction(1, 2)))
         t2 = simplify((Const(A) - sq) * Const(Fraction(1, 2)))
         pairs = [(t1, t2), (t2, t1)]
-    if not config.allow_swap:
-        pairs = pairs[:1]
     out = []
     for u, v in pairs:
         Q1 = make_operator(1, 1, {(0, 1): simplify(g2 * u), (1, 1): g2})
@@ -120,10 +117,6 @@ def riccati_from_operator(P: DiffOperator) -> RiccatiProblem:
     )
 
 
-def _c_sym(d: int) -> FuncSym:
-    return FuncSym("c", (d,))
-
-
 def solve_riccati_ansatz(prob: RiccatiProblem,
                          config: SearchConfig = SearchConfig()) -> list:
     """All polynomial solutions Y of degree <= config.ansatz_degree.
@@ -137,7 +130,7 @@ def solve_riccati_ansatz(prob: RiccatiProblem,
             raise NonPolynomialCoefficients(
                 f"Riccati coefficient {render(c)} is not polynomial in x1")
     deg = config.ansatz_degree
-    cvars = [_c_sym(d) for d in range(deg + 1)]
+    cvars = [FuncSym("c", (d,)) for d in range(deg + 1)]
     Y = ZERO
     for d in range(deg + 1):
         term = Var(cvars[d])
@@ -174,33 +167,15 @@ def _polynomial_in_x(e: Expr) -> bool:
 
 def _collect_x_powers(e: Expr) -> list:
     """Coefficients of powers of x1, highest power first."""
-    p = expr_to_poly(e)
+    by_deg = _c_degree(e, IndepVar(1))
+    return [by_deg[d] for d in sorted(by_deg, reverse=True) if by_deg[d] != ZERO]
+
+
+def _c_degree(eq: Expr, c) -> dict:
+    """Coefficient exprs by degree of eq as a polynomial in the variable c."""
+    p = expr_to_poly(eq)
     if p is None:
         raise NonPolynomialCoefficients("residual is not polynomial")
-    x = IndepVar(1)
-    groups = {}
-    for mono, c in p.items():
-        d = 0
-        rest = []
-        for a, exp in mono:
-            if isinstance(a, Var) and a.vid == x:
-                d = exp
-            else:
-                rest.append((a, exp))
-        key = tuple(rest)
-        groups.setdefault(d, {})[key] = groups.get(d, {}).get(key, Fraction(0)) + c
-    out = []
-    from .expr import poly_to_expr
-    for d in sorted(groups, reverse=True):
-        eq = simplify(poly_to_expr({m: c for m, c in groups[d].items() if c}))
-        if eq != ZERO:
-            out.append(eq)
-    return out
-
-
-def _c_degree(eq: Expr, c: FuncSym):
-    """(degree, coefficient exprs by degree) of eq as a polynomial in c."""
-    p = expr_to_poly(eq)
     by_deg = {}
     for mono, coeff in p.items():
         d = 0
@@ -211,7 +186,6 @@ def _c_degree(eq: Expr, c: FuncSym):
             else:
                 rest.append((a, exp))
         by_deg.setdefault(d, {})[tuple(rest)] = coeff
-    from .expr import poly_to_expr
     return {d: simplify(poly_to_expr(m)) for d, m in by_deg.items()}
 
 
@@ -303,7 +277,7 @@ def riccati_candidate(prob: RiccatiProblem, y: Expr) -> FactorizationCandidate:
 def factor_ode(P: DiffOperator, config: SearchConfig = SearchConfig()) -> list:
     """Dispatch: constant route when possible, else the Riccati ansatz."""
     if all(is_constant(c) for _, c in P.coeffs):
-        return factor_constant(P, config)
+        return factor_constant(P)
     prob = riccati_from_operator(P)
     return [riccati_candidate(prob, y) for y in solve_riccati_ansatz(prob, config)]
 
@@ -500,9 +474,8 @@ def factor_pde_second_order(P: DiffOperator,
         return PdeFactorResult(delta, None, (), ob)
 
     sq = _delta_sqrt(delta, config)
-    signs = (1, -1) if config.allow_swap else (1,)
     branches = []
-    for sign in signs:
+    for sign in (1, -1):
         root = simplify(Const(Fraction(sign)) * sq)
         a2 = simplify(half * (S - root))
         c2 = simplify(Div(S + root, 2 * g21))

@@ -14,14 +14,14 @@ through the jet coordinates, which is where quasi-linear coefficients
 pick up their chain rule terms.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import ArityMismatch, NotQuasiLinear, OrderOverflow, ShapeMismatch
 from .expr import (Const, DepVar, Div, Expr, IndepVar, JetVar, Power, Product,
                    Sum, Var, ZERO, ONE, expr_variables, render, simplify,
                    substitute, sum_exprs, total_derivative)
-from .jet import DerivIndex, canonical_slot, index_to_axes, index_to_multiindex
+from .jet import DerivIndex, canonical_slot, index_to_axes
 
 DEFAULT_ORDER_CAP = 6
 
@@ -314,53 +314,21 @@ def matrix_expand_product(factors, order_cap: int = DEFAULT_ORDER_CAP):
 # ---------------------------------------------------------------------------
 # application to concrete functions
 
-def _derivative_of(u_exprs, j, d: DerivIndex, cache: dict) -> Expr:
-    mu = index_to_multiindex(d)
-    key = (j, mu)
-    if key in cache:
-        return cache[key]
+def _component(u_exprs: dict, j: int) -> Expr:
     if j not in u_exprs:
         raise ArityMismatch(f"no expression for component u{j}")
-    e = u_exprs[j]
-    for axis in sorted(index_to_axes(d)):
-        e = total_derivative(e, axis, d.n)
-    cache[key] = e
-    return e
-
-
-def instantiate(jp: JetPolynomial, u_exprs: dict) -> Expr:
-    """Substitute concrete component expressions into a jet polynomial."""
-    cache = {}
-    out = ZERO
-    for mono, coeff in jp.terms:
-        term = _subs_components(coeff, u_exprs)
-        for (j, k, h), e in mono:
-            if k == 0:
-                if j not in u_exprs:
-                    raise ArityMismatch(f"no expression for component u{j}")
-                val = u_exprs[j]
-            else:
-                val = _derivative_of(u_exprs, j, DerivIndex(k, h, jp.n), cache)
-            term = term * Power(val, e) if e > 1 else term * val
-        out = out + term
-    return simplify(out)
+    return u_exprs[j]
 
 
 def _subs_components(e: Expr, u_exprs: dict) -> Expr:
-    mapping = {}
-    for v in expr_variables(e):
-        if isinstance(v, DepVar):
-            if v.component not in u_exprs:
-                raise ArityMismatch(f"no expression for component u{v.component}")
-            mapping[v] = u_exprs[v.component]
+    mapping = {v: _component(u_exprs, v.component)
+               for v in expr_variables(e) if isinstance(v, DepVar)}
     return substitute(e, mapping) if mapping else e
 
 
 def apply_operator(op: DiffOperator, target: int, u_exprs: dict) -> Expr:
     """Apply an operator to component `target` of a concrete u."""
-    if target not in u_exprs:
-        raise ArityMismatch(f"no expression for component u{target}")
-    return apply_to_expr(op, u_exprs[target], u_exprs)
+    return apply_to_expr(op, _component(u_exprs, target), u_exprs)
 
 
 def apply_to_expr(op: DiffOperator, target_expr: Expr, u_exprs: dict) -> Expr:
@@ -378,9 +346,15 @@ def apply_to_expr(op: DiffOperator, target_expr: Expr, u_exprs: dict) -> Expr:
     return simplify(out)
 
 
-def matrix_apply(mop: MatrixOperator, u_exprs: dict) -> tuple:
-    """Row results of a matrix operator applied to a concrete u."""
-    return tuple(sum_exprs([apply_operator(mop.entries[p][q], q + 1, u_exprs)
+def matrix_apply(mop: MatrixOperator, u_exprs: dict, targets=None) -> tuple:
+    """Row results of a matrix operator applied to a concrete u.
+
+    Entry (p, q) acts on targets[q], component q + 1 of u by default;
+    quasi-linear coefficients are evaluated along u_exprs either way.
+    """
+    if targets is None:
+        targets = [_component(u_exprs, q) for q in range(1, mop.m + 1)]
+    return tuple(sum_exprs([apply_to_expr(mop.entries[p][q], targets[q], u_exprs)
                             for q in range(mop.m)])
                  for p in range(mop.m))
 
@@ -430,10 +404,10 @@ def operator_from_jet(jp: JetPolynomial, component: int = 1) -> DiffOperator:
     buckets, others = identify(jp, component)
     if others:
         raise NotQuasiLinear(_no_slot(others[0][0], component))
-    coeffs = {key: simplify(c) for key, c in buckets.items()}
+    op = make_operator(jp.n, jp.m, buckets, linear=False)
     linear = not any(isinstance(v, DepVar)
-                     for c in coeffs.values() for v in expr_variables(c))
-    return make_operator(jp.n, jp.m, coeffs, linear)
+                     for _, c in op.coeffs for v in expr_variables(c))
+    return replace(op, linear=True) if linear else op
 
 
 def _no_slot(mono: JetMono, component: int) -> str:

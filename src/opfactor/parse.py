@@ -14,6 +14,10 @@ from fractions import Fraction
 from .errors import ParseError
 from .expr import Const, DepVar, Div, Expr, Fun, FUN_NAMES, IndepVar, Power, Var, simplify
 
+# deepest nesting of parentheses, function arguments, unary minus and
+# exponents; far deeper input exhausts the interpreter's recursion limit
+MAX_NESTING = 100
+
 
 @dataclass(frozen=True)
 class Token:
@@ -75,6 +79,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -87,6 +92,15 @@ class _Parser:
     def fail(self, message, tok=None):
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.column)
+
+    def nested(self, tok, parse) -> Expr:
+        """parse() one nesting level below the one tok opens."""
+        if self.depth == MAX_NESTING:
+            self.fail(f"nesting deeper than {MAX_NESTING} levels", tok)
+        self.depth += 1
+        e = parse()
+        self.depth -= 1
+        return e
 
     def parse(self) -> Expr:
         e = self.sum_()
@@ -112,15 +126,14 @@ class _Parser:
 
     def unary(self) -> Expr:
         if self.peek().kind == "op" and self.peek().text == "-":
-            self.advance()
-            return -self.unary()
+            return -self.nested(self.advance(), self.unary)
         return self.power()
 
     def power(self) -> Expr:
         base = self.atom()
         if self.peek().kind == "op" and self.peek().text == "^":
             caret = self.advance()
-            exp = simplify(self.unary())
+            exp = simplify(self.nested(caret, self.unary))
             if not isinstance(exp, Const) or exp.value.denominator != 1:
                 self.fail("exponent must simplify to an integer", caret)
             return Power(base, int(exp.value))
@@ -133,7 +146,7 @@ class _Parser:
             return Const(Fraction(tok.text))
         if tok.kind == "lparen":
             self.advance()
-            e = self.sum_()
+            e = self.nested(tok, self.sum_)
             if self.peek().kind != "rparen":
                 self.fail("expected ')'")
             self.advance()
@@ -145,7 +158,7 @@ class _Parser:
                 if self.peek().kind != "lparen":
                     self.fail(f"{name} needs parenthesized argument")
                 self.advance()
-                arg = self.sum_()
+                arg = self.nested(tok, self.sum_)
                 if self.peek().kind != "rparen":
                     self.fail("expected ')'")
                 self.advance()

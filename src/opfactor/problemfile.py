@@ -37,6 +37,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cascade import CascadeOptions
 from .conditions import TEMPLATES, FactorizationCandidate, template_traits
 from .errors import EngineError, ParseError, ValidationError
 from .expr import DepVar, Expr, ZERO, expr_variables, render, simplify
@@ -48,20 +49,13 @@ _KEY_RE = re.compile(r"^([a-z])\[(\d+(?:,\d+)*)\]$")
 
 
 @dataclass(frozen=True)
-class SolveSettings:
-    interval: tuple = (-1.0, 1.0)
-    steps: int = 1024
-    constant: Fraction = Fraction(1)
-
-
-@dataclass(frozen=True)
 class ProblemFile:
     kind: str
     n: int
     m: int
     operator: object  # DiffOperator | MatrixOperator
     candidate: "FactorizationCandidate | None" = None
-    solve: "SolveSettings | None" = None
+    solve: "CascadeOptions | None" = None
 
     @property
     def is_system(self) -> bool:
@@ -137,13 +131,6 @@ def _check_slot(k: int, h: int, n: int, key: str, line: int):
             f"{key} on line {line}: slot {h} out of range 1..{n ** k}")
 
 
-def _check_linear(e: Expr, kind: str, key: str, line: int):
-    linear = template_traits(kind)[0]
-    if linear and any(isinstance(v, DepVar) for v in expr_variables(e)):
-        raise ValidationError(
-            f"{key} on line {line}: dependent variable in a linear coefficient")
-
-
 def _read_operator(items: dict, kind: str, n: int, m: int, family: str,
                    max_order: int, need_lead: bool):
     """One operator section.  System kinds key cells as family[p,q,k,h];
@@ -165,7 +152,9 @@ def _read_operator(items: dict, kind: str, n: int, m: int, family: str,
             raise ValidationError(
                 f"{key} on line {line}: order {k} exceeds {max_order}")
         e = _parse_value_expr(value, line, column)
-        _check_linear(e, kind, key, line)
+        if linear and any(isinstance(v, DepVar) for v in expr_variables(e)):
+            raise ValidationError(
+                f"{key} on line {line}: dependent variable in a linear coefficient")
         cells.setdefault((p, q), {})[(k, h)] = e
     if need_lead:
         for p in range(1, m + 1):
@@ -252,10 +241,8 @@ def parse_problem(text: str) -> ProblemFile:
     return ProblemFile(kind, n, m, operator, candidate, solve)
 
 
-def _parse_solve(items: dict) -> SolveSettings:
-    interval = (-1.0, 1.0)
-    steps = 1024
-    constant = Fraction(1)
+def _parse_solve(items: dict) -> CascadeOptions:
+    fields = {}
     for key, (value, line, column) in items.items():
         value, _ = _unquote(value, line, column)
         if key == "interval":
@@ -269,7 +256,7 @@ def _parse_solve(items: dict) -> SolveSettings:
                 raise ValidationError(f"bad interval number on line {line}")
             if not b > a:
                 raise ValidationError(f"empty interval on line {line}")
-            interval = (a, b)
+            fields["interval"] = (a, b)
         elif key == "steps":
             try:
                 steps = int(value)
@@ -277,14 +264,15 @@ def _parse_solve(items: dict) -> SolveSettings:
                 raise ValidationError(f"steps on line {line} must be an integer")
             if steps <= 0:
                 raise ValidationError(f"steps on line {line} must be positive")
+            fields["steps"] = steps
         elif key == "constant":
             try:
-                constant = Fraction(value)
+                fields["constant"] = Fraction(value)
             except (ValueError, ZeroDivisionError):
                 raise ValidationError(f"bad constant on line {line}")
         else:
             raise ValidationError(f"unknown [solve] key {key} on line {line}")
-    return SolveSettings(interval, steps, constant)
+    return CascadeOptions(**fields)
 
 
 # ---------------------------------------------------------------------------

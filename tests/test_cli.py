@@ -8,6 +8,8 @@ import sys
 import pytest
 
 from opfactor.cli import main
+from opfactor.parse import MAX_NESTING
+from opfactor.problemfile import parse_problem, print_problem
 
 PROBLEMS = pathlib.Path(__file__).parent / "problems"
 
@@ -295,6 +297,40 @@ def test_flags_of_other_commands_are_rejected(capsys):
             main([*argv, path("ode-const-factorable.ini")])
         assert info.value.code == 2, argv
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_json_usage_error_is_a_json_document(capsys):
+    for argv in (["check", "--json", "--bogus"], ["expand", "--json", "--seed", "5"],
+                 ["check", "--json", "--seed", "x"]):
+        code, out, err = run(capsys, *argv, path("ode-const-factorable.ini"))
+        assert code == 2, argv
+        assert err == ""
+        doc = json.loads(out)
+        assert doc["schema"] == 1 and doc["command"] == argv[0]
+        assert doc["error"]["type"] == "ValidationError"
+
+
+def test_coefficient_nesting_limit(tmp_path, capsys):
+    # a coefficient nested exactly MAX_NESTING deep goes through expand,
+    # check, cascade and printing; one level deeper is a ParseError at
+    # the offending token
+    for depth, code in ((MAX_NESTING, 0), (MAX_NESTING + 1, 2)):
+        deep = "sin(" * depth + "x1" + ")" * depth
+        ini = tmp_path / f"deep{depth}.ini"
+        ini.write_text('[problem]\nkind = linear-ode\n\n'
+                       f'[operator]\ng[2,1] = "1"\ng[1,1] = "{deep}"\n\n'
+                       f'[Q1]\nb[1,1] = "1"\nb[0,1] = "{deep}"\n\n'
+                       '[Q2]\nb[1,1] = "1"\n', encoding="utf-8")
+        for command in ("expand", "check", "cascade"):
+            got, out, _ = run(capsys, command, "--json", str(ini))
+            assert got == code, command
+            if code == 2:
+                assert json.loads(out)["error"] == {
+                    "type": "ParseError",
+                    "message": f"line 6, column {4 * MAX_NESTING + 11}: "
+                               f"nesting deeper than {MAX_NESTING} levels"}
+    problem = parse_problem((tmp_path / f"deep{MAX_NESTING}.ini").read_text())
+    assert parse_problem(print_problem(problem)) == problem
 
 
 def test_missing_file_is_validation_error(capsys):

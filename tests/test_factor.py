@@ -76,11 +76,6 @@ def test_constant_double_root_deduplicates():
     assert verified(P, found[0])
 
 
-def test_constant_swap_disabled():
-    found = factor_constant(ode("1", "-3", "2"), SearchConfig(allow_swap=False))
-    assert len(found) == 1
-
-
 def test_constant_irrational_roots_stay_exact():
     P = ode("1", "-1", "-1")
     found = factor_constant(P)
@@ -308,12 +303,6 @@ def test_pde_constant_surd_discriminant():
     assert res.candidates
     for cand in res.candidates:
         assert verified(P, cand)
-
-
-def test_pde_swap_disabled_gives_single_branch():
-    P = pde({(2, 1): "1", (2, 4): "-1"})
-    res = factor_pde_second_order(P, cfg(allow_swap=False))
-    assert len(res.branches) == 1
 
 
 def test_pde_rejects_ode():

@@ -24,8 +24,6 @@ from opfactor.operator import (
     apply_operator,
     apply_to_expr,
     expand_product,
-    generic_jet,
-    instantiate,
     jet_polynomial,
     make_operator,
     matrix_apply,
@@ -240,11 +238,6 @@ def test_apply_operator_matches_expansion():
 def test_apply_to_expr_polynomial():
     P = op1({(2, 1): ONE})
     assert apply_to_expr(P, E("x1^3"), {1: E("x1^3")}) == E("6*x1")
-
-
-def test_instantiate_generic_jet():
-    jp = generic_jet(1, 1, 1)
-    assert instantiate(jp, {1: E("x1^2")}) == E("x1^2")
 
 
 def test_quasilinear_apply_substitutes_dependent_variable():

@@ -19,7 +19,7 @@ from opfactor.expr import (
     u_,
     x_,
 )
-from opfactor.parse import parse_expr
+from opfactor.parse import MAX_NESTING, parse_expr
 
 
 def P(text):
@@ -94,6 +94,25 @@ def test_parse_errors_report_position():
         parse_expr("x1 @ 2")
     with pytest.raises(ParseError):
         parse_expr("x0")
+
+
+@pytest.mark.parametrize("nest, width, start", [
+    (lambda d: "(" * d + "x1" + ")" * d, 1, 0),
+    (lambda d: "exp(" * d + "x1" + ")" * d, 4, 0),
+    (lambda d: "-" * d + "x1", 1, 0),
+    (lambda d: "x1" + "^1" * d, 2, 2)])
+def test_nesting_limit(nest, width, start):
+    e = P(nest(MAX_NESTING))
+    assert P(render(e)) == e
+    # the depth of one operand does not carry over to the next
+    assert P(nest(MAX_NESTING) + "+" + nest(MAX_NESTING)) == simplify(e + e)
+    with pytest.raises(ParseError) as info:
+        parse_expr(nest(MAX_NESTING + 1))
+    # reported at the token that opens the level past the limit
+    assert info.value.column == start + width * MAX_NESTING + 1
+    assert "nesting deeper" in str(info.value)
+    with pytest.raises(ParseError):
+        parse_expr(nest(3000))
 
 
 def test_position_offsets_carry_through():
