@@ -25,7 +25,7 @@ from .errors import (CapacityExceeded, EngineError, OrderOverflow, ParseError,
 from .expr import ZERO, compile_float, render, IndepVar
 from .factor import SearchConfig, factor_ode, factor_pde_second_order
 from .operator import expand_product, matrix_expand_product, render_jet
-from .problemfile import ProblemFile, parse_problem
+from .problemfile import ProblemFile, parse_interval, parse_problem
 
 
 COMMANDS = ("expand", "conditions", "check", "factor", "cascade")
@@ -294,16 +294,7 @@ def _cmd_factor(args, problem: ProblemFile) -> int:
 def _solve_options(args, problem: ProblemFile) -> CascadeOptions:
     opts = problem.solve if problem.solve is not None else CascadeOptions()
     if args.interval is not None:
-        parts = args.interval.split(",")
-        if len(parts) != 2:
-            raise ValidationError("--interval wants a,b")
-        try:
-            interval = (float(parts[0]), float(parts[1]))
-        except ValueError:
-            raise ValidationError("--interval wants numbers a,b")
-        if not interval[1] > interval[0]:
-            raise ValidationError("--interval is empty")
-        opts = replace(opts, interval=interval)
+        opts = replace(opts, interval=parse_interval(args.interval, "--interval"))
     if args.steps is not None:
         opts = replace(opts, steps=args.steps)
     return opts

@@ -24,7 +24,7 @@ other templates keep their prefactors.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UnsupportedTemplate
+from .errors import DomainError, UnsupportedTemplate
 from .expr import (Const, DepVar, Expr, FuncSym, IndepVar, Power, Var, ZERO,
                    _poly_content, diff, evaluate, expr_to_poly,
                    expr_variables, poly_to_expr, render, simplify, sort_key,
@@ -314,9 +314,10 @@ def _random_poly(rng, n, degree=4, terms=6) -> Expr:
     return simplify(e)
 
 
-def _probe_points(rng, n, count):
-    return [{IndepVar(i): rng.uniform(-1.0, 1.0) for i in range(1, n + 1)}
-            for _ in range(count)]
+# a probe point where P u or N1 (N2 u) is undefined (a log of a negative
+# number, a pole) is redrawn, with at most this many draws per requested
+# point in all
+PROBE_DRAWS_PER_SAMPLE = 32
 
 
 def _rel_gap(a: float, b: float) -> float:
@@ -324,16 +325,32 @@ def _rel_gap(a: float, b: float) -> float:
 
 
 def _numeric_probe(P: MatrixOperator, factors, rng, opts) -> float:
-    """Largest relative gap between P u and N1 (N2 u) over the probe
-    points, for a random polynomial u per component."""
+    """Largest relative gap between P u and N1 (N2 u) over opts.samples
+    probe points in [-1, 1]^n, for a random polynomial u per component.
+
+    A point where either side is undefined is redrawn; the DomainError
+    of the last draw propagates once PROBE_DRAWS_PER_SAMPLE * samples
+    points have been drawn.
+    """
     N1, N2 = factors
     u_exprs = {j: _random_poly(rng, P.n) for j in range(1, P.m + 1)}
     left = matrix_apply(P, u_exprs)
     right = matrix_apply(N1, u_exprs, matrix_apply(N2, u_exprs))
     worst = 0.0
-    for pt in _probe_points(rng, P.n, opts.samples):
-        for p in range(P.m):
-            worst = max(worst, _rel_gap(evaluate(left[p], pt), evaluate(right[p], pt)))
+    used = draws = 0
+    while used < opts.samples:
+        pt = {IndepVar(i): rng.uniform(-1.0, 1.0) for i in range(1, P.n + 1)}
+        draws += 1
+        try:
+            gaps = [_rel_gap(evaluate(left[p], pt), evaluate(right[p], pt))
+                    for p in range(P.m)]
+        except DomainError:
+            if draws >= PROBE_DRAWS_PER_SAMPLE * opts.samples:
+                raise
+            continue
+        used += 1
+        for gap in gaps:
+            worst = max(worst, gap)
     return worst
 
 

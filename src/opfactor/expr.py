@@ -10,6 +10,11 @@ a quotient is therefore the zero test of its numerator.  Rational
 normalization is best effort (constant content and common monomial
 factors are cancelled), polynomial normalization is exact.
 
+A simplified tree carries the polynomial pair it was built from, so a
+canonical subtree inside a larger expression is not expanded again, and
+`expr_to_poly` of a simplified tree is a lookup.  The carried dicts are
+shared between trees and callers: they are read-only.
+
 Variables come in four kinds: independent coordinates x^i, dependent
 components u^j, jet coordinates u^j_(k)[h] for derivative slot (k, h),
 and named coefficient symbols that are opaque functions of a declared
@@ -107,9 +112,14 @@ def _vid_key(v):
 # expression nodes
 
 class Expr:
-    """Base class; arithmetic operators build unsimplified trees."""
+    """Base class; arithmetic operators build unsimplified trees.
 
-    __slots__ = ()
+    A tree returned by `simplify` (other than a Const or Var) carries in
+    `_polys` the exact (num, den) polynomial pair it was built from.
+    The pair is not a field, so equality and hashing ignore it.
+    """
+
+    __slots__ = ("_polys",)
 
     def __add__(self, other):
         other = _coerce(other)
@@ -148,7 +158,7 @@ class Expr:
         return Power(self, k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const(Expr):
     value: Fraction
 
@@ -157,12 +167,12 @@ class Const(Expr):
             object.__setattr__(self, "value", Fraction(self.value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Expr):
     vid: VarId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sum(Expr):
     terms: tuple
 
@@ -171,7 +181,7 @@ class Sum(Expr):
             raise ValueError("Sum needs at least two terms")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Product(Expr):
     factors: tuple
 
@@ -180,7 +190,7 @@ class Product(Expr):
             raise ValueError("Product needs at least two factors")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Power(Expr):
     base: Expr
     exp: int
@@ -190,7 +200,7 @@ class Power(Expr):
             raise ValueError("Power exponent must be an int")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Div(Expr):
     num: Expr
     den: Expr
@@ -199,7 +209,7 @@ class Div(Expr):
 FUN_NAMES = ("exp", "log", "sin", "cos", "sqrt")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fun(Expr):
     name: str
     arg: Expr
@@ -382,11 +392,15 @@ def _fraction_sqrt(q: Fraction):
 
 
 def _ratio(e: Expr):
-    """Rewrite e as a pair of polys (num, den)."""
+    """Rewrite e as a pair of polys (num, den); a simplified tree returns
+    the pair it carries."""
     if isinstance(e, Const):
         return ({(): e.value} if e.value else {}), _ONE_POLY
     if isinstance(e, Var):
         return {((e, 1),): Fraction(1)}, _ONE_POLY
+    polys = getattr(e, "_polys", None)
+    if polys is not None:
+        return polys
     if isinstance(e, Fun):
         atom = _fun_atom(e.name, e.arg)
         if isinstance(atom, Const):
@@ -503,15 +517,23 @@ def poly_to_expr(p) -> Expr:
     return terms[0] if len(terms) == 1 else Sum(terms)
 
 
+def _carrying(num, den) -> Expr:
+    """The canonical tree of num/den, carrying the pair unless it is a
+    Const or a Var."""
+    if den == _ONE_POLY:
+        out = poly_to_expr(num)
+        if isinstance(out, (Const, Var)):
+            return out
+    else:
+        out = Div(poly_to_expr(num), poly_to_expr(den))
+    object.__setattr__(out, "_polys", (num, den))
+    return out
+
+
 @lru_cache(maxsize=1 << 18)
 def simplify(e: Expr) -> Expr:
     """Canonical form: distributed polynomial, or Div of two of them."""
-    num, den = _cancel(*_ratio(e))
-    if den == _ONE_POLY:
-        return poly_to_expr(num)
-    if not num:
-        return ZERO
-    return Div(poly_to_expr(num), poly_to_expr(den))
+    return _carrying(*_cancel(*_ratio(e)))
 
 
 def sum_exprs(terms) -> Expr:
@@ -525,7 +547,8 @@ def is_zero(e: Expr) -> bool:
 
 def expr_to_poly(e: Expr):
     """Poly dict of a simplified polynomial expression; None if it has
-    a denominator."""
+    a denominator.  The dict may be the one the tree carries: read it,
+    never change it."""
     num, den = _cancel(*_ratio(e))
     if den != _ONE_POLY:
         return None
@@ -550,7 +573,7 @@ def diff(e: Expr, vid: VarId) -> Expr:
             if isinstance(vid, DepVar) and ("u", vid.component) in v.deps:
                 return Var(v.partial(("u", vid.component)))
         return ZERO
-    return simplify(_chain(e, leaf))
+    return _derive(e, leaf)
 
 
 def total_derivative(e: Expr, axis: int, n: int) -> Expr:
@@ -572,7 +595,52 @@ def total_derivative(e: Expr, axis: int, n: int) -> Expr:
         if not parts:
             return ZERO
         return parts[0] if len(parts) == 1 else Sum(tuple(parts))
+    return _derive(e, leaf)
+
+
+def _derive(e: Expr, leaf) -> Expr:
+    """simplify(_chain(e, leaf)), taken on the polynomial e carries when
+    `_poly_derivative` applies.  A canonical polynomial is one exact
+    dict, so both routes give the same tree; quotients keep the chain
+    rule because their normalization is best effort."""
+    polys = getattr(e, "_polys", None)
+    if polys is not None and polys[1] == _ONE_POLY:
+        out = _poly_derivative(polys[0], leaf)
+        if out is not None:
+            return _carrying(out, _ONE_POLY)
     return simplify(_chain(e, leaf))
+
+
+def _poly_derivative(num, leaf):
+    """Derivative of a poly in variables, term by term: c * prod a^k gives
+    c * k * (monomial / a) * leaf(a) for each atom a.  None when an atom
+    is a function application or a leaf derivative is not a poly."""
+    dleaf = {}
+    for mono in num:
+        for a, _ in mono:
+            if a in dleaf:
+                continue
+            if not isinstance(a, Var):
+                return None
+            dn, dd = _ratio(leaf(a.vid))
+            if dd != _ONE_POLY:
+                return None
+            dleaf[a] = dn
+    out = {}
+    for mono, c in num.items():
+        for i, (a, k) in enumerate(mono):
+            if not dleaf[a]:
+                continue
+            rest = mono[:i] + (((a, k - 1),) if k > 1 else ()) + mono[i + 1:]
+            ck = c * k
+            for m2, c2 in dleaf[a].items():
+                m = _mono_mul(rest, m2)
+                s = out.get(m, 0) + ck * c2
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+    return out
 
 
 def _chain(e: Expr, leaf) -> Expr:
@@ -851,13 +919,55 @@ def poly_sqrt(e: Expr):
 
     Works by peeling: take the square root of the leading term under
     graded lexicographic order, then repeatedly divide the residual's
-    leading term by twice the partial root.
+    leading term by twice the partial root.  exp atoms multiply by
+    adding their arguments, so exp(A) with A = sum a_k mu_k is peeled as
+    prod E_k^(s a_k - shift_k) over stand-in symbols E_k: the scale s
+    makes every half exponent an integer and the even shift_k makes
+    every exponent nonnegative.
     """
     p = expr_to_poly(simplify(e))
     if p is None:
         return None
     if not p:
         return ZERO
+    exps = {a for m in p for a, _ in m if isinstance(a, Fun) and a.name == "exp"}
+    if not exps:
+        root = _peel(p)
+        return None if root is None else poly_to_expr(root)
+    args = {a: expr_to_poly(a.arg) for a in exps}
+    if any(q is None for q in args.values()):
+        return None
+    mus = sorted({mu for q in args.values() for mu in q}, key=_mono_key)
+    scale = 2 * math.lcm(*(c.denominator for q in args.values() for c in q.values()))
+
+    def weights(mono):
+        arg = next((args[a] for a, _ in mono if a in args), {})
+        return [scale * arg.get(mu, 0) for mu in mus]
+
+    shift = [min(col) for col in zip(*(weights(m) for m in p))]
+    # no template or search symbol has the family "exp"
+    stand = [Var(FuncSym("exp", (k,))) for k in range(len(mus))]
+    q = {}
+    for mono, c in p.items():
+        items = [(a, k) for a, k in mono if a not in args]
+        items += [(stand[i], int(w - s)) for i, (w, s) in enumerate(zip(weights(mono), shift))
+                  if w != s]
+        q[tuple(sorted(items, key=lambda t: (sort_key(t[0]), t[1])))] = c
+    root = _peel(q)
+    if root is None:
+        return None
+    terms = []
+    for mono, c in root.items():
+        power = dict(mono)
+        arg = {mu: Fraction(power.pop(stand[i], 0) + shift[i] // 2, scale)
+               for i, mu in enumerate(mus)}
+        exp = Fun("exp", poly_to_expr({mu: a for mu, a in arg.items() if a}))
+        terms.append(Product((exp, _term_expr(tuple(power.items()), c))))
+    return simplify(sum(terms[1:], terms[0]))
+
+
+def _peel(p):
+    """Square root of a nonzero poly by peeling, or None."""
     atoms = sorted({a for m in p for a, _ in m}, key=sort_key)
     slot = {a: i for i, a in enumerate(atoms)}
 
@@ -879,7 +989,7 @@ def poly_sqrt(e: Expr):
     rem = _poly_add(p, _poly_scale(_poly_mul(root, root), Fraction(-1)))
     for _ in range(10000):
         if not rem:
-            return poly_to_expr(root)
+            return root
         lead_r = max(rem, key=vec)
         t_mono = dict(lead_r)
         for a, exp in root_mono:

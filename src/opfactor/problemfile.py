@@ -33,6 +33,7 @@ but each diagonal cell of the operator needs a nonzero second order
 coefficient so the operator really has order two.
 """
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -241,22 +242,29 @@ def parse_problem(text: str) -> ProblemFile:
     return ProblemFile(kind, n, m, operator, candidate, solve)
 
 
+def parse_interval(text: str, where: str) -> tuple:
+    """The working interval (a, b) written "a,b", with finite a < b;
+    `where` names the value in error messages."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValidationError(f"{where} must be two comma separated numbers")
+    try:
+        a, b = float(parts[0]), float(parts[1])
+    except ValueError:
+        raise ValidationError(f"{where} must be two numbers") from None
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValidationError(f"{where} must have finite endpoints")
+    if not b > a:
+        raise ValidationError(f"{where} is empty")
+    return a, b
+
+
 def _parse_solve(items: dict) -> CascadeOptions:
     fields = {}
     for key, (value, line, column) in items.items():
         value, _ = _unquote(value, line, column)
         if key == "interval":
-            parts = value.split(",")
-            if len(parts) != 2:
-                raise ValidationError(
-                    f"interval on line {line} must be two comma separated numbers")
-            try:
-                a, b = float(parts[0]), float(parts[1])
-            except ValueError:
-                raise ValidationError(f"bad interval number on line {line}")
-            if not b > a:
-                raise ValidationError(f"empty interval on line {line}")
-            fields["interval"] = (a, b)
+            fields["interval"] = parse_interval(value, f"interval on line {line}")
         elif key == "steps":
             try:
                 steps = int(value)
@@ -310,7 +318,7 @@ def print_problem(problem: ProblemFile) -> str:
     if problem.solve is not None:
         s = problem.solve
         lines.extend(["", "[solve]",
-                      f"interval = {s.interval[0]:g},{s.interval[1]:g}",
+                      f"interval = {s.interval[0]!r},{s.interval[1]!r}",
                       f"steps = {s.steps}",
                       f"constant = {s.constant}"])
     return "\n".join(lines) + "\n"

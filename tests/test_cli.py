@@ -128,6 +128,31 @@ def test_check_seed_and_samples_flags(capsys):
     assert doc["samples"] == 4
 
 
+def _split_with(tmp_path, coeff: str) -> str:
+    """P = D^2 + (1 + L) D + L with its split (D + L)(D + 1), L = coeff."""
+    ini = tmp_path / "split.ini"
+    ini.write_text('[problem]\nkind = linear-ode\n\n'
+                   f'[operator]\ng[2,1] = "1"\ng[1,1] = "1 + {coeff}"\ng[0,1] = "{coeff}"\n\n'
+                   f'[Q1]\nb[0,1] = "{coeff}"\nb[1,1] = "1"\n\n'
+                   '[Q2]\nb[0,1] = "1"\nb[1,1] = "1"\n', encoding="utf-8")
+    return str(ini)
+
+
+def test_check_redraws_probe_points_outside_the_domain(tmp_path, capsys):
+    # log(x1) is undefined on half of the probe box
+    code, out, _ = run(capsys, "check", "--json", _split_with(tmp_path, "log(x1)"))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == "PASS" and doc["samples"] == 8
+    assert doc["numeric_max"] <= 1e-9
+
+
+def test_check_probe_gives_up_where_nothing_is_defined(tmp_path, capsys):
+    code, out, _ = run(capsys, "check", "--json", _split_with(tmp_path, "log(-1 - x1^2)"))
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DomainError"
+
+
 # ---------------------------------------------------------------------------
 # factor
 
@@ -232,6 +257,15 @@ def test_cascade_bad_interval_flag(capsys):
     code, _, err = run(capsys, "cascade", "--interval", "2,0",
                        path("ode-const-factorable.ini"))
     assert code == 2
+
+
+def test_cascade_interval_flag_must_be_finite(capsys):
+    for value in ("0,inf", "-inf,1", "0,nan"):
+        code, out, _ = run(capsys, "cascade", "--json", f"--interval={value}",
+                           path("ode-const-factorable.ini"))
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValidationError" and "finite" in error["message"]
 
 
 def test_cascade_blowup_is_domain_error(tmp_path, capsys):

@@ -9,6 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opfactor.expr import (
+    _cancel,
+    _ratio,
+    _subs,
     Const,
     DepVar,
     Div,
@@ -417,3 +420,74 @@ def test_diff_matches_finite_difference(e):
     approx = (evaluate(s, up) - evaluate(s, dn)) / (2 * h)
     exact = evaluate(d, BINDINGS)
     assert approx == pytest.approx(exact, rel=1e-4, abs=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# carried polynomial pairs
+
+
+def _copy(e: Expr) -> Expr:
+    """An equal tree rebuilt from new nodes, none of which carries a pair."""
+    return _subs(e, {})
+
+
+# atoms of every kind the derivative meets: jet coordinates, coefficient
+# symbols with x and u dependencies, and function applications, which
+# take the chain rule
+ATOMS = [
+    Var(JetVar(1, DerivIndex(1, 1, 2))),
+    Var(JetVar(1, DerivIndex(2, 2, 2))),
+    Var(FuncSym("g", (2, 1), deps=(("x", 1), ("u", 1)))),
+    Var(FuncSym("b", (1, 1), derivs=(("x", 2),), deps=(("x", 1), ("x", 2)))),
+    Fun("exp", x_(1)),
+    Fun("sin", u_(1)),
+    Fun("log", x_(2)),
+]
+
+
+@st.composite
+def atom_exprs(draw):
+    """poly_exprs trees with x2 and u1 replaced by drawn atoms, sometimes
+    over a nonzero polynomial denominator."""
+    mapping = {IndepVar(2): draw(st.sampled_from(ATOMS + [x_(2)])),
+               DepVar(1): draw(st.sampled_from(ATOMS + [u_(1)]))}
+    e = _subs(draw(poly_exprs()), mapping)
+    if draw(st.integers(0, 3)) == 0:
+        den = _subs(draw(poly_exprs()), mapping)
+        if simplify(den) != ZERO:
+            e = Div(e, den)
+    return e
+
+
+@settings(max_examples=200, deadline=None)
+@given(atom_exprs())
+def test_simplify_carries_the_pair_it_was_built_from(e):
+    s = simplify(e)
+    if isinstance(s, (Const, Var)):
+        return
+    c = _copy(s)
+    assert not hasattr(c, "_polys")
+    assert s._polys == _ratio(c)
+    assert s._polys == _cancel(*_ratio(c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(atom_exprs(), st.sampled_from([IndepVar(1), IndepVar(2), DepVar(1)]),
+       st.integers(1, 2))
+def test_derivatives_of_carried_pairs_match_the_chain_rule(e, vid, axis):
+    s = simplify(e)
+    # the copy carries no pair, so it takes simplify(_chain(...))
+    c = _copy(s)
+    assert diff(s, vid) == diff(c, vid)
+    assert total_derivative(s, axis, 2) == total_derivative(c, axis, 2)
+
+
+def test_pair_is_not_part_of_equality_hash_or_a_dict():
+    s = P("x1^2*u1 + exp(x2)/(x1 + 1)")
+    c = _copy(s)
+    assert s._polys is not None and not hasattr(c, "_polys")
+    assert c == s and hash(c) == hash(s)
+    nodes = [const(1), x_(1), s, s.num, Product((x_(1), x_(2))), Power(x_(1), 2),
+             Fun("exp", x_(1))]
+    assert {type(n) for n in nodes} == {Const, Var, Div, Sum, Product, Power, Fun}
+    assert not any(hasattr(n, "__dict__") for n in nodes)

@@ -190,6 +190,19 @@ def test_solve_validation():
     bad(base + "flavor = blue\n")
 
 
+def test_interval_endpoints_must_be_finite():
+    base = '[problem]\nkind = linear-ode\n\n[operator]\ng[2,1] = "1"\n\n[solve]\n'
+    for value in ("0,inf", "-inf,1", "nan,1", "0,nan", "0,1e400"):
+        assert "finite" in bad(base + f"interval = {value}\n")
+
+
+def test_interval_roundtrips_at_full_precision():
+    text = SCALAR.replace("interval = 0,1", "interval = 0.1234567891,1")
+    p = parse_problem(text)
+    assert p.solve.interval == (0.1234567891, 1.0)
+    assert parse_problem(print_problem(p)) == p
+
+
 def test_unquoted_value_tolerated():
     # quotes are canonical but plain values parse too
     p = parse_problem('[problem]\nkind = linear-ode\n\n[operator]\ng[2,1] = 1\n')
