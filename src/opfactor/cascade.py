@@ -174,7 +174,8 @@ def antiderivative(e: Expr):
 # ---------------------------------------------------------------------------
 # grids and quadrature
 
-def _grid(interval, steps):
+def uniform_grid(interval, steps):
+    """steps + 1 equally spaced points of the interval, and their spacing."""
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
         raise ValueError(f"empty interval ({a}, {b})")
@@ -245,7 +246,7 @@ def cascade_ode(cand: FactorizationCandidate,
     if Q1.order != 1 or Q2.order != 1:
         raise ShapeMismatch("cascade factors must be first order")
     steps = _normalize_steps(opts.steps)
-    grid, h = _grid(opts.interval, steps)
+    grid, h = uniform_grid(opts.interval, steps)
     P = operator_from_jet(expand_product([Q1, Q2]))
     if not (Q1.linear and Q2.linear):
         u0 = _quasilinear_u0(Q2, grid, h, opts)
@@ -297,15 +298,16 @@ def _quasilinear_u0(Q2, grid, h, opts) -> SolutionPiece:
     mid = len(grid) // 2
     b0f, b1f = compile_float(b0, _XU), compile_float(b1, _XU)
 
-    def f(x, u):
+    def f(x, y):
+        u, = y
         lead = b1f(x, u)
         if abs(lead) <= _TINY:
             raise SingularLeadingCoefficient(
                 f"leading coefficient vanishes at x1 = {x:.6g}")
-        return -b0f(x, u) * u / lead
+        return (-b0f(x, u) * u / lead,)
 
-    fwd = _rk4_scalar(f, grid[mid:], 1.0)
-    bwd = _rk4_scalar(f, grid[mid::-1], 1.0)
+    fwd = [u for u, in _rk4_vector(f, grid[mid:], (1.0,))]
+    bwd = [u for u, in _rk4_vector(f, grid[mid::-1], (1.0,))]
     ys = tuple(list(reversed(bwd))[:-1] + fwd)
     return SolutionPiece("u0", None, Trajectory(grid, ys), "rk4", 0.0)
 
@@ -319,19 +321,6 @@ def _separable_shape(b0: Expr, b1: Expr):
     if p is None or set(p.keys()) != {((u, 1),)} or p[((u, 1),)] == 0:
         return None
     return p[((u, 1),)], b1.value
-
-
-def _rk4_scalar(f, xs, y0: float) -> list:
-    ys = [y0]
-    for i in range(len(xs) - 1):
-        x, y = xs[i], ys[-1]
-        h = xs[i + 1] - x
-        k1 = f(x, y)
-        k2 = f(x + h / 2, y + h * k1 / 2)
-        k3 = f(x + h / 2, y + h * k2 / 2)
-        k4 = f(x + h, y + h * k3)
-        ys.append(y + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6)
-    return ys
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +431,7 @@ def cascade_system_numeric(cand: FactorizationCandidate, interval=None,
     if interval is None:
         interval = opts.interval
     steps = _normalize_steps(opts.steps)
-    grid, h = _grid(interval, steps)
+    grid, h = uniform_grid(interval, steps)
     m = N1.m
     a1 = _diag_leads(N1, grid, "N1")
     a2 = _diag_leads(N2, grid, "N2")
@@ -510,16 +499,16 @@ def _entry_table(N: MatrixOperator) -> list:
 
 def _rk4_vector(f, xs, y0: tuple) -> list:
     ys = [tuple(y0)]
-    add = lambda y, k, c: tuple(a + c * b for a, b in zip(y, k))
     for i in range(len(xs) - 1):
         x, y = xs[i], ys[-1]
         h = xs[i + 1] - x
+        half = h / 2
         k1 = f(x, y)
-        k2 = f(x + h / 2, add(y, k1, h / 2))
-        k3 = f(x + h / 2, add(y, k2, h / 2))
-        k4 = f(x + h, add(y, k3, h))
-        ys.append(tuple(a + h * (p + 2 * q + 2 * r + s) / 6
-                        for a, p, q, r, s in zip(y, k1, k2, k3, k4)))
+        k2 = f(x + half, tuple([a + half * b for a, b in zip(y, k1)]))
+        k3 = f(x + half, tuple([a + half * b for a, b in zip(y, k2)]))
+        k4 = f(x + h, tuple([a + h * b for a, b in zip(y, k3)]))
+        ys.append(tuple([a + h * (p + 2 * q + 2 * r + s) / 6
+                         for a, p, q, r, s in zip(y, k1, k2, k3, k4)]))
     return ys
 
 

@@ -15,8 +15,8 @@ import json
 import sys
 from dataclasses import replace
 
-from .cascade import (CascadeOptions, CascadeSolution, _grid, cascade_ode,
-                      cascade_system_numeric)
+from .cascade import (CascadeOptions, CascadeSolution, cascade_ode,
+                      cascade_system_numeric, uniform_grid)
 from .conditions import (TEMPLATES, CheckOptions, condition_residuals,
                          check_candidate, derive_conditions,
                          render_condition_system, template_traits)
@@ -367,7 +367,7 @@ def _piece_rows(piece, sol: CascadeSolution) -> list:
         if values and isinstance(values[0], tuple):
             return [(x, *v) for x, v in zip(grid, values)]
         return [(x, v) for x, v in zip(grid, values)]
-    grid, _ = _grid(sol.interval, sol.steps)
+    grid, _ = uniform_grid(sol.interval, sol.steps)
     f = compile_float(piece.form, (IndepVar(1),))
     return [(x, f(x)) for x in grid]
 

@@ -26,9 +26,8 @@ from fractions import Fraction
 
 from .errors import DomainError, UnsupportedTemplate
 from .expr import (Const, DepVar, Expr, FuncSym, IndepVar, Power, Var, ZERO,
-                   _poly_content, diff, evaluate, expr_to_poly,
-                   expr_variables, poly_to_expr, render, simplify, sort_key,
-                   substitute)
+                   diff, evaluate, expr_to_poly, expr_variables, poly_content,
+                   poly_to_expr, render, simplify, sort_key, substitute)
 from .jet import DerivIndex, canonical_slot, slot_count
 from .operator import (DiffOperator, MatrixOperator, as_matrix, identify,
                        make_operator, matrix_apply, matrix_expand_product,
@@ -204,7 +203,7 @@ def _strip(e: Expr, nonvanishing, singles) -> Expr:
                     out.append((a, x))
             return tuple(out)
         p = {cut(mono): c for mono, c in p.items()}
-    scale = 1 / _poly_content(p)
+    scale = 1 / poly_content(p)
     return poly_to_expr({mono: c * scale for mono, c in p.items()})
 
 

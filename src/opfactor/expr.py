@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, UnboundVariable
-from .jet import DerivIndex, compose_index, index_to_axes
+from .errors import ArityMismatch, DomainError, NotQuasiLinear, UnboundVariable
+from .jet import DerivIndex, canonical_slot, compose_index, index_to_axes
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +375,14 @@ def _fun_atom(name: str, arg: Expr):
         if arg.value == 0:
             return ZERO
         if arg.value > 0:
-            root = _fraction_sqrt(arg.value)
+            root = fraction_sqrt(arg.value)
             if root is not None:
                 return Const(root)
     return Fun(name, arg)
 
 
-def _fraction_sqrt(q: Fraction):
+def fraction_sqrt(q: Fraction):
+    """The rational square root of q, or None."""
     if q < 0:
         return None
     rn = math.isqrt(q.numerator)
@@ -391,7 +392,23 @@ def _fraction_sqrt(q: Fraction):
     return None
 
 
-def _ratio(e: Expr):
+# A pair (num, den) of polys stands for the quotient num/den.  Pair
+# arithmetic is exact and does not cancel; `_cancel` normalizes a pair.
+
+def pair_sum(a, b):
+    """Pair of a + b; equal denominators are kept, others multiplied."""
+    (an, ad), (bn, bd) = a, b
+    if ad == bd:
+        return _poly_add(an, bn), ad
+    return _poly_add(_poly_mul(an, bd), _poly_mul(bn, ad)), _poly_mul(ad, bd)
+
+
+def pair_product(a, b):
+    """Pair of a * b."""
+    return _poly_mul(a[0], b[0]), _poly_mul(a[1], b[1])
+
+
+def ratio(e: Expr):
     """Rewrite e as a pair of polys (num, den); a simplified tree returns
     the pair it carries."""
     if isinstance(e, Const):
@@ -407,35 +424,27 @@ def _ratio(e: Expr):
             return ({(): atom.value} if atom.value else {}), _ONE_POLY
         return {((atom, 1),): Fraction(1)}, _ONE_POLY
     if isinstance(e, Sum):
-        num, den = {}, _ONE_POLY
+        out = {}, _ONE_POLY
         for t in e.terms:
-            tn, td = _ratio(t)
-            if td == den:
-                num = _poly_add(num, tn)
-            else:
-                num = _poly_add(_poly_mul(num, td), _poly_mul(tn, den))
-                den = _poly_mul(den, td)
-        return num, den
+            out = pair_sum(out, ratio(t))
+        return out
     if isinstance(e, Product):
-        num, den = _ONE_POLY, _ONE_POLY
+        out = _ONE_POLY, _ONE_POLY
         for f in e.factors:
-            fn, fd = _ratio(f)
-            num = _poly_mul(num, fn)
-            den = _poly_mul(den, fd)
-        return num, den
+            out = pair_product(out, ratio(f))
+        return out
     if isinstance(e, Power):
-        bn, bd = _ratio(e.base)
+        bn, bd = ratio(e.base)
         if e.exp >= 0:
             return _poly_pow(bn, e.exp), _poly_pow(bd, e.exp)
         return _poly_pow(bd, -e.exp), _poly_pow(bn, -e.exp)
     if isinstance(e, Div):
-        nn, nd = _ratio(e.num)
-        dn, dd = _ratio(e.den)
-        return _poly_mul(nn, dd), _poly_mul(nd, dn)
+        dn, dd = ratio(e.den)
+        return pair_product(ratio(e.num), (dd, dn))
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def _poly_content(p):
+def poly_content(p):
     """gcd of the coefficients, carrying the sign of the leading term."""
     it = iter(p.values())
     g = abs(next(it))
@@ -453,8 +462,6 @@ def _cancel(num, den):
         return {}, _ONE_POLY
     if den == _ONE_POLY:
         return num, den
-    if num == den:
-        return dict(_ONE_POLY), _ONE_POLY
     # common monomial factor across every term of both polys
     common = None
     for p in (num, den):
@@ -489,12 +496,16 @@ def _cancel(num, den):
     if len(den) == 1 and () in den:
         num = _poly_scale(num, 1 / den[()])
         return num, _ONE_POLY
-    content = _poly_content(den)
+    content = poly_content(den)
     if content != 1:
         num = _poly_scale(num, 1 / content)
         den = _poly_scale(den, 1 / content)
-    if num == den:
-        return dict(_ONE_POLY), _ONE_POLY
+    # a constant multiple of the denominator
+    if num.keys() == den.keys():
+        mono = next(iter(den))
+        c = num[mono] / den[mono]
+        if all(num[m] == c * v for m, v in den.items()):
+            return {(): c}, _ONE_POLY
     return num, den
 
 
@@ -533,7 +544,7 @@ def _carrying(num, den) -> Expr:
 @lru_cache(maxsize=1 << 18)
 def simplify(e: Expr) -> Expr:
     """Canonical form: distributed polynomial, or Div of two of them."""
-    return _carrying(*_cancel(*_ratio(e)))
+    return _carrying(*_cancel(*ratio(e)))
 
 
 def sum_exprs(terms) -> Expr:
@@ -549,10 +560,56 @@ def expr_to_poly(e: Expr):
     """Poly dict of a simplified polynomial expression; None if it has
     a denominator.  The dict may be the one the tree carries: read it,
     never change it."""
-    num, den = _cancel(*_ratio(e))
+    num, den = _cancel(*ratio(e))
     if den != _ONE_POLY:
         return None
     return num
+
+
+def split_jet(pair, m: int) -> dict:
+    """Split num/den into {jet monomial: canonical coefficient}.
+
+    Polynomial occurrences of dependent components and jet coordinates
+    in the numerator move into the monomial, a sorted tuple of
+    ((component, order, slot), exponent) with Schwarz-canonical slots
+    and (j, 0, 1) for u^j; everything else, and the whole denominator,
+    stays in the coefficient.  A denominator that depends on u or its
+    jet has no such split and raises NotQuasiLinear.
+    """
+    num, den = _cancel(*pair)
+    den_vars = set()
+    for mono in den:
+        for a, _ in mono:
+            _collect_vars(a, den_vars)
+    if any(isinstance(v, JetVar) for v in den_vars):
+        raise NotQuasiLinear("jet coordinate in a denominator")
+    deps = sorted(v.component for v in den_vars if isinstance(v, DepVar))
+    if deps:
+        raise NotQuasiLinear(f"u{deps[0]} in a denominator")
+    groups = {}
+    for mono, c in num.items():
+        jet, rest = {}, []
+        for a, e in mono:
+            v = a.vid if isinstance(a, Var) else None
+            if isinstance(v, DepVar):
+                key = (v.component, 0, 1)
+            elif isinstance(v, JetVar):
+                d = canonical_slot(v.index)
+                key = (v.component, d.k, d.h)
+            else:
+                rest.append((a, e))
+                continue
+            if key[0] > m:
+                raise ArityMismatch(f"component u{key[0]} out of range for m={m}")
+            jet[key] = jet.get(key, 0) + e
+        coeff = groups.setdefault(tuple(sorted(jet.items())), {})
+        coeff[tuple(rest)] = coeff.get(tuple(rest), 0) + c
+    out = {}
+    for mono, p in groups.items():
+        p = {rest: c for rest, c in p.items() if c}
+        if p:
+            out[mono] = _carrying(*_cancel(p, den))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +635,20 @@ def diff(e: Expr, vid: VarId) -> Expr:
 
 def total_derivative(e: Expr, axis: int, n: int) -> Expr:
     """Total derivative along x^axis, prolonging through jet coordinates."""
+    return _derive(e, _total_leaf(axis, n))
+
+
+def pair_total_derivative(pair, axis: int, n: int):
+    """Cancelled pair of the total derivative along x^axis of num/den,
+    by the route `total_derivative` takes on a tree carrying the pair."""
+    leaf = _total_leaf(axis, n)
+    out = _poly_derivative(pair, leaf)
+    if out is None:
+        return ratio(simplify(_chain(_carrying(*pair), leaf)))
+    return out, _ONE_POLY
+
+
+def _total_leaf(axis: int, n: int):
     def leaf(v):
         if isinstance(v, IndepVar):
             return ONE if v.index == axis else ZERO
@@ -595,7 +666,7 @@ def total_derivative(e: Expr, axis: int, n: int) -> Expr:
         if not parts:
             return ZERO
         return parts[0] if len(parts) == 1 else Sum(tuple(parts))
-    return _derive(e, leaf)
+    return leaf
 
 
 def _derive(e: Expr, leaf) -> Expr:
@@ -604,17 +675,18 @@ def _derive(e: Expr, leaf) -> Expr:
     dict, so both routes give the same tree; quotients keep the chain
     rule because their normalization is best effort."""
     polys = getattr(e, "_polys", None)
-    if polys is not None and polys[1] == _ONE_POLY:
-        out = _poly_derivative(polys[0], leaf)
-        if out is not None:
-            return _carrying(out, _ONE_POLY)
-    return simplify(_chain(e, leaf))
+    out = None if polys is None else _poly_derivative(polys, leaf)
+    return simplify(_chain(e, leaf)) if out is None else _carrying(out, _ONE_POLY)
 
 
-def _poly_derivative(num, leaf):
-    """Derivative of a poly in variables, term by term: c * prod a^k gives
-    c * k * (monomial / a) * leaf(a) for each atom a.  None when an atom
-    is a function application or a leaf derivative is not a poly."""
+def _poly_derivative(pair, leaf):
+    """Derivative of a pair whose den is 1 and whose num is a poly in
+    variables, term by term: c * prod a^k gives c * k * (monomial / a) *
+    leaf(a) for each atom a.  None for a quotient, when an atom is a
+    function application, or when a leaf derivative is not a poly."""
+    num, den = pair
+    if den != _ONE_POLY:
+        return None
     dleaf = {}
     for mono in num:
         for a, _ in mono:
@@ -622,7 +694,7 @@ def _poly_derivative(num, leaf):
                 continue
             if not isinstance(a, Var):
                 return None
-            dn, dd = _ratio(leaf(a.vid))
+            dn, dd = ratio(leaf(a.vid))
             if dd != _ONE_POLY:
                 return None
             dleaf[a] = dn
@@ -981,7 +1053,7 @@ def _peel(p):
     c0 = p[lead]
     if c0 < 0:
         return None
-    root_c = _fraction_sqrt(c0)
+    root_c = fraction_sqrt(c0)
     if root_c is None or any(exp % 2 for _, exp in lead):
         return None
     root_mono = tuple((a, exp // 2) for a, exp in lead)

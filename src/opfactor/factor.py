@@ -16,9 +16,9 @@ from fractions import Fraction
 from .errors import (DomainError, NonPolynomialCoefficients, NonPolynomialSqrtDelta,
                      NoRealFactorization, NotConstant, UnsupportedTemplate)
 from .expr import (Const, Div, Expr, Fun, FuncSym, IndepVar, Power, Var, ZERO,
-                   ONE, evaluate, expr_to_poly, expr_variables, is_constant,
-                   poly_sqrt, poly_to_expr, render, simplify, sort_key,
-                   substitute, total_derivative, _fraction_sqrt)
+                   ONE, evaluate, expr_to_poly, expr_variables, fraction_sqrt,
+                   is_constant, poly_sqrt, poly_to_expr, render, simplify,
+                   sort_key, substitute, total_derivative)
 from .conditions import FactorizationCandidate, discriminant
 from .operator import DiffOperator, make_operator
 
@@ -57,7 +57,7 @@ def factor_constant(P: DiffOperator) -> list:
     disc = A * A - 4 * B
     if disc < 0:
         raise NoRealFactorization(f"discriminant {disc} is negative")
-    root = _fraction_sqrt(disc)
+    root = fraction_sqrt(disc)
     if root is not None:
         t1 = (A + root) / 2
         t2 = (A - root) / 2
@@ -241,7 +241,7 @@ def _univariate_roots(eq: Expr, c: FuncSym) -> list:
     disc = a1v * a1v - 4 * a2v * a0v
     if disc < 0:
         return []
-    root = _fraction_sqrt(disc)
+    root = fraction_sqrt(disc)
     if root is None:
         return []  # only exact rational roots participate in the search
     if root == 0:
@@ -409,7 +409,7 @@ def _delta_sqrt(delta: Expr, config: SearchConfig) -> Expr:
         if delta.value < 0:
             raise NoRealFactorization(
                 f"discriminant {render(delta)} is negative")
-        root = _fraction_sqrt(delta.value)
+        root = fraction_sqrt(delta.value)
         return Const(root) if root is not None else Fun("sqrt", delta)
     root = poly_sqrt(delta)
     if root is not None:

@@ -5,33 +5,35 @@ slots.  Applying an operator to a generic dependent component and
 expanding yields a jet polynomial: a sum of monomials in jet
 coordinates (order >= 0) with coefficients depending on the base
 coordinates only.  Slots that agree up to permutation of axes are
-merged onto the smallest slot while expanding, so two expansions are
-equal exactly when their jet polynomials are structurally equal.
+merged onto the smallest slot when an expansion is split, so two
+expansions are equal exactly when their jet polynomials are
+structurally equal.
 
 Products expand right to left: the rightmost factor is applied to a
 generic component first, then each next factor differentiates totally
 through the jet coordinates, which is where quasi-linear coefficients
-pick up their chain rule terms.
+pick up their chain rule terms.  Each cell of the fold holds the exact
+(num, den) polynomial pair of its whole jet expression (`expr.ratio`),
+from the first factor to the last, and is split into jet monomials
+once, at the end (`expr.split_jet`).
 """
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
 
 from .errors import ArityMismatch, NotQuasiLinear, OrderOverflow, ShapeMismatch
-from .expr import (Const, DepVar, Div, Expr, IndepVar, JetVar, Power, Product,
-                   Sum, Var, ZERO, ONE, expr_variables, render, simplify,
+from .expr import (Const, DepVar, Div, Expr, IndepVar, JetVar, Power, Sum, Var,
+                   ZERO, ONE, expr_variables, pair_product, pair_sum,
+                   pair_total_derivative, ratio, render, simplify, split_jet,
                    substitute, sum_exprs, total_derivative)
-from .jet import DerivIndex, canonical_slot, index_to_axes
+from .jet import DerivIndex, index_to_axes
 
 DEFAULT_ORDER_CAP = 6
 
 # A jet monomial maps (component, order, slot) to an exponent; stored as a
 # sorted tuple of ((j, k, h), exp) with slots Schwarz-canonical.
 JetMono = tuple
-
-
-def _mono_sorted(d: dict) -> JetMono:
-    return tuple(sorted((key, e) for key, e in d.items() if e))
 
 
 def _jet_mono_key(mono: JetMono):
@@ -158,134 +160,51 @@ class JetPolynomial:
     def as_dict(self) -> dict:
         return dict(self.terms)
 
-    def coeff(self, mono: JetMono) -> Expr:
-        return self.as_dict().get(mono, ZERO)
 
-    @property
-    def order(self) -> int:
-        return max((k for mono, _ in self.terms for (_, k, _), _ in mono), default=0)
-
-    def __add__(self, other):
-        acc = dict(self.terms)
-        for mono, c in other.terms:
-            acc[mono] = acc.get(mono, ZERO) + c
-        return _jet_poly(self.n, self.m, acc)
-
-    def to_expr(self) -> Expr:
-        """Expression with explicit jet variables (slots canonical)."""
-        out = ZERO
-        for mono, c in self.terms:
-            term = c
-            for (j, k, h), e in mono:
-                v = Var(DepVar(j)) if k == 0 else Var(JetVar(j, DerivIndex(k, h, self.n)))
-                term = term * Power(v, e) if e > 1 else term * v
-            out = out + term
-        return simplify(out)
-
-
-def _jet_poly(n: int, m: int, acc: dict) -> JetPolynomial:
-    terms = []
-    for mono, c in acc.items():
-        c = simplify(c)
-        if c != ZERO:
-            terms.append((mono, c))
-    terms.sort(key=lambda t: _jet_mono_key(t[0]), reverse=True)
+def _jet_poly(n: int, m: int, coeffs: dict) -> JetPolynomial:
+    terms = sorted(coeffs.items(), key=lambda t: _jet_mono_key(t[0]), reverse=True)
     return JetPolynomial(n, m, tuple(terms))
-
-
-def _split_terms(e: Expr, n: int, m: int) -> list:
-    """Split an expression into (jet monomial, coefficient) pieces.
-
-    Polynomial occurrences of dependent components and jet coordinates
-    move into the monomial; anything else (independent variables,
-    opaque symbols, function atoms, quotients with dependence in the
-    denominator) stays in the coefficient.
-    """
-    e = simplify(e)
-    if e == ZERO:
-        return []
-    if isinstance(e, Div):
-        den_vars = expr_variables(e.den)
-        if any(isinstance(v, JetVar) for v in den_vars):
-            raise NotQuasiLinear("jet coordinate in a denominator")
-        if any(isinstance(v, DepVar) for v in den_vars):
-            return [((), e)]
-        return [(mono, simplify(Div(c, e.den)))
-                for mono, c in _split_terms(e.num, n, m)]
-    pieces = []
-    terms = e.terms if isinstance(e, Sum) else (e,)
-    for term in terms:
-        factors = term.factors if isinstance(term, Product) else (term,)
-        mono = {}
-        coeff = ONE
-        for f in factors:
-            base, exp = (f.base, f.exp) if isinstance(f, Power) else (f, 1)
-            if isinstance(base, Var) and isinstance(base.vid, DepVar):
-                j = base.vid.component
-                if j > m:
-                    raise ArityMismatch(f"component u{j} out of range for m={m}")
-                key = (j, 0, 1)
-                mono[key] = mono.get(key, 0) + exp
-            elif isinstance(base, Var) and isinstance(base.vid, JetVar):
-                d = canonical_slot(base.vid.index)
-                j = base.vid.component
-                if j > m:
-                    raise ArityMismatch(f"component u{j} out of range for m={m}")
-                key = (j, d.k, d.h)
-                mono[key] = mono.get(key, 0) + exp
-            else:
-                coeff = coeff * f
-        pieces.append((_mono_sorted(mono), simplify(coeff)))
-    return pieces
 
 
 def jet_polynomial(n: int, m: int, e: Expr) -> JetPolynomial:
     """Canonical jet polynomial of an expression in jet coordinates."""
-    acc = {}
-    for mono, c in _split_terms(e, n, m):
-        acc[mono] = acc.get(mono, ZERO) + c
-    return _jet_poly(n, m, acc)
+    return _jet_poly(n, m, split_jet(ratio(simplify(e)), m))
 
 
-def _apply_to_jet(op: DiffOperator, jp: JetPolynomial) -> JetPolynomial:
-    """Apply one operator to an already expanded jet polynomial."""
-    acc = {}
-    derived_cache = {(): jp.to_expr()}
+def _apply_to_pair(op: DiffOperator, pair):
+    """Pair of one operator applied to the jet expression num/den."""
+    derived = {(): pair}
 
-    def derived(axes):
-        if axes not in derived_cache:
-            derived_cache[axes] = total_derivative(derived(axes[:-1]), axes[-1], op.n)
-        return derived_cache[axes]
+    def along(axes):
+        if axes not in derived:
+            derived[axes] = pair_total_derivative(along(axes[:-1]), axes[-1], op.n)
+        return derived[axes]
 
-    for d, coeff in op.coeffs:
-        contribution = simplify(coeff * derived(index_to_axes(d)))
-        for mono, c in _split_terms(contribution, op.n, op.m):
-            acc[mono] = acc.get(mono, ZERO) + c
-    return _jet_poly(op.n, op.m, acc)
+    return _pair_total([pair_product(ratio(coeff), along(index_to_axes(d)))
+                        for d, coeff in op.coeffs])
 
 
-def generic_jet(n: int, m: int, component: int) -> JetPolynomial:
-    """The jet polynomial of the bare component u^component."""
-    return JetPolynomial(n, m, (((((component, 0, 1), 1),), ONE),))
+def _pair_total(pairs):
+    return reduce(pair_sum, pairs) if pairs else ratio(ZERO)
 
 
-def expand_product(factors, order_cap: int = DEFAULT_ORDER_CAP) -> JetPolynomial:
+def expand_product(factors) -> JetPolynomial:
     """Expand the product of scalar factors applied to a generic component.
 
     The (1, 1) cell of `matrix_expand_product` over the factors as 1x1
     systems.
     """
-    return matrix_expand_product([as_matrix(f) for f in factors], order_cap)[0][0]
+    return matrix_expand_product([as_matrix(f) for f in factors])[0][0]
 
 
-def matrix_expand_product(factors, order_cap: int = DEFAULT_ORDER_CAP):
+def matrix_expand_product(factors):
     """Expand a product of matrix operators with target-column tracking.
 
     Returns an m x m tuple grid; cell (p, q) is the jet polynomial of
     everything row p picks up from source component q, so that row p of
     the product applied to u is the sum of its row cells.  Folds right
-    to left: the last factor acts first.  Raises OrderOverflow when the
-    accumulated order would exceed `order_cap`.
+    to left over pairs: the last factor acts first.  Raises OrderOverflow
+    when the accumulated order would exceed DEFAULT_ORDER_CAP.
     """
     if not factors:
         raise ValueError("need at least one factor")
@@ -294,21 +213,17 @@ def matrix_expand_product(factors, order_cap: int = DEFAULT_ORDER_CAP):
         if f.n != n or f.m != m:
             raise ShapeMismatch("factors live over different dimensions")
     total = sum(f.order for f in factors)
-    if total > order_cap:
-        raise OrderOverflow(f"product order {total} exceeds cap {order_cap}")
-    empty = JetPolynomial(n, m, ())
-    grid = [[generic_jet(n, m, q + 1) if p == q else empty for q in range(m)]
+    if total > DEFAULT_ORDER_CAP:
+        raise OrderOverflow(f"product order {total} exceeds cap {DEFAULT_ORDER_CAP}")
+    grid = [[ratio(Var(DepVar(q + 1)) if p == q else ZERO) for q in range(m)]
             for p in range(m)]
     for f in reversed(factors):
-        new = [[empty] * m for _ in range(m)]
-        for p in range(m):
-            for q in range(m):
-                parts = [_apply_to_jet(f.entries[p][l], grid[l][q]) for l in range(m)
-                         if grid[l][q].terms and f.entries[p][l].coeffs]
-                if parts:
-                    new[p][q] = sum(parts[1:], parts[0])
-        grid = new
-    return tuple(tuple(row) for row in grid)
+        grid = [[_pair_total([_apply_to_pair(f.entries[p][l], grid[l][q])
+                              for l in range(m)
+                              if grid[l][q][0] and f.entries[p][l].coeffs])
+                 for q in range(m)] for p in range(m)]
+    return tuple(tuple(_jet_poly(n, m, split_jet(cell, m)) for cell in row)
+                 for row in grid)
 
 
 # ---------------------------------------------------------------------------

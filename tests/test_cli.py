@@ -153,6 +153,19 @@ def test_check_probe_gives_up_where_nothing_is_defined(tmp_path, capsys):
     assert json.loads(out)["error"]["type"] == "DomainError"
 
 
+def test_dependent_component_in_a_denominator(tmp_path, capsys):
+    # (D)(D + 1/(1 + u)) has no jet polynomial: its u_x1 term is divided by 1 + u
+    ini = tmp_path / "den.ini"
+    ini.write_text('[problem]\nkind = nonlinear-ode\n\n'
+                   '[operator]\ng[2,1] = "1"\ng[1,1] = "1/(1+u)^2"\n\n'
+                   '[Q1]\nb[1,1] = "1"\n\n'
+                   '[Q2]\nb[0,1] = "1/(1+u)"\nb[1,1] = "1"\n', encoding="utf-8")
+    for command in ("expand", "check", "cascade"):
+        code, _, err = run(capsys, command, str(ini))
+        assert code == 1, command
+        assert "NotQuasiLinear: u1 in a denominator" in err, command
+
+
 # ---------------------------------------------------------------------------
 # factor
 

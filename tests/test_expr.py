@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from opfactor.expr import (
     _cancel,
-    _ratio,
     _subs,
     Const,
     DepVar,
@@ -34,6 +33,7 @@ from opfactor.expr import (
     is_constant,
     is_zero,
     poly_sqrt,
+    ratio,
     render,
     simplify,
     substitute,
@@ -467,8 +467,8 @@ def test_simplify_carries_the_pair_it_was_built_from(e):
         return
     c = _copy(s)
     assert not hasattr(c, "_polys")
-    assert s._polys == _ratio(c)
-    assert s._polys == _cancel(*_ratio(c))
+    assert s._polys == ratio(c)
+    assert s._polys == _cancel(*ratio(c))
 
 
 @settings(max_examples=200, deadline=None)

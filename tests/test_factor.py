@@ -219,6 +219,20 @@ def test_pde_variable_coefficient_plant():
     assert sum(1 for b in res.branches if b.ok) == 1
 
 
+def test_pde_variable_lead_split_has_constant_zero_order():
+    # the search writes each zero order coefficient as a quotient that is
+    # a constant multiple of its denominator; it must reduce to that constant
+    Q1 = pde({(1, 1): "x1 + 1", (1, 2): "2*x2 - 2", (0, 1): "-1"})
+    Q2 = pde({(1, 1): "1", (1, 2): "-2*x1 - 1", (0, 1): "-2"})
+    P = operator_from_jet(expand_product([Q1, Q2]))
+    res = factor_pde_second_order(P)
+    assert len(res.candidates) == 1
+    cand = res.candidates[0]
+    assert cand.factors[0].coeff(0, 1) == const(-1)
+    assert cand.factors[1].coeff(0, 1) == const(-2)
+    assert check_candidate(P, cand, CheckOptions()).passed
+
+
 def test_pde_obstructed_zero_order():
     # principal symbol splits but the zero order residual blocks it
     P = pde({(2, 1): "1", (2, 4): "-1", (0, 1): "1"})

@@ -1,6 +1,8 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and no
+module imports a `_`-prefixed name from another opfactor module.
 
-`__init__.py` is exempt: its imports are the public re-exports.
+`__init__.py` is exempt from the first rule: its imports are the public
+re-exports.
 """
 
 import ast
@@ -20,6 +22,18 @@ def _imported(tree) -> dict:
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
                 out.setdefault(name, node.lineno)
+    return out
+
+
+def _private(tree) -> dict:
+    """{name: line} of `_`-prefixed names imported from opfactor modules."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "opfactor"):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    out.setdefault(alias.name, node.lineno)
     return out
 
 
@@ -52,3 +66,15 @@ def test_no_unused_imports(path):
 def test_detects_an_unused_import():
     tree = ast.parse("import os\nfrom sys import argv, path\nx: 'Fraction' = argv\n")
     assert set(_imported(tree)) - _used(tree) == {"os", "path"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_imports(path):
+    private = _private(ast.parse(path.read_text(encoding="utf-8")))
+    assert not private, f"{path.name}: imports private names {private}"
+
+
+def test_detects_a_private_import():
+    tree = ast.parse("from .expr import _cancel, simplify\nfrom os import _exit\n"
+                     "from opfactor.cascade import _grid\nimport _thread\n")
+    assert set(_private(tree)) == {"_cancel", "_grid"}

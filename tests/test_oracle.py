@@ -1,15 +1,19 @@
 """The exact core against an independent oracle: sympy rebuilds each
 expression on its own and decides the identities opfactor claims."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from opfactor.conditions import discriminant
 from opfactor.errors import DomainError
-from opfactor.expr import (Const, Div, Fun, IndepVar, Power, Product, Sum, Var,
-                           diff, poly_sqrt, simplify, x_)
+from opfactor.expr import (Const, DepVar, Div, Fun, IndepVar, Power, Product, Sum,
+                           Var, const, diff, poly_sqrt, simplify, u_, x_)
+from opfactor.jet import DerivIndex, index_to_axes
+from opfactor.operator import expand_product, make_operator, operator_from_jet
 
 sympy = pytest.importorskip("sympy")
 
@@ -20,6 +24,8 @@ def to_sympy(e):
     if isinstance(e, Const):
         return sympy.Rational(e.value.numerator, e.value.denominator)
     if isinstance(e, Var):
+        if isinstance(e.vid, DepVar):
+            return sympy.Symbol(f"u{e.vid.component}")
         return X[e.vid.index]
     if isinstance(e, Sum):
         return sympy.Add(*[to_sympy(t) for t in e.terms])
@@ -89,3 +95,119 @@ def test_poly_sqrt_of_a_square(r):
     expected = to_sympy(r)
     got = to_sympy(root)
     assert is_zero(got - expected) or is_zero(got + expected)
+
+
+# ---------------------------------------------------------------------------
+# expansion and discriminant: sympy applies the factors to a generic u(x)
+#
+# Exact zero tests of these identities take sympy seconds to minutes per
+# draw over two variables, so both sides are compared at random rational
+# points instead, with u and its derivatives set to random rationals and
+# the values taken to 50 digits.
+
+
+def _rand_poly(rng, gens, degree=2):
+    e = const(rng.randint(-3, 3))
+    for g in gens:
+        for d in range(1, degree + 1):
+            e = e + const(rng.randint(-2, 2)) * Power(g, d)
+    return e
+
+
+def _rand_coeff(rng, n, quasi_linear, positive):
+    """A polynomial, possibly in u1, times or plus an exp/log/sin atom, or
+    over `positive`.  Logs take `positive` as argument too, so that their
+    derivatives share denominators with the quotients: without a
+    polynomial gcd, unrelated denominators multiply up and a single draw
+    over two variables can take opfactor minutes."""
+    xs = [x_(i) for i in range(1, n + 1)]
+    p = _rand_poly(rng, xs + ([u_(1)] if quasi_linear else []))
+    kind = rng.choice(["poly", "quotient", "quotient", "exp", "log", "sin"])
+    if kind == "quotient":
+        return p / positive
+    if kind == "exp":
+        return p * Fun("exp", _rand_poly(rng, xs, degree=1))
+    if kind == "log":
+        return p + Fun("log", positive)
+    if kind == "sin":
+        return p * Fun("sin", xs[-1])
+    return p
+
+
+def _rand_split(rng, n, quasi_linear=False):
+    positive = Power(x_(rng.randint(1, n)), 2) + const(rng.randint(1, 2))
+    factors = []
+    for _ in range(2):
+        coeffs = {(1, h): _rand_coeff(rng, n, quasi_linear, positive)
+                  for h in range(1, n + 1)}
+        coeffs[(0, 1)] = _rand_coeff(rng, n, quasi_linear, positive)
+        factors.append(make_operator(n, 1, coeffs, linear=not quasi_linear))
+    return factors
+
+
+def _generic_u(n):
+    return sympy.Function("u")(*[X[i] for i in range(1, n + 1)])
+
+
+def _coeff(c, U):
+    return to_sympy(c).subs(sympy.Symbol("u1"), U)
+
+
+def _sympy_apply(op, f, U):
+    """op applied to f by sympy."""
+    out = 0
+    for d, c in op.coeffs:
+        df = f
+        for a in index_to_axes(d):
+            df = sympy.diff(df, X[a])
+        out += _coeff(c, U) * df
+    return out
+
+
+def _jet_to_sympy(jp, U):
+    out = 0
+    for mono, c in jp.terms:
+        term = _coeff(c, U)
+        for (_, k, h), e in mono:
+            du = U
+            for a in index_to_axes(DerivIndex(k, h, jp.n)):
+                du = sympy.diff(du, X[a])
+            term *= du ** e
+        out += term
+    return out
+
+
+def _agree(a, b, U, rng):
+    """a and b agree to 40 digits at three random points."""
+    for _ in range(3):
+        point = {d: sympy.Rational(rng.randint(-20, 20), 7)
+                 for d in sorted((a - b).atoms(sympy.Derivative), key=str)}
+        point[U] = sympy.Rational(rng.randint(-20, 20), 7)
+        point.update({x: sympy.Rational(rng.randint(-20, 20), 7) for x in X.values()})
+        va, vb = (sympy.N(e.xreplace(point), 50) for e in (a, b))
+        assert abs(va - vb) <= sympy.Float(10, 50) ** -40 * (1 + abs(vb))
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("n", [1, 2])
+def test_expand_product_agrees_with_sympy(seed, n):
+    rng = random.Random(100 * n + seed)
+    Q1, Q2 = _rand_split(rng, n, quasi_linear=seed % 2 == 1)
+    U = _generic_u(n)
+    _agree(_jet_to_sympy(expand_product([Q1, Q2]), U),
+           _sympy_apply(Q1, _sympy_apply(Q2, U, U), U), U, rng)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_discriminant_agrees_with_sympy(seed):
+    """Delta of the product against sympy's expansion of its principal
+    part, (b11 D1 + b12 D2)(b21 D1 + b22 D2) on u."""
+    rng = random.Random(seed)
+    Q1, Q2 = _rand_split(rng, 2)
+    U = _generic_u(2)
+    top = [make_operator(2, 1, {(1, h): Q.coeff(1, h) for h in (1, 2)}) for Q in (Q1, Q2)]
+    PU = _sympy_apply(top[0], _sympy_apply(top[1], U, U), U)
+    a, b, c = (sympy.diff(PU, sympy.diff(U, *axes)) for axes in
+               ((X[1], X[1]), (X[1], X[2]), (X[2], X[2])))
+    P = operator_from_jet(expand_product([Q1, Q2]))
+    _agree(to_sympy(discriminant(P)), b * b - 4 * a * c, U, rng)
