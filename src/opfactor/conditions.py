@@ -25,13 +25,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, UnsupportedTemplate
-from .expr import (Const, DepVar, Expr, FuncSym, IndepVar, Power, Var, ZERO,
-                   diff, evaluate, expr_to_poly, expr_variables, poly_content,
-                   poly_to_expr, render, simplify, sort_key, substitute)
-from .jet import DerivIndex, canonical_slot, slot_count
+from .expr import (DepVar, Expr, FuncSym, IndepVar, Var, ZERO, diff, evaluate,
+                   expr_to_poly, expr_variables, poly_content, poly_to_expr,
+                   render, simplify, sort_key, substitute)
+from .jet import DerivIndex, Jet, canonical_slot, index_to_multiindex, slot_count
 from .operator import (DiffOperator, MatrixOperator, as_matrix, identify,
-                       make_operator, matrix_apply, matrix_expand_product,
-                       render_mono)
+                       make_operator, matrix_expand_product, render_mono)
 
 TEMPLATES = (
     "linear-ode", "linear-pde2", "nonlinear-ode", "nonlinear-pde2",
@@ -265,8 +264,12 @@ def check_candidate(P, candidate: FactorizationCandidate,
     """Expand the candidate product and compare with P exactly, then
     probe the difference numerically on random polynomial data.
 
-    The numeric probe applies the factors sequentially, so it does not
-    share the expansion code path with the symbolic comparison.
+    The two routes are independent: the exact one expands and compares
+    jet polynomials, the numeric one (`_numeric_probe`) evaluates the
+    coefficient trees on floats and Taylor jets and applies the factors
+    one after the other, with no simplification or symbolic
+    differentiation.  On a valid split the probe's gap is at rounding
+    level, not 0.
     """
     import random
     rng = random.Random(opts.seed)
@@ -293,24 +296,29 @@ def _jet_residuals(jp_p, jp_c):
     out = []
     dp, dc = jp_p.as_dict(), jp_c.as_dict()
     for mono in sorted(set(dp) | set(dc)):
-        r = simplify(dp.get(mono, ZERO) - dc.get(mono, ZERO))
+        a, b = dp.get(mono, ZERO), dc.get(mono, ZERO)
+        if a == b:
+            continue
+        r = simplify(a - b)
         if r != ZERO:
             out.append((render_mono(mono, jp_p.n), r))
     return out
 
 
-def _random_poly(rng, n, degree=4, terms=6) -> Expr:
-    e = Const(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+def _random_poly(rng, n, degree=4, terms=6) -> list:
+    """A random polynomial as (coefficient, exponents) monomials, the
+    constant first; monomials may repeat."""
+    out = [(float(Fraction(rng.randint(-3, 3), rng.randint(1, 3))), (0,) * n)]
     for _ in range(terms):
-        mono = Const(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        c = float(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        exps = []
         total = 0
-        for i in range(1, n + 1):
+        for _ in range(n):
             d = rng.randint(0, degree - total) if total < degree else 0
             total += d
-            if d:
-                mono = mono * Power(Var(IndepVar(i)), d) if d > 1 else mono * Var(IndepVar(i))
-        e = e + mono
-    return simplify(e)
+            exps.append(d)
+        out.append((c, tuple(exps)))
+    return out
 
 
 # a probe point where P u or N1 (N2 u) is undefined (a log of a negative
@@ -324,25 +332,43 @@ def _rel_gap(a: float, b: float) -> float:
 
 
 def _numeric_probe(P: MatrixOperator, factors, rng, opts) -> float:
-    """Largest relative gap between P u and N1 (N2 u) over opts.samples
-    probe points in [-1, 1]^n, for a random polynomial u per component.
+    """Largest relative gap between (P u)(x0) and (N1 (N2 u))(x0) over
+    opts.samples probe points x0 in [-1, 1]^n, for a random polynomial
+    u per component.
+
+    Works pointwise in floats, with no symbolic work: u is seeded as a
+    Taylor jet at x0 of order ord N1 + ord N2 (ord P if that is higher),
+    the coefficients of P and N1 are evaluated at x0 and u(x0), and
+    those of N2 on jets of order ord N1, so that v = N2 u comes out as
+    a jet from which N1 reads its derivatives (Taylor-mode
+    differentiation).
 
     A point where either side is undefined is redrawn; the DomainError
     of the last draw propagates once PROBE_DRAWS_PER_SAMPLE * samples
     points have been drawn.
     """
     N1, N2 = factors
-    u_exprs = {j: _random_poly(rng, P.n) for j in range(1, P.m + 1)}
-    left = matrix_apply(P, u_exprs)
-    right = matrix_apply(N1, u_exprs, matrix_apply(N2, u_exprs))
+    n, m = P.n, P.m
+    us = [_random_poly(rng, n) for _ in range(m)]
+    inner = N1.order
+    outer = max(P.order, inner + N2.order)
+    rows_p, rows_1, rows_2 = _rows(P), _rows(N1), _rows(N2)
     worst = 0.0
     used = draws = 0
     while used < opts.samples:
-        pt = {IndepVar(i): rng.uniform(-1.0, 1.0) for i in range(1, P.n + 1)}
+        x0 = [rng.uniform(-1.0, 1.0) for _ in range(n)]
         draws += 1
+        jets = [Jet.polynomial(u, x0, outer) for u in us]
+        at_x0 = {IndepVar(i): x for i, x in enumerate(x0, start=1)}
+        at_x0.update((DepVar(j), u.c[0]) for j, u in enumerate(jets, start=1))
+        near_x0 = {IndepVar(i): Jet.variable(x, i, n, inner)
+                   for i, x in enumerate(x0, start=1)}
+        near_x0.update((DepVar(j), u.truncate(inner)) for j, u in enumerate(jets, start=1))
         try:
-            gaps = [_rel_gap(evaluate(left[p], pt), evaluate(right[p], pt))
-                    for p in range(P.m)]
+            v = [_apply_row(row, jets, near_x0, n, inner) for row in rows_2]
+            gaps = [_rel_gap(_apply_row(row_p, jets, at_x0, n, 0).c[0],
+                             _apply_row(row_1, v, at_x0, n, 0).c[0])
+                    for row_p, row_1 in zip(rows_p, rows_1)]
         except DomainError:
             if draws >= PROBE_DRAWS_PER_SAMPLE * opts.samples:
                 raise
@@ -351,6 +377,22 @@ def _numeric_probe(P: MatrixOperator, factors, rng, opts) -> float:
         for gap in gaps:
             worst = max(worst, gap)
     return worst
+
+
+def _rows(mop: MatrixOperator) -> list:
+    """Per row of mop, its (column, multi-index, coefficient) terms."""
+    return [[(q, index_to_multiindex(d), coeff)
+             for q, op in enumerate(row) for d, coeff in op.coeffs]
+            for row in mop.entries]
+
+
+def _apply_row(row, targets, bindings, n: int, order: int) -> Jet:
+    """Order-`order` jet of one operator row applied to the target jets,
+    its coefficients evaluated on `bindings` (floats or jets)."""
+    out = Jet.constant(0.0, n, order)
+    for q, alpha, coeff in row:
+        out = out + evaluate(coeff, bindings) * targets[q].derivative(alpha, order)
+    return out
 
 
 # ---------------------------------------------------------------------------

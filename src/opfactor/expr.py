@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ArityMismatch, DomainError, NotQuasiLinear, UnboundVariable
-from .jet import DerivIndex, canonical_slot, compose_index, index_to_axes
+from .jet import DerivIndex, Jet, canonical_slot, compose_index, index_to_axes
 
 
 # ---------------------------------------------------------------------------
@@ -801,22 +801,43 @@ def is_constant(e: Expr) -> bool:
 
 # Float domain rules, shared by `evaluate` and `compile_float`.  Each
 # maps evaluated operands to the float result or raises DomainError, so
-# that a fully bound evaluation fails with nothing else.
+# that a fully bound evaluation fails with nothing else.  Each also
+# takes a Jet: it applies its float rule to the jet's constant term,
+# which raises where a float evaluation there would, and extends the
+# result by the function's Taylor series at that term.
 
 def _const_float(q: Fraction) -> float:
     try:
-        return float(q)
+        return q.numerator / q.denominator  # float(q), without its indirection
     except OverflowError:
         raise DomainError("constant too large for a float") from None
 
 
-def _divisor(den: float) -> float:
+def _divisor(den):
+    if type(den) is Jet:
+        _divisor(den.c[0])
+        return den
     if den == 0.0:
         raise DomainError("division by zero")
     return den
 
 
-def _pow(base: float, k: int) -> float:
+def _binomial(p, j: int) -> float:
+    """p (p - 1) ... (p - j + 1) / j! for any real p."""
+    out = 1.0
+    for i in range(j):
+        out *= (p - i) / (i + 1)
+    return out
+
+
+def _pow(base, k: int):
+    if type(base) is Jet:
+        a = base.c[0]
+        series = [_pow(a, k)]
+        for j in range(1, base.order + 1):
+            b = _binomial(k, j)
+            series.append(b * _pow(a, k - j) if b else 0.0)
+        return base.compose(series)
     if k < 0 and base == 0.0:
         raise DomainError("zero raised to a negative power")
     try:
@@ -825,31 +846,58 @@ def _pow(base: float, k: int) -> float:
         raise DomainError("power overflows a float") from None
 
 
-def _exp(a: float) -> float:
+def _exp(a):
+    if type(a) is Jet:
+        e = _exp(a.c[0])
+        return a.compose([e / math.factorial(k) for k in range(a.order + 1)])
     if a > 700:
         raise DomainError("exp overflow")
     return math.exp(a)
 
 
-def _log(a: float) -> float:
+def _log(a):
+    if type(a) is Jet:
+        log = _log(a.c[0])
+        inv = 1.0 / a.c[0]
+        return a.compose([log] + [(-1) ** (k + 1) / k * _pow(inv, k)
+                                  for k in range(1, a.order + 1)])
     if a <= 0:
         raise DomainError("log of a non-positive number")
     return math.log(a)
 
 
-def _sin(a: float) -> float:
+def _sin(a):
+    if type(a) is Jet:
+        return _periodic(a, _sin(a.c[0]), math.cos(a.c[0]))
     if math.isinf(a):
         raise DomainError("sin of an infinite number")
     return math.sin(a)
 
 
-def _cos(a: float) -> float:
+def _cos(a):
+    if type(a) is Jet:
+        return _periodic(a, _cos(a.c[0]), -math.sin(a.c[0]))
     if math.isinf(a):
         raise DomainError("cos of an infinite number")
     return math.cos(a)
 
 
-def _sqrt(a: float) -> float:
+def _periodic(a, f: float, slope: float):
+    """f(a) for f'' = -f (sin, cos), from f and f' at a's constant term."""
+    cycle = (f, slope, -f, -slope)
+    return a.compose([cycle[k % 4] / math.factorial(k) for k in range(a.order + 1)])
+
+
+def _sqrt(a):
+    if type(a) is Jet:
+        a0 = a.c[0]
+        r = _sqrt(a0)
+        if a.is_constant():
+            return a.compose([r] + [0.0] * a.order)
+        if a0 == 0.0:
+            raise DomainError("square root of zero has no derivative")
+        return a.compose([r] + [_binomial(0.5, k) * r / _pow(a0, k)
+                                for k in range(1, a.order + 1)])
     if a < 0:
         raise DomainError("square root of a negative number")
     return math.sqrt(a)
@@ -858,20 +906,24 @@ def _sqrt(a: float) -> float:
 _FUN_RULES = {"exp": _exp, "log": _log, "sin": _sin, "cos": _cos, "sqrt": _sqrt}
 
 
-def evaluate(e: Expr, bindings: dict) -> float:
-    """Evaluate to a float; every variable must be bound.
+def evaluate(e: Expr, bindings: dict):
+    """Evaluate to a float (or a Jet); every variable must be bound.
 
     A Sum adds its terms left to right starting from 0, a Product
     multiplies its factors into 1.0, and a Div evaluates its
-    denominator first.
+    denominator first.  A variable bound to a `Jet` evaluates to that
+    jet, and so does every node above it: the result is then the
+    truncated Taylor polynomial of e, whose constant term has the bits
+    of the float evaluation at the jets' constant terms.
     """
     if isinstance(e, Const):
         return _const_float(e.value)
     if isinstance(e, Var):
         try:
-            return float(bindings[e.vid])
+            v = bindings[e.vid]
         except KeyError:
             raise UnboundVariable(f"no binding for {render(e)}") from None
+        return v if type(v) is Jet else float(v)
     if isinstance(e, Sum):
         out = 0
         for t in e.terms:

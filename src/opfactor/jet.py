@@ -11,9 +11,18 @@ n*(h-1)+i of order k+1, which appends i to the axis word.
 Slots that share a multi-index represent the same mixed partial for
 smooth functions; the canonical representative is the smallest such
 slot, i.e. the one whose axis word is sorted ascending.
+
+A `Jet` is the other way to address derivatives: a truncated Taylor
+polynomial at a point, in floats, with coefficients indexed by
+multi-index.  `expr.evaluate` accepts jets wherever it accepts floats,
+which is how the numeric probe of a factorization differentiates
+without symbolic work.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
+from math import comb, factorial
 
 from .errors import CapacityExceeded
 
@@ -130,3 +139,165 @@ def multiindex_to_index(mu, n: int) -> DerivIndex:
 def canonical_slot(d: DerivIndex) -> DerivIndex:
     """Smallest slot with the same multi-index as d."""
     return axes_to_index(sorted(index_to_axes(d)), d.n)
+
+
+# ---------------------------------------------------------------------------
+# truncated Taylor jets
+
+@lru_cache(maxsize=None)
+def multi_indices(n: int, order: int) -> tuple:
+    """Multi-indices of total degree <= order, by degree and, within a
+    degree, x1-heavy first.  The list for a lower order is a prefix of
+    the list for a higher one, so truncating a jet slices its
+    coefficients."""
+    return tuple(sorted((mu for mu in product(range(order + 1), repeat=n)
+                         if sum(mu) <= order),
+                        key=lambda mu: (sum(mu), tuple(-a for a in mu))))
+
+
+@lru_cache(maxsize=None)
+def _products(n: int, order: int) -> tuple:
+    """For each position k of multi_indices(n, order), the position
+    pairs (i, j) whose multi-indices add up to the one at k."""
+    monos = multi_indices(n, order)
+    where = {mu: i for i, mu in enumerate(monos)}
+    return tuple(tuple((where[a], where[tuple(x - y for x, y in zip(mu, a))])
+                       for a in monos if all(y <= x for x, y in zip(mu, a)))
+                 for mu in monos)
+
+
+@lru_cache(maxsize=None)
+def _shift(n: int, order: int, alpha: MultiIndex, out_order: int) -> tuple:
+    """(position in an order-`order` jet, factor) per coefficient of the
+    order-`out_order` jet of the alpha-th partial derivative."""
+    where = {mu: i for i, mu in enumerate(multi_indices(n, order))}
+    out = []
+    for beta in multi_indices(n, out_order):
+        factor = 1
+        for a, b in zip(alpha, beta):
+            factor *= factorial(a + b) // factorial(b)
+        out.append((where[tuple(a + b for a, b in zip(alpha, beta))], float(factor)))
+    return tuple(out)
+
+
+class Jet:
+    """Truncated Taylor polynomial of a function of n variables at a point.
+
+    `c[i]` is the coefficient of (x - x0)^mu for the i-th multi-index mu
+    of `multi_indices(n, order)`; `c[0]` is the value at the point.
+    `+`, `*` and `/` with another jet or a number truncate to the lower
+    order; they, `compose` and the domain rules of `expr` are all that
+    `expr.evaluate` needs.  Every operation computes its constant term with the same
+    float operation as on plain floats (a product's is a0 * b0, a
+    quotient's a0 / b0), so that term keeps the bits of a float
+    evaluation.
+    """
+
+    __slots__ = ("n", "order", "c")
+
+    def __init__(self, n: int, order: int, c: list):
+        self.n, self.order, self.c = n, order, c
+
+    @classmethod
+    def polynomial(cls, terms, x0, order: int) -> "Jet":
+        """Jet at x0 of the polynomial sum c * x^a over (c, a) terms."""
+        monos = multi_indices(len(x0), order)
+        coeffs = [0.0] * len(monos)
+        for c, a in terms:
+            # Taylor coefficients of each factor x_i^a_i, then their products
+            rows = [[comb(e, b) * x ** (e - b) for b in range(min(e, order) + 1)]
+                    for e, x in zip(a, x0)]
+            for k, beta in enumerate(monos):
+                t = c
+                for row, b in zip(rows, beta):
+                    if b >= len(row):
+                        break
+                    t *= row[b]
+                else:
+                    coeffs[k] += t
+        return cls(len(x0), order, coeffs)
+
+    @classmethod
+    def constant(cls, value: float, n: int, order: int) -> "Jet":
+        return cls(n, order, [value] + [0.0] * (len(multi_indices(n, order)) - 1))
+
+    @classmethod
+    def variable(cls, value: float, axis: int, n: int, order: int) -> "Jet":
+        """Jet of the coordinate x_axis at a point where it equals value
+        (positions 1..n of the coefficients are the degree-one terms)."""
+        jet = cls.constant(value, n, order)
+        if order:
+            jet.c[axis] = 1.0
+        return jet
+
+    def truncate(self, order: int) -> "Jet":
+        return Jet(self.n, order, self.c[:len(multi_indices(self.n, order))])
+
+    def derivative(self, alpha: MultiIndex, order: int) -> "Jet":
+        """Order-`order` jet of the alpha-th partial derivative; needs
+        sum(alpha) + order <= self.order."""
+        c = self.c
+        return Jet(self.n, order, [f * c[i] for i, f in _shift(self.n, self.order, alpha, order)])
+
+    def compose(self, series) -> "Jet":
+        """f(self) for f with Taylor coefficients series[k] at the
+        constant term (series[0] = f(c[0]), series[k] = f^(k)(c[0]) / k!)."""
+        h = Jet(self.n, self.order, [0.0] + self.c[1:])
+        out = [series[1] * x for x in h.c] if self.order else [0.0]
+        power = h
+        for k in range(2, self.order + 1):
+            power = power * h
+            out = [o + series[k] * x for o, x in zip(out, power.c)]
+        out[0] = series[0]
+        return Jet(self.n, self.order, out)
+
+    def is_constant(self) -> bool:
+        return not any(self.c[1:])
+
+    def __repr__(self):
+        return f"Jet(n={self.n}, order={self.order}, {self.c})"
+
+    def __add__(self, other):
+        if type(other) is Jet:
+            return Jet(self.n, min(self.order, other.order),
+                       [a + b for a, b in zip(self.c, other.c)])
+        return Jet(self.n, self.order, [self.c[0] + other] + self.c[1:])
+
+    def __radd__(self, other):
+        return Jet(self.n, self.order, [other + self.c[0]] + self.c[1:])
+
+    def __mul__(self, other):
+        if type(other) is not Jet:
+            return Jet(self.n, self.order, [a * other for a in self.c])
+        a, b = self.c, other.c
+        order = min(self.order, other.order)
+        out = [a[0] * b[0]]
+        for pairs in _products(self.n, order)[1:]:
+            t = 0.0
+            for i, j in pairs:
+                t += a[i] * b[j]
+            out.append(t)
+        return Jet(self.n, order, out)
+
+    def __rmul__(self, other):
+        return Jet(self.n, self.order, [other * a for a in self.c])
+
+    def __truediv__(self, other):
+        if type(other) is not Jet:
+            return Jet(self.n, self.order, [a / other for a in self.c])
+        return other._divide(self.c, min(self.order, other.order))
+
+    def __rtruediv__(self, other):
+        return self._divide(Jet.constant(other, self.n, self.order).c, self.order)
+
+    def _divide(self, a, order):
+        """Jet of a / self, for the coefficients a of a numerator."""
+        b = self.c
+        q = [a[0] / b[0]]
+        for k, pairs in enumerate(_products(self.n, order)[1:], start=1):
+            t = a[k]
+            for i, j in pairs:
+                if j:
+                    t -= q[i] * b[j]
+            q.append(t / b[0])
+        return Jet(self.n, order, q)

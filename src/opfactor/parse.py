@@ -5,7 +5,8 @@ x1..x9 for independent variables and u, u1..u9 for dependent
 components (u is the same as u1); the operators + - * / ^ with the
 usual precedence, ^ associating to the right; unary minus; the
 functions exp, log, sin, cos, sqrt; parentheses.  Whitespace is
-insignificant.  Exponents must simplify to integers.
+insignificant.  Exponents must simplify to integers of absolute value
+at most MAX_EXPONENT.
 """
 
 from dataclasses import dataclass
@@ -17,6 +18,9 @@ from .expr import Const, DepVar, Div, Expr, Fun, FUN_NAMES, IndepVar, Power, Var
 # deepest nesting of parentheses, function arguments, unary minus and
 # exponents; far deeper input exhausts the interpreter's recursion limit
 MAX_NESTING = 100
+
+# largest absolute exponent; x1^100000000 would expand without a bound
+MAX_EXPONENT = 10_000
 
 
 @dataclass(frozen=True)
@@ -133,9 +137,12 @@ class _Parser:
         base = self.atom()
         if self.peek().kind == "op" and self.peek().text == "^":
             caret = self.advance()
+            start = self.peek()
             exp = simplify(self.nested(caret, self.unary))
             if not isinstance(exp, Const) or exp.value.denominator != 1:
                 self.fail("exponent must simplify to an integer", caret)
+            if abs(exp.value) > MAX_EXPONENT:
+                self.fail(f"exponent larger than {MAX_EXPONENT} in absolute value", start)
             return Power(base, int(exp.value))
         return base
 

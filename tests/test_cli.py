@@ -4,11 +4,12 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
 from opfactor.cli import main
-from opfactor.parse import MAX_NESTING
+from opfactor.parse import MAX_EXPONENT, MAX_NESTING
 from opfactor.problemfile import parse_problem, print_problem
 
 PROBLEMS = pathlib.Path(__file__).parent / "problems"
@@ -116,7 +117,7 @@ def test_check_json_fields(capsys):
     assert doc["verdict"] == "PASS"
     assert doc["conditions"]["zero"] == doc["conditions"]["total"] == 6
     assert doc["samples"] == 8
-    assert doc["numeric_max"] == 0.0
+    assert doc["numeric_max"] < 1e-12
     assert doc["residuals"] == [] and doc["condition_residuals"] == []
 
 
@@ -355,6 +356,20 @@ def test_json_usage_error_is_a_json_document(capsys):
         doc = json.loads(out)
         assert doc["schema"] == 1 and doc["command"] == argv[0]
         assert doc["error"]["type"] == "ValidationError"
+
+
+def test_huge_exponent_is_a_parse_error(tmp_path, capsys):
+    # without MAX_EXPONENT, expand ran on this until it was killed
+    ini = tmp_path / "huge.ini"
+    ini.write_text('[problem]\nkind = linear-ode\n\n'
+                   '[operator]\ng[2,1] = "1"\ng[0,1] = "x1^100000000"\n', encoding="utf-8")
+    start = time.monotonic()
+    code, out, _ = run(capsys, "expand", "--json", str(ini))
+    assert time.monotonic() - start < 1.0
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "ParseError",
+        "message": f"line 6, column 14: exponent larger than {MAX_EXPONENT} in absolute value"}
 
 
 def test_coefficient_nesting_limit(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Factorization condition systems: goldens, both checking routes, plants."""
 
 import pathlib
+import random
+import sys
 import time
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from opfactor.conditions import (
     CheckOptions,
     FactorizationCandidate,
     TEMPLATES,
+    _numeric_probe,
     check_candidate,
     condition_residuals,
     derive_conditions,
@@ -21,6 +24,7 @@ from opfactor.errors import UnsupportedTemplate
 from opfactor.expr import ONE, ZERO, const, is_zero, simplify, u_, x_
 from opfactor.operator import (
     MatrixOperator,
+    as_matrix,
     expand_product,
     make_operator,
     matrix_expand_product,
@@ -214,6 +218,74 @@ def test_check_is_deterministic_in_seed():
     r1 = check_candidate(bad, cand, CheckOptions(seed=5))
     r2 = check_candidate(bad, cand, CheckOptions(seed=5))
     assert r1.numeric_max == r2.numeric_max
+
+
+# ---------------------------------------------------------------------------
+# the numeric probe is independent of the symbolic route
+
+
+def _expanded(N1, N2):
+    """P = N1 N2, read back cell by cell from the expansion."""
+    grid = matrix_expand_product([as_matrix(N1), as_matrix(N2)])
+    m = len(grid)
+    rows = tuple(tuple(operator_from_jet(grid[p][q], q + 1) for q in range(m))
+                 for p in range(m))
+    return MatrixOperator(N1.n, m, rows)
+
+
+def _probe_plants():
+    """(P, N1, N2, P with 1 added to its (1,1) order-0 coefficient) for a
+    linear-pde2, a nonlinear-pde2 and a 2x2 linear-pde2-system split."""
+    out = []
+    nl = lambda n, m, coeffs: make_operator(n, m, {k: E(v) for k, v in coeffs.items()},
+                                            linear=False)
+    scalar = [
+        (nl(2, 1, {(1, 1): "2", (1, 2): "x1 - x2", (0, 1): "exp(x2)/(3 + x1)"}),
+         nl(2, 1, {(1, 1): "-1", (1, 2): "x1^2 + 1", (0, 1): "log(2 + x2) - x1"})),
+        (nl(2, 1, {(1, 1): "1", (1, 2): "x2", (0, 1): "u1^2 + x1"}),
+         nl(2, 1, {(1, 1): "-2", (1, 2): "1 - x1", (0, 1): "x2*u1 - 1/2"})),
+    ]
+    for Q1, Q2 in scalar:
+        out.append((as_matrix(Q1), as_matrix(Q2)))
+    D = lambda a, b, c: nl(2, 2, {(1, 1): a, (1, 2): b, (0, 1): c})
+    c = lambda value: nl(2, 2, {(0, 1): value})
+    out.append((MatrixOperator(2, 2, ((D("1", "x2", "x1"), c("1")),
+                                      (c("x1 - x2"), D("1", "-1", "2")))),
+                MatrixOperator(2, 2, ((D("2", "1", "0"), c("x1^2")),
+                                      (c("-2"), D("1", "x1", "1"))))))
+    plants = []
+    for N1, N2 in out:
+        P = _expanded(N1, N2)
+        e11 = P.entries[0][0]
+        bumped = make_operator(e11.n, e11.m, {**{(d.k, d.h): c for d, c in e11.coeffs},
+                                              (0, 1): simplify(e11.coeff(0, 1) + ONE)},
+                               linear=False)
+        rows = ((bumped,) + P.entries[0][1:],) + P.entries[1:]
+        plants.append((P, N1, N2, MatrixOperator(P.n, P.m, rows)))
+    return plants
+
+
+def _probe(P, N1, N2):
+    return _numeric_probe(P, [N1, N2], random.Random(7), CheckOptions())
+
+
+def test_numeric_probe_runs_without_the_symbolic_route(monkeypatch):
+    plants = _probe_plants()
+    expected = [(_probe(P, N1, N2), _probe(bad, N1, N2)) for P, N1, N2, bad in plants]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the numeric probe reached the symbolic route")
+    for name, module in list(sys.modules.items()):
+        if name == "opfactor" or name.startswith("opfactor."):
+            for attr in ("simplify", "total_derivative", "apply_to_expr",
+                         "matrix_apply", "ratio"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, forbidden)
+    with pytest.raises(AssertionError, match="symbolic route"):
+        sys.modules["opfactor.conditions"].simplify(x_(1))
+    for (P, N1, N2, bad), (gap, bad_gap) in zip(plants, expected):
+        assert _probe(P, N1, N2) == gap < 1e-12
+        assert _probe(bad, N1, N2) == bad_gap > 1e-3
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from opfactor.expr import (
     u_,
     x_,
 )
-from opfactor.jet import DerivIndex, canonical_slot
+from opfactor.jet import DerivIndex, Jet, canonical_slot
 from opfactor.parse import parse_expr
 
 
@@ -260,7 +260,7 @@ VIDS = (IndepVar(1), IndepVar(2), DepVar(1))
 
 
 @st.composite
-def float_exprs(draw, depth=0):
+def float_exprs(draw, depth=0, powers=(-3, -2, -1, 0, 1, 2, 3, 5, 40)):
     # mostly variables and small constants; rarely zero or a constant
     # too large for a float
     leaf = st.sampled_from([Var(v) for v in VIDS] * 4 + [ZERO, Const(Fraction(10) ** 400)]
@@ -271,13 +271,13 @@ def float_exprs(draw, depth=0):
     branch = draw(st.integers(0, 5))
     if branch == 0:
         return draw(leaf)
-    sub = float_exprs(depth=depth + 1)
+    sub = float_exprs(depth=depth + 1, powers=powers)
     if branch == 1:
         return Sum(tuple(draw(st.lists(sub, min_size=2, max_size=4))))
     if branch == 2:
         return Product(tuple(draw(st.lists(sub, min_size=2, max_size=3))))
     if branch == 3:
-        return Power(draw(sub), draw(st.sampled_from([-3, -2, -1, 0, 1, 2, 3, 5, 40])))
+        return Power(draw(sub), draw(st.sampled_from(powers)))
     if branch == 4:
         return Div(draw(sub), draw(sub))
     return Fun(draw(st.sampled_from(["exp", "log", "sin", "cos", "sqrt"])), draw(sub))
@@ -324,6 +324,90 @@ def test_compile_float_raises_where_evaluate_does():
         g(0.0)
     with pytest.raises(DomainError, match="constant too large"):
         g(1.0)
+
+
+# ---------------------------------------------------------------------------
+# evaluation on Taylor jets
+
+X1, X2 = IndepVar(1), IndepVar(2)
+
+# position in multi_indices(2, 2) -> (axes differentiated, k!-style divisor)
+TAYLOR_SLOTS = {1: ((X1,), 1.0), 2: ((X2,), 1.0),
+                3: ((X1, X1), 2.0), 4: ((X1, X2), 1.0), 5: ((X2, X2), 2.0)}
+
+jet_points = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5]),
+                       st.floats(-2.0, 2.0).filter(lambda x: abs(x) > 1e-3))
+
+
+def _partial(e, axes, point):
+    """diff of e along axes at a point, substituted exactly before the
+    float evaluation: diff's expanded rational form can lose digits to
+    cancellation (7 of them for (x1/(x1 + x2 - 13/9))^-3 at (1/2, 1))."""
+    for v in axes:
+        e = diff(e, v)
+    return evaluate(simplify(substitute(e, {v: Const(Fraction(x)) for v, x in point.items()})), {})
+
+
+def _sqrt_args(e):
+    """Arguments of the square roots in e."""
+    children = {Sum: lambda: e.terms, Product: lambda: e.factors, Power: lambda: (e.base,),
+                Div: lambda: (e.num, e.den), Fun: lambda: (e.arg,)}.get(type(e), tuple)()
+    for child in children:
+        yield from _sqrt_args(child)
+    if isinstance(e, Fun) and e.name == "sqrt":
+        yield e.arg
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(float_exprs(depth=1, powers=(-3, -2, -1, 0, 1, 2, 3)), jet_points, jet_points, jet_points)
+def test_jets_carry_the_value_and_two_orders_of_derivatives(e, x1, x2, u1):
+    from opfactor.errors import DomainError
+
+    floats = {X1: x1, X2: x2, DepVar(1): u1}
+    jets = {X1: Jet.variable(x1, 1, 2, 2), X2: Jet.variable(x2, 2, 2, 2), DepVar(1): u1}
+    value = _outcome(lambda: evaluate(e, floats))
+    try:
+        jet = evaluate(e, jets)
+    except DomainError:
+        # only where the value or a derivative is undefined, or where a
+        # square root is taken at zero, which has no derivative
+        assert value == ("raises", DomainError) or any(
+            _outcome(lambda: _partial(e, axes, floats)) == ("raises", DomainError)
+            for axes, _ in TAYLOR_SLOTS.values()) or any(
+            _outcome(lambda: evaluate(arg, floats)) in (_outcome(lambda: 0.0), _outcome(lambda: -0.0))
+            for arg in _sqrt_args(e))
+        return
+    if not isinstance(jet, Jet):  # e does not depend on x1 or x2
+        assert _outcome(lambda: jet) == value
+        return
+    # the constant term has the float bits, and raises where floats do
+    assert _outcome(lambda: jet.c[0]) == value
+    if value[0] != "value":
+        return
+    for pos, (axes, divisor) in TAYLOR_SLOTS.items():
+        try:
+            want = _partial(e, axes, floats) / divisor
+        except DomainError:
+            continue
+        got = jet.c[pos]
+        if math.isfinite(want) and math.isfinite(got):
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(got), abs(want)), (pos, got, want)
+
+
+def test_jet_domain_rules_check_the_constant_term():
+    from opfactor.errors import DomainError
+
+    at = lambda x: {X1: Jet.variable(x, 1, 1, 2)}
+    for text, bad, good in [("log(x1)", -0.5, 0.5), ("sqrt(x1)", -0.5, 0.5),
+                            ("1/x1", 0.0, 0.5), ("x1^(-2)", 0.0, 0.5),
+                            ("exp(x1 + 700)", 1.0, -1.0), ("sqrt(x1 + x1^2)", 0.0, 0.5)]:
+        with pytest.raises(DomainError):
+            evaluate(P(text), at(bad))
+        jet = evaluate(P(text), at(good))
+        assert jet.c[0] == evaluate(P(text), {X1: good})
+        assert jet.c[1] == pytest.approx(evaluate(diff(P(text), X1), {X1: good}), rel=1e-12)
+    # a constant jet under a square root has no derivative to lose
+    assert evaluate(Fun("sqrt", Product((ZERO, x_(1)))), at(0.5)).c == [0.0, 0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from opfactor.errors import CapacityExceeded
 from opfactor.jet import (
     DerivIndex,
+    Jet,
     axes_to_index,
     canonical_slot,
     compose_index,
@@ -15,6 +16,7 @@ from opfactor.jet import (
     index_to_axes,
     index_to_multiindex,
     jet_size,
+    multi_indices,
     multiindex_to_index,
     slot_count,
 )
@@ -154,3 +156,45 @@ def test_exhaustive_sweep_is_fast():
     elapsed = time.monotonic() - start
     assert count == sum(slot_count(n, k) for n in range(1, 4) for k in range(5))
     assert elapsed < 1.0
+
+
+# ---------------------------------------------------------------------------
+# truncated Taylor jets
+
+
+def test_multi_indices_are_graded_prefixes():
+    for n in (1, 2, 3):
+        for order in range(5):
+            monos = multi_indices(n, order)
+            assert len(monos) == len(set(monos)) == sum(
+                1 for mu in itertools.product(range(order + 1), repeat=n) if sum(mu) <= order)
+            assert [sum(mu) for mu in monos] == sorted(sum(mu) for mu in monos)
+            if order:
+                lower = multi_indices(n, order - 1)
+                assert monos[:len(lower)] == lower
+        assert multi_indices(n, 0) == ((0,) * n,)
+    assert multi_indices(2, 1) == ((0, 0), (1, 0), (0, 1))
+
+
+def test_polynomial_jet_and_its_derivatives():
+    # f = 2 + 3 x1^2 x2 - x2^3 at (0.5, -1): Taylor coefficients by hand
+    f = Jet.polynomial([(2.0, (0, 0)), (3.0, (2, 1)), (-1.0, (0, 3))], (0.5, -1.0), 3)
+    by_mono = dict(zip(multi_indices(2, 3), f.c))
+    assert by_mono == {(0, 0): 2.25, (1, 0): -3.0, (0, 1): -2.25, (2, 0): -3.0,
+                       (1, 1): 3.0, (0, 2): 3.0, (3, 0): 0.0, (2, 1): 3.0,
+                       (1, 2): 0.0, (0, 3): -1.0}
+    # d/dx1 d/dx2 f = 6 x1, as an order-1 jet: 3 + 6 (x1 - 0.5)
+    assert f.derivative((1, 1), 1).c == [3.0, 6.0, 0.0]
+    assert f.truncate(1).c == f.c[:3]
+
+
+def test_jet_arithmetic_truncates_and_divides():
+    x = Jet.variable(2.0, 1, 1, 3)
+    square = x * x
+    assert square.c == [4.0, 4.0, 1.0, 0.0]
+    # (x^2) / x is x again, and 1 / x is the geometric series at 2
+    assert (square / x).c == x.c
+    assert (1.0 / x).c == [0.5, -0.25, 0.125, -0.0625]
+    # mixed orders truncate to the lower one
+    assert (square + x.truncate(1)).c == [6.0, 5.0]
+    assert (3.0 * x + 1).c == [7.0, 3.0, 0.0, 0.0]

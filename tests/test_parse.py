@@ -10,6 +10,7 @@ from opfactor.expr import (
     DepVar,
     IndepVar,
     ONE,
+    Power,
     Var,
     ZERO,
     const,
@@ -19,7 +20,7 @@ from opfactor.expr import (
     u_,
     x_,
 )
-from opfactor.parse import MAX_NESTING, parse_expr
+from opfactor.parse import MAX_EXPONENT, MAX_NESTING, parse_expr
 
 
 def P(text):
@@ -132,3 +133,15 @@ def test_render_parse_roundtrip():
     for text in samples:
         e = P(text)
         assert P(render(e)) == e
+
+
+def test_exponent_limit():
+    assert parse_expr(f"x1^{MAX_EXPONENT}") == Power(x_(1), MAX_EXPONENT)
+    assert P(f"x1^(-{MAX_EXPONENT})") == P(f"1/x1^{MAX_EXPONENT}")
+    for text, column in ((f"x1^{MAX_EXPONENT + 1}", 4), (f"x1^-{MAX_EXPONENT + 1}", 4),
+                         ("2 + x1^(10^5)", 8), ("x1^100000000", 4)):
+        with pytest.raises(ParseError) as info:
+            parse_expr(text)
+        # reported at the first token of the exponent
+        assert info.value.column == column, text
+        assert f"exponent larger than {MAX_EXPONENT}" in str(info.value)
