@@ -12,7 +12,8 @@ class EngineError(Exception):
 
 
 class CapacityExceeded(EngineError):
-    """A slot count n**k no longer fits in a 64-bit machine word."""
+    """A slot count n**k no longer fits in a 64-bit machine word, or a
+    polynomial product would form more than expr.MAX_PRODUCT_PAIRS term pairs."""
 
 
 class OrderOverflow(EngineError):

@@ -25,11 +25,12 @@ coefficient functions.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ArityMismatch, DomainError, NotQuasiLinear, UnboundVariable
+from .errors import (ArityMismatch, CapacityExceeded, DomainError, NotQuasiLinear,
+                     UnboundVariable)
 from .jet import DerivIndex, Jet, canonical_slot, compose_index, index_to_axes
 
 
@@ -170,6 +171,12 @@ class Const(Expr):
 @dataclass(frozen=True, slots=True)
 class Var(Expr):
     vid: VarId
+    _hash: int = field(default=None, init=False, compare=False, hash=False, repr=False)
+
+    def __hash__(self):  # the dataclass hash, computed once: atoms key monomials
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.vid,)))
+        return self._hash
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,10 +220,16 @@ FUN_NAMES = ("exp", "log", "sin", "cos", "sqrt")
 class Fun(Expr):
     name: str
     arg: Expr
+    _hash: int = field(default=None, init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
         if self.name not in FUN_NAMES:
             raise ValueError(f"unknown function {self.name!r}")
+
+    def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.name, self.arg)))
+        return self._hash
 
 
 ZERO = Const(Fraction(0))
@@ -246,7 +259,7 @@ def u_(j: int = 1) -> Var:
 # ---------------------------------------------------------------------------
 # ordering
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)
 def sort_key(e: Expr):
     if isinstance(e, Const):
         return (0, e.value)
@@ -268,7 +281,13 @@ def sort_key(e: Expr):
 #
 # A poly is a dict {monomial: Fraction}; a monomial is a sorted tuple of
 # (atom, exponent) pairs with atom a canonical Var or Fun expression and
-# exponent >= 1.  The empty monomial is the constant term.
+# exponent >= 1.  The empty monomial is the constant term.  Stored
+# coefficients are Fractions; `_poly_mul` multiplies integers over one
+# common denominator per operand.  Polys are shared: never change one.
+
+# term pairs one product may form (CapacityExceeded above); no test,
+# fixture, script or bench workload forms more than 8,464 (92 by 92)
+MAX_PRODUCT_PAIRS = 1_000_000
 
 _ONE_POLY = {(): Fraction(1)}
 
@@ -300,9 +319,8 @@ def _norm_mono(acc: dict):
         if total != ZERO:
             a = Fun("exp", total)
             acc[a] = acc.get(a, 0) + 1
-    items = [(a, e) for a, e in acc.items() if e != 0]
-    items.sort(key=lambda p: (sort_key(p[0]), p[1]))
-    return tuple(items)
+    # sort_key tells distinct atoms apart, so it alone orders them
+    return tuple((a, acc[a]) for a in sorted(acc, key=sort_key) if acc[a])
 
 
 def _poly_add(p1, p2):
@@ -310,47 +328,65 @@ def _poly_add(p1, p2):
         p1, p2 = p2, p1
     out = dict(p1)
     for m, c in p2.items():
-        s = out.get(m, Fraction(0)) + c
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
+        s = out[m] = out.get(m, 0) + c
+        if not s:
+            del out[m]
     return out
+
+
+def _rows(p, shift):
+    """Rows (exponent vector, monomial, integer c) and d, the lcm of p's
+    denominators, with p the sum of c * monomial / d.  The vector is an
+    int holding the exponent of atom a at bit shift[a]."""
+    d = math.lcm(*(c.denominator for c in p.values()))
+    return [(sum(e << shift[a] for a, e in m), m, c.numerator * (d // c.denominator))
+            for m, c in p.items()], d
 
 
 def _poly_mul(p1, p2):
-    out = {}
-    for m1, c1 in p1.items():
-        for m2, c2 in p2.items():
-            m = _mono_mul(m1, m2)
-            c = c1 * c2
-            # squared sqrt of a rational collapses to the rational
-            changed = True
-            while changed:
-                changed = False
-                for a, e in m:
-                    if e >= 2 and isinstance(a, Fun) and a.name == "sqrt" \
-                            and isinstance(a.arg, Const):
-                        c *= a.arg.value ** (e // 2)
-                        rest = [(b, f) for b, f in m if b is not a]
-                        if e % 2:
-                            rest.append((a, 1))
-                        rest.sort(key=lambda p: (sort_key(p[0]), p[1]))
-                        m = tuple(rest)
-                        changed = True
-                        break
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
+    """Product of two polys.  Integer products accumulate per exponent
+    vector; each vector becomes a monomial once, by `_mono_mul` of the
+    first pair giving it, with squared surds moved into the coefficient."""
+    if len(p1) * len(p2) > MAX_PRODUCT_PAIRS:
+        raise CapacityExceeded(f"a product of {len(p1)} by {len(p2)} terms "
+                               f"exceeds {MAX_PRODUCT_PAIRS} term pairs")
+    if p1 is _ONE_POLY or p2 is _ONE_POLY:
+        return p2 if p1 is _ONE_POLY else p1
+    atoms = dict.fromkeys(a for p in (p1, p2) for m in p for a, _ in m)
+    # wide enough that a sum of two exponents never carries
+    width = max((e for p in (p1, p2) for m in p for _, e in m), default=0).bit_length() + 1
+    shift = {a: width * i for i, a in enumerate(atoms)}
+    (r1, d1), (r2, d2) = _rows(p1, shift), _rows(p2, shift)
+    acc, first = {}, {}
+    for v1, m1, c1 in r1:
+        for v2, m2, c2 in r2:
+            v = v1 + v2
+            if v in acc:
+                acc[v] += c1 * c2
             else:
-                out.pop(m, None)
-    return out
+                acc[v] = c1 * c2
+                first[v] = m1, m2
+    out = {}
+    for v, c in acc.items():
+        m = _mono_mul(*first[v])
+        for a, e in m:
+            if e >= 2 and isinstance(a, Fun) and a.name == "sqrt" and isinstance(a.arg, Const):
+                c *= a.arg.value ** (e // 2)
+                m = tuple((b, e % 2 if b is a else f) for b, f in m if b is not a or e % 2)
+        out[m] = out.get(m, 0) + c
+    d = d1 * d2
+    return {m: Fraction(c, d) for m, c in out.items() if c}
 
 
 def _poly_pow(p, k):
-    out = _ONE_POLY
-    for _ in range(k):
-        out = _poly_mul(out, p)
+    """p^k by squaring, from the leading bit of k down."""
+    if k == 0:
+        return _ONE_POLY
+    out = p
+    for bit in bin(k)[3:]:
+        out = _poly_mul(out, out)
+        if bit == "1":
+            out = _poly_mul(out, p)
     return out
 
 
@@ -474,9 +510,8 @@ def _cancel(num, den):
             if not common:
                 break
     if common:
-        shift = lambda m: tuple(sorted(
-            ((a, e - common.get(a, 0)) for a, e in m if e - common.get(a, 0) > 0),
-            key=lambda p: (sort_key(p[0]), p[1])))
+        shift = lambda m: tuple((a, e - common.get(a, 0)) for a, e in m
+                                if e > common.get(a, 0))
         num = {shift(m): c for m, c in num.items()}
         den = {shift(m): c for m, c in den.items()}
     # pull exp factors out of a single-term denominator

@@ -9,6 +9,7 @@ import time
 import pytest
 
 from opfactor.cli import main
+from opfactor.expr import MAX_PRODUCT_PAIRS
 from opfactor.parse import MAX_EXPONENT, MAX_NESTING
 from opfactor.problemfile import parse_problem, print_problem
 
@@ -371,6 +372,20 @@ def test_huge_exponent_is_a_parse_error(tmp_path, capsys):
         "type": "ParseError",
         "message": f"line 6, column 14: exponent larger than {MAX_EXPONENT} in absolute value"}
 
+
+
+def test_huge_product_is_a_capacity_error(tmp_path, capsys):
+    # (x1+x2+1)^400 has 80,601 terms; expand ran on it until it was killed
+    ini = tmp_path / "wide.ini"
+    ini.write_text('[problem]\nkind = linear-pde2\n\n'
+                   '[operator]\ng[2,1] = "1"\ng[0,1] = "(x1+x2+1)^400"\n', encoding="utf-8")
+    start = time.monotonic()
+    code, out, _ = run(capsys, "expand", "--json", str(ini))
+    assert time.monotonic() - start < 1.0
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["type"] == "CapacityExceeded"
+    assert f"exceeds {MAX_PRODUCT_PAIRS} term pairs" in error["message"]
 
 def test_coefficient_nesting_limit(tmp_path, capsys):
     # a coefficient nested exactly MAX_NESTING deep goes through expand,

@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 
 from opfactor.expr import (
     _cancel,
+    _mono_mul,
+    _poly_mul,
+    _poly_pow,
     _subs,
     Const,
     DepVar,
@@ -36,6 +39,7 @@ from opfactor.expr import (
     ratio,
     render,
     simplify,
+    sort_key,
     substitute,
     total_derivative,
     u_,
@@ -575,3 +579,109 @@ def test_pair_is_not_part_of_equality_hash_or_a_dict():
              Fun("exp", x_(1))]
     assert {type(n) for n in nodes} == {Const, Var, Div, Sum, Product, Power, Fun}
     assert not any(hasattr(n, "__dict__") for n in nodes)
+
+
+# ---------------------------------------------------------------------------
+# product kernel and atom hashes
+
+
+def _reference_mul(p1, p2):
+    """The product as one Fraction at a time, per pair of terms, with
+    the squared surds collapsed per pair: what `_poly_mul` must equal."""
+    out = {}
+    for m1, c1 in p1.items():
+        for m2, c2 in p2.items():
+            m, c = _mono_mul(m1, m2), c1 * c2
+            changed = True
+            while changed:
+                changed = False
+                for a, e in m:
+                    if e >= 2 and isinstance(a, Fun) and a.name == "sqrt" \
+                            and isinstance(a.arg, Const):
+                        c *= a.arg.value ** (e // 2)
+                        rest = [(b, f) for b, f in m if b is not a]
+                        if e % 2:
+                            rest.append((a, 1))
+                        rest.sort(key=lambda p: (sort_key(p[0]), p[1]))
+                        m = tuple(rest)
+                        changed = True
+                        break
+            s = out.get(m, Fraction(0)) + c
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+    return out
+
+
+SURDS = [Fun("sqrt", const(2)), Fun("sqrt", const(3))]
+EXPS = [Fun("exp", x_(1)), Fun("exp", P("2*x1 - x2")), Fun("exp", P("-x1"))]
+
+
+@st.composite
+def kernel_polys(draw, surd_exp=3, max_terms=6):
+    """Polys over x1, x2, u1, sqrt(2), sqrt(3) (up to `surd_exp`) and at
+    most one exp atom per monomial, rational coefficients with
+    denominators 1-12; empty polys included."""
+    p = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        mono = {a: draw(st.integers(0, 2)) for a in (x_(1), x_(2), u_(1))}
+        for a in SURDS:
+            mono[a] = draw(st.integers(0, surd_exp))
+        if draw(st.booleans()):
+            mono[draw(st.sampled_from(EXPS))] = 1
+        key = tuple(sorted(((a, e) for a, e in mono.items() if e),
+                           key=lambda t: sort_key(t[0])))
+        p[key] = Fraction(draw(st.integers(-6, 6).filter(bool)), draw(st.integers(1, 12)))
+    return p
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_polys(), kernel_polys())
+def test_poly_mul_equals_the_fraction_loop(p1, p2):
+    out = _poly_mul(p1, p2)
+    assert out == _reference_mul(p1, p2)
+    assert all(type(c) is Fraction and c for c in out.values())
+
+
+def test_poly_mul_drops_terms_that_cancel():
+    # (x1 + sqrt(2)) (x1 - sqrt(2)) = x1^2 - 2: the x1 sqrt(2) terms
+    # cancel, and sqrt(2)^2 collapses onto the constant
+    s2 = SURDS[0]
+    p1 = {((x_(1), 1),): Fraction(1), ((s2, 1),): Fraction(1)}
+    p2 = {((x_(1), 1),): Fraction(1), ((s2, 1),): Fraction(-1)}
+    assert _poly_mul(p1, p2) == {((x_(1), 2),): Fraction(1), (): Fraction(-2)}
+    assert _poly_mul(p1, {}) == {} == _poly_mul({}, p2)
+    # exp(x1) exp(-x1) = 1 merges two exp atoms into the constant term
+    assert _poly_mul({((EXPS[0], 1),): Fraction(1, 2)},
+                     {((EXPS[2], 1),): Fraction(4, 3)}) == {(): Fraction(2, 3)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_polys(surd_exp=1, max_terms=3))
+def test_poly_pow_equals_repeated_products(p):
+    power = {(): Fraction(1)}
+    for k in range(10):
+        assert _poly_pow(p, k) == power
+        power = _poly_mul(power, p)
+
+
+def test_atom_hash_is_the_dataclass_hash():
+    vids = [IndepVar(1), DepVar(2), JetVar(1, DerivIndex(2, 3, 2)),
+            FuncSym("b", (1, 1), derivs=(("x", 2),), deps=(("x", 1), ("x", 2)))]
+    for v in vids:
+        a = Var(v)
+        assert hash(a) == hash((v,)) == hash(a)
+        assert a == Var(v) and repr(a) == repr(Var(v)) == f"Var(vid={v!r})"
+    for name, arg in (("exp", P("x1 + x2")), ("sqrt", const(2)), ("sin", u_(1))):
+        a = Fun(name, arg)
+        assert hash(a) == hash((name, arg)) == hash(a)
+        assert a == Fun(name, arg) and repr(a) == repr(Fun(name, arg))
+        assert repr(a) == f"Fun(name={name!r}, arg={arg!r})"
+
+
+def test_caches_report_a_finite_size():
+    # the benchmark's tracer reads these counters
+    for cached in (simplify, sort_key):
+        info = cached.cache_info()
+        assert info.maxsize is not None and info.maxsize > 0
