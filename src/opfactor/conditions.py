@@ -24,7 +24,7 @@ other templates keep their prefactors.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, UnsupportedTemplate
+from .errors import CapacityExceeded, DomainError, UnsupportedTemplate
 from .expr import (DepVar, Expr, FuncSym, IndepVar, Var, ZERO, diff, evaluate,
                    expr_to_poly, expr_variables, poly_content, poly_to_expr,
                    render, simplify, sort_key, substitute)
@@ -242,6 +242,10 @@ def derive_conditions(template: str, m: int = 1) -> ConditionSystem:
 # ---------------------------------------------------------------------------
 # candidate checking
 
+# largest probe sample count (CapacityExceeded above); a sample costs about 0.1 ms
+MAX_SAMPLES = 1 << 12
+
+
 @dataclass(frozen=True)
 class CheckOptions:
     samples: int = 8
@@ -269,8 +273,10 @@ def check_candidate(P, candidate: FactorizationCandidate,
     coefficient trees on floats and Taylor jets and applies the factors
     one after the other, with no simplification or symbolic
     differentiation.  On a valid split the probe's gap is at rounding
-    level, not 0.
+    level, not 0.  More than MAX_SAMPLES samples raise CapacityExceeded.
     """
+    if opts.samples > MAX_SAMPLES:
+        raise CapacityExceeded(f"{opts.samples} probe samples exceed {MAX_SAMPLES}")
     import random
     rng = random.Random(opts.seed)
     matrix = isinstance(P, MatrixOperator)

@@ -12,8 +12,9 @@ class EngineError(Exception):
 
 
 class CapacityExceeded(EngineError):
-    """A slot count n**k no longer fits in a 64-bit machine word, or a
-    polynomial product would form more than expr.MAX_PRODUCT_PAIRS term pairs."""
+    """A size bound is passed: a slot count n**k past a 64-bit machine word,
+    or expr.MAX_PRODUCT_PAIRS term pairs in one product, factor.MAX_ANSATZ_DEGREE,
+    cascade.MAX_STEPS or conditions.MAX_SAMPLES."""
 
 
 class OrderOverflow(EngineError):

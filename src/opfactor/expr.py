@@ -13,7 +13,10 @@ factors are cancelled), polynomial normalization is exact.
 A simplified tree carries the polynomial pair it was built from, so a
 canonical subtree inside a larger expression is not expanded again, and
 `expr_to_poly` of a simplified tree is a lookup.  The carried dicts are
-shared between trees and callers: they are read-only.
+shared between trees and callers: they are read-only.  Derivatives are
+taken on the pair, never on a tree: `diff`, `total_derivative` and
+`pair_total_derivative` differentiate the pair of the canonical form
+term by term, with the quotient rule for its denominator.
 
 Variables come in four kinds: independent coordinates x^i, dependent
 components u^j, jet coordinates u^j_(k)[h] for derivative slot (k, h),
@@ -27,7 +30,7 @@ coefficient functions.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .errors import (ArityMismatch, CapacityExceeded, DomainError, NotQuasiLinear,
                      UnboundVariable)
@@ -345,8 +348,8 @@ def _rows(p, shift):
 
 def _poly_mul(p1, p2):
     """Product of two polys.  Integer products accumulate per exponent
-    vector; each vector becomes a monomial once, by `_mono_mul` of the
-    first pair giving it, with squared surds moved into the coefficient."""
+    vector; each vector becomes a monomial once, by `_mono_times` of the
+    first pair giving it."""
     if len(p1) * len(p2) > MAX_PRODUCT_PAIRS:
         raise CapacityExceeded(f"a product of {len(p1)} by {len(p2)} terms "
                                f"exceeds {MAX_PRODUCT_PAIRS} term pairs")
@@ -368,14 +371,20 @@ def _poly_mul(p1, p2):
                 first[v] = m1, m2
     out = {}
     for v, c in acc.items():
-        m = _mono_mul(*first[v])
-        for a, e in m:
-            if e >= 2 and isinstance(a, Fun) and a.name == "sqrt" and isinstance(a.arg, Const):
-                c *= a.arg.value ** (e // 2)
-                m = tuple((b, e % 2 if b is a else f) for b, f in m if b is not a or e % 2)
+        m, c = _mono_times(*first[v], c)
         out[m] = out.get(m, 0) + c
     d = d1 * d2
     return {m: Fraction(c, d) for m, c in out.items() if c}
+
+
+def _mono_times(m1, m2, c):
+    """(monomial, coefficient) of c * m1 * m2, squared surds moved into c."""
+    m = _mono_mul(m1, m2)
+    for a, e in m:
+        if e >= 2 and isinstance(a, Fun) and a.name == "sqrt" and isinstance(a.arg, Const):
+            c *= a.arg.value ** (e // 2)
+            m = tuple((b, e % 2 if b is a else f) for b, f in m if b is not a or e % 2)
+    return m, c
 
 
 def _poly_pow(p, k):
@@ -444,6 +453,11 @@ def pair_product(a, b):
     return _poly_mul(a[0], b[0]), _poly_mul(a[1], b[1])
 
 
+def pair_total(pairs):
+    """Pair of the sum of a list of pairs, left to right."""
+    return reduce(pair_sum, pairs) if pairs else ({}, _ONE_POLY)
+
+
 def ratio(e: Expr):
     """Rewrite e as a pair of polys (num, den); a simplified tree returns
     the pair it carries."""
@@ -470,14 +484,18 @@ def ratio(e: Expr):
             out = pair_product(out, ratio(f))
         return out
     if isinstance(e, Power):
-        bn, bd = ratio(e.base)
-        if e.exp >= 0:
-            return _poly_pow(bn, e.exp), _poly_pow(bd, e.exp)
-        return _poly_pow(bd, -e.exp), _poly_pow(bn, -e.exp)
+        bn, bd = ratio(e.base) if e.exp >= 0 else _inverse(ratio(e.base))
+        return _poly_pow(bn, abs(e.exp)), _poly_pow(bd, abs(e.exp))
     if isinstance(e, Div):
-        dn, dd = ratio(e.den)
-        return pair_product(ratio(e.num), (dd, dn))
+        return pair_product(ratio(e.num), _inverse(ratio(e.den)))
     raise TypeError(f"not an Expr: {e!r}")
+
+
+def _inverse(pair):
+    """Pair of 1 / (num/den); a zero divisor raises DomainError."""
+    if not pair[0]:
+        raise DomainError("division by a zero expression")
+    return pair[1], pair[0]
 
 
 def poly_content(p):
@@ -576,15 +594,15 @@ def _carrying(num, den) -> Expr:
     return out
 
 
+def from_pair(pair) -> Expr:
+    """The canonical tree of the quotient num/den."""
+    return _carrying(*_cancel(*pair))
+
+
 @lru_cache(maxsize=1 << 18)
 def simplify(e: Expr) -> Expr:
     """Canonical form: distributed polynomial, or Div of two of them."""
-    return _carrying(*_cancel(*ratio(e)))
-
-
-def sum_exprs(terms) -> Expr:
-    """Simplified sum of simplified terms; a single term is returned as is."""
-    return terms[0] if len(terms) == 1 else simplify(sum(terms[1:], terms[0]))
+    return from_pair(ratio(e))
 
 
 def is_zero(e: Expr) -> bool:
@@ -656,14 +674,14 @@ def diff(e: Expr, vid: VarId) -> Expr:
     Opaque symbols differentiate to tagged derivative symbols when the
     variable is among their declared base coordinates, else to zero.
     """
+    coord = (("x", vid.index) if isinstance(vid, IndepVar)
+             else ("u", vid.component) if isinstance(vid, DepVar) else None)
+
     def leaf(v):
         if v == vid:
             return ONE
-        if isinstance(v, FuncSym):
-            if isinstance(vid, IndepVar) and ("x", vid.index) in v.deps:
-                return Var(v.partial(("x", vid.index)))
-            if isinstance(vid, DepVar) and ("u", vid.component) in v.deps:
-                return Var(v.partial(("u", vid.component)))
+        if isinstance(v, FuncSym) and coord in v.deps:
+            return Var(v.partial(coord))
         return ZERO
     return _derive(e, leaf)
 
@@ -674,13 +692,8 @@ def total_derivative(e: Expr, axis: int, n: int) -> Expr:
 
 
 def pair_total_derivative(pair, axis: int, n: int):
-    """Cancelled pair of the total derivative along x^axis of num/den,
-    by the route `total_derivative` takes on a tree carrying the pair."""
-    leaf = _total_leaf(axis, n)
-    out = _poly_derivative(pair, leaf)
-    if out is None:
-        return ratio(simplify(_chain(_carrying(*pair), leaf)))
-    return out, _ONE_POLY
+    """Cancelled pair of the total derivative along x^axis of num/den."""
+    return _cancel(*_poly_derivative(pair, _total_leaf(axis, n)))
 
 
 def _total_leaf(axis: int, n: int):
@@ -698,89 +711,60 @@ def _total_leaf(axis: int, n: int):
             if kind == "u":
                 parts.append(Var(v.partial(("u", j)))
                              * Var(JetVar(j, DerivIndex(1, axis, n))))
-        if not parts:
-            return ZERO
-        return parts[0] if len(parts) == 1 else Sum(tuple(parts))
+        return sum(parts, ZERO)
     return leaf
 
 
 def _derive(e: Expr, leaf) -> Expr:
-    """simplify(_chain(e, leaf)), taken on the polynomial e carries when
-    `_poly_derivative` applies.  A canonical polynomial is one exact
-    dict, so both routes give the same tree; quotients keep the chain
-    rule because their normalization is best effort."""
-    polys = getattr(e, "_polys", None)
-    out = None if polys is None else _poly_derivative(polys, leaf)
-    return simplify(_chain(e, leaf)) if out is None else _carrying(out, _ONE_POLY)
+    """The derivative of e, taken on the pair of its canonical form (the
+    pair a simplified tree carries); `leaf(vid)` differentiates a variable."""
+    return from_pair(_poly_derivative(getattr(e, "_polys", None) or ratio(simplify(e)), leaf))
 
 
 def _poly_derivative(pair, leaf):
-    """Derivative of a pair whose den is 1 and whose num is a poly in
-    variables, term by term: c * prod a^k gives c * k * (monomial / a) *
-    leaf(a) for each atom a.  None for a quotient, when an atom is a
-    function application, or when a leaf derivative is not a poly."""
+    """Uncancelled pair of the derivative of num/den: the numerator term
+    by term, a denominator by the quotient rule (n'd - nd') / d^2."""
     num, den = pair
-    if den != _ONE_POLY:
-        return None
-    dleaf = {}
-    for mono in num:
-        for a, _ in mono:
-            if a in dleaf:
-                continue
-            if not isinstance(a, Var):
-                return None
-            dn, dd = ratio(leaf(a.vid))
-            if dd != _ONE_POLY:
-                return None
-            dleaf[a] = dn
-    out = {}
-    for mono, c in num.items():
+    if den == _ONE_POLY:
+        return _terms_derivative(num, leaf)
+    top = pair_sum(pair_product(_terms_derivative(num, leaf), (den, _ONE_POLY)),
+                   pair_product((_poly_scale(num, Fraction(-1)), _ONE_POLY),
+                                _terms_derivative(den, leaf)))
+    return pair_product(top, (_ONE_POLY, _poly_mul(den, den)))
+
+
+def _terms_derivative(p, leaf):
+    """Pair of the derivative of the poly p: c * prod a^k gives
+    c * k * (monomial / a) * a' for each atom a.  Pieces over equal
+    denominators add in place, and those sums add as pairs in the order
+    their denominators first appear."""
+    parts = {}  # atom: (numerator of its derivative, the numerator it adds to)
+    sums = {}  # denominator's items: (numerator, denominator)
+    for mono, c in p.items():
         for i, (a, k) in enumerate(mono):
-            if not dleaf[a]:
-                continue
+            if a not in parts:
+                dn, dd = _atom_derivative(a, leaf)
+                parts[a] = dn, sums.setdefault(frozenset(dd.items()), ({}, dd))[0]
+            dn, acc = parts[a]
             rest = mono[:i] + (((a, k - 1),) if k > 1 else ()) + mono[i + 1:]
             ck = c * k
-            for m2, c2 in dleaf[a].items():
-                m = _mono_mul(rest, m2)
-                s = out.get(m, 0) + ck * c2
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-    return out
+            for m2, c2 in dn.items():
+                m, t = _mono_times(rest, m2, ck * c2)
+                s = acc[m] = acc.get(m, 0) + t
+                if not s:
+                    del acc[m]
+    return pair_total([s for s in sums.values() if s[0]])
 
 
-def _chain(e: Expr, leaf) -> Expr:
-    """Unsimplified chain rule; `leaf(vid)` is the derivative of a variable."""
-    if isinstance(e, Const):
-        return ZERO
-    if isinstance(e, Var):
-        return leaf(e.vid)
-    if isinstance(e, Sum):
-        return Sum(tuple(_chain(t, leaf) for t in e.terms))
-    if isinstance(e, Product):
-        terms = []
-        for i, f in enumerate(e.factors):
-            rest = e.factors[:i] + e.factors[i + 1:]
-            terms.append(Product((_chain(f, leaf),) + rest))
-        return Sum(tuple(terms)) if len(terms) > 1 else terms[0]
-    if isinstance(e, Power):
-        return Const(Fraction(e.exp)) * Power(e.base, e.exp - 1) * _chain(e.base, leaf)
-    if isinstance(e, Div):
-        return Div(_chain(e.num, leaf) * e.den - e.num * _chain(e.den, leaf),
-                   Power(e.den, 2))
-    if isinstance(e, Fun):
-        da = _chain(e.arg, leaf)
-        if e.name == "exp":
-            return Fun("exp", e.arg) * da
-        if e.name == "log":
-            return Div(da, e.arg)
-        if e.name == "sin":
-            return Fun("cos", e.arg) * da
-        if e.name == "cos":
-            return -(Fun("sin", e.arg) * da)
-        return Div(da, Const(Fraction(2)) * Fun("sqrt", e.arg))
-    raise TypeError(f"not an Expr: {e!r}")
+def _atom_derivative(a, leaf):
+    """Uncancelled pair of the derivative of an atom: `leaf` of a
+    variable, or df(y)/dy times the derivative of the argument y."""
+    if isinstance(a, Var):
+        return ratio(leaf(a.vid))
+    y = a.arg
+    outer = {"exp": a, "log": Div(ONE, y), "sin": Fun("cos", y), "cos": -Fun("sin", y),
+             "sqrt": Div(ONE, Const(Fraction(2)) * a)}[a.name]
+    return pair_product(_poly_derivative(ratio(y), leaf), ratio(outer))
 
 
 # ---------------------------------------------------------------------------

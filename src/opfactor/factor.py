@@ -13,14 +13,19 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (DomainError, NonPolynomialCoefficients, NonPolynomialSqrtDelta,
-                     NoRealFactorization, NotConstant, UnsupportedTemplate)
+from .errors import (CapacityExceeded, DomainError, NonPolynomialCoefficients,
+                     NonPolynomialSqrtDelta, NoRealFactorization, NotConstant, UnsupportedTemplate)
 from .expr import (Const, Div, Expr, Fun, FuncSym, IndepVar, Power, Var, ZERO,
                    ONE, evaluate, expr_to_poly, expr_variables, fraction_sqrt,
                    is_constant, poly_sqrt, poly_to_expr, render, simplify,
                    sort_key, substitute, total_derivative)
 from .conditions import FactorizationCandidate, discriminant
 from .operator import DiffOperator, make_operator
+
+
+# largest Riccati ansatz degree (CapacityExceeded above); the search costs
+# 0.8-0.9 s per CLI call at 32, 6.3 s at 80 and 35 s at 160
+MAX_ANSATZ_DEGREE = 32
 
 
 @dataclass(frozen=True)
@@ -123,13 +128,16 @@ def solve_riccati_ansatz(prob: RiccatiProblem,
 
     Substitutes an undetermined polynomial, collects powers of x1 and
     solves the resulting quadratic system exactly over the rationals.
-    An empty list means the ansatz is exhausted, not an error.
+    An empty list means the ansatz is exhausted, not an error.  A degree
+    above MAX_ANSATZ_DEGREE raises CapacityExceeded.
     """
+    deg = config.ansatz_degree
+    if deg > MAX_ANSATZ_DEGREE:
+        raise CapacityExceeded(f"ansatz degree {deg} exceeds {MAX_ANSATZ_DEGREE}")
     for c in (prob.y2, prob.y1, prob.y0):
         if not _polynomial_in_x(c):
             raise NonPolynomialCoefficients(
                 f"Riccati coefficient {render(c)} is not polynomial in x1")
-    deg = config.ansatz_degree
     cvars = [FuncSym("c", (d,)) for d in range(deg + 1)]
     Y = ZERO
     for d in range(deg + 1):
@@ -189,9 +197,8 @@ def _c_degree(eq: Expr, c) -> dict:
     return {d: simplify(poly_to_expr(m)) for d, m in by_deg.items()}
 
 
-def _solve_branch(equations, assignment, cvars, solutions, depth=0):
-    if depth > 64:
-        return
+def _solve_branch(equations, assignment, cvars, solutions):
+    """Each level assigns one unknown, so the depth is at most len(cvars)."""
     eqs = []
     for eq in equations:
         r = simplify(substitute(eq, assignment)) if assignment else eq
@@ -209,7 +216,7 @@ def _solve_branch(equations, assignment, cvars, solutions, depth=0):
         if len(set(cs)) == 1:
             c = cs[0]
             for val in _univariate_roots(eq, c):
-                _solve_branch(eqs, {**assignment, c: val}, cvars, solutions, depth + 1)
+                _solve_branch(eqs, {**assignment, c: val}, cvars, solutions)
             return
     # otherwise eliminate a variable that appears linearly with a
     # constant leading coefficient
@@ -221,7 +228,7 @@ def _solve_branch(equations, assignment, cvars, solutions, depth=0):
             if by_deg.get(2, ZERO) == ZERO and isinstance(by_deg.get(1, ZERO), Const) \
                     and by_deg.get(1, ZERO) != ZERO:
                 val = simplify(Div(Const(Fraction(-1)) * by_deg.get(0, ZERO), by_deg[1]))
-                _solve_branch(eqs, {**assignment, c: val}, cvars, solutions, depth + 1)
+                _solve_branch(eqs, {**assignment, c: val}, cvars, solutions)
                 return
     return  # stuck: abandon this branch
 

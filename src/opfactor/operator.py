@@ -16,17 +16,20 @@ pick up their chain rule terms.  Each cell of the fold holds the exact
 (num, den) polynomial pair of its whole jet expression (`expr.ratio`),
 from the first factor to the last, and is split into jet monomials
 once, at the end (`expr.split_jet`).
+
+Application to concrete functions of the base coordinates and
+expansion share that fold (`_apply_to_pair`); derivatives along a shared
+prefix of axes are taken once per operator.
 """
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import reduce
 
 from .errors import ArityMismatch, NotQuasiLinear, OrderOverflow, ShapeMismatch
 from .expr import (Const, DepVar, Div, Expr, IndepVar, JetVar, Power, Sum, Var,
-                   ZERO, ONE, expr_variables, pair_product, pair_sum,
+                   ZERO, ONE, expr_variables, from_pair, pair_product, pair_total,
                    pair_total_derivative, ratio, render, simplify, split_jet,
-                   substitute, sum_exprs, total_derivative)
+                   substitute)
 from .jet import DerivIndex, index_to_axes
 
 DEFAULT_ORDER_CAP = 6
@@ -171,8 +174,9 @@ def jet_polynomial(n: int, m: int, e: Expr) -> JetPolynomial:
     return _jet_poly(n, m, split_jet(ratio(simplify(e)), m))
 
 
-def _apply_to_pair(op: DiffOperator, pair):
-    """Pair of one operator applied to the jet expression num/den."""
+def _apply_to_pair(op: DiffOperator, pair, u_exprs=None):
+    """Pair of one operator applied to the jet expression num/den; with
+    u_exprs, quasi-linear coefficients are evaluated along it first."""
     derived = {(): pair}
 
     def along(axes):
@@ -180,12 +184,9 @@ def _apply_to_pair(op: DiffOperator, pair):
             derived[axes] = pair_total_derivative(along(axes[:-1]), axes[-1], op.n)
         return derived[axes]
 
-    return _pair_total([pair_product(ratio(coeff), along(index_to_axes(d)))
+    return pair_total([pair_product(ratio(_subs_components(coeff, u_exprs)),
+                                     along(index_to_axes(d)))
                         for d, coeff in op.coeffs])
-
-
-def _pair_total(pairs):
-    return reduce(pair_sum, pairs) if pairs else ratio(ZERO)
 
 
 def expand_product(factors) -> JetPolynomial:
@@ -218,7 +219,7 @@ def matrix_expand_product(factors):
     grid = [[ratio(Var(DepVar(q + 1)) if p == q else ZERO) for q in range(m)]
             for p in range(m)]
     for f in reversed(factors):
-        grid = [[_pair_total([_apply_to_pair(f.entries[p][l], grid[l][q])
+        grid = [[pair_total([_apply_to_pair(f.entries[p][l], grid[l][q])
                               for l in range(m)
                               if grid[l][q][0] and f.entries[p][l].coeffs])
                  for q in range(m)] for p in range(m)]
@@ -235,7 +236,9 @@ def _component(u_exprs: dict, j: int) -> Expr:
     return u_exprs[j]
 
 
-def _subs_components(e: Expr, u_exprs: dict) -> Expr:
+def _subs_components(e: Expr, u_exprs) -> Expr:
+    if u_exprs is None:  # expansion: u stays generic
+        return e
     mapping = {v: _component(u_exprs, v.component)
                for v in expr_variables(e) if isinstance(v, DepVar)}
     return substitute(e, mapping) if mapping else e
@@ -252,13 +255,7 @@ def apply_to_expr(op: DiffOperator, target_expr: Expr, u_exprs: dict) -> Expr:
     Quasi-linear coefficients are evaluated along u_exprs before the
     derivatives act on the target.
     """
-    out = ZERO
-    for d, coeff in op.coeffs:
-        val = target_expr
-        for axis in index_to_axes(d):
-            val = total_derivative(val, axis, op.n)
-        out = out + _subs_components(coeff, u_exprs) * val
-    return simplify(out)
+    return from_pair(_apply_to_pair(op, ratio(simplify(target_expr)), u_exprs))
 
 
 def matrix_apply(mop: MatrixOperator, u_exprs: dict, targets=None) -> tuple:
@@ -269,9 +266,9 @@ def matrix_apply(mop: MatrixOperator, u_exprs: dict, targets=None) -> tuple:
     """
     if targets is None:
         targets = [_component(u_exprs, q) for q in range(1, mop.m + 1)]
-    return tuple(sum_exprs([apply_to_expr(mop.entries[p][q], targets[q], u_exprs)
-                            for q in range(mop.m)])
-                 for p in range(mop.m))
+    return tuple(from_pair(pair_total([
+        ratio(apply_to_expr(mop.entries[p][q], targets[q], u_exprs))
+        for q in range(mop.m)])) for p in range(mop.m))
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,11 @@ import time
 
 import pytest
 
+from opfactor.cascade import MAX_STEPS
 from opfactor.cli import main
+from opfactor.conditions import MAX_SAMPLES
 from opfactor.expr import MAX_PRODUCT_PAIRS
+from opfactor.factor import MAX_ANSATZ_DEGREE
 from opfactor.parse import MAX_EXPONENT, MAX_NESTING
 from opfactor.problemfile import parse_problem, print_problem
 
@@ -386,6 +389,38 @@ def test_huge_product_is_a_capacity_error(tmp_path, capsys):
     error = json.loads(out)["error"]
     assert error["type"] == "CapacityExceeded"
     assert f"exceeds {MAX_PRODUCT_PAIRS} term pairs" in error["message"]
+
+@pytest.mark.parametrize("command, flag, value, fixture", [
+    ("factor", "--ansatz-degree", MAX_ANSATZ_DEGREE + 1, "ode-riccati-poly.ini"),
+    ("factor", "--ansatz-degree", 64, "ode-riccati-poly.ini"),
+    ("cascade", "--steps", MAX_STEPS + 1, "ode-const-factorable.ini"),
+    ("cascade", "--steps", 10 ** 9, "ode-const-factorable.ini"),
+    ("check", "--samples", MAX_SAMPLES + 1, "ode-const-factorable.ini"),
+    ("check", "--samples", 10 ** 9, "ode-const-factorable.ini"),
+])
+def test_request_size_above_its_cap_is_a_capacity_error(capsys, command, flag, value,
+                                                         fixture):
+    # each is refused before any work: a grid of 10^9 steps alone would
+    # not fit in memory, and --ansatz-degree 64 gave a wrong verdict
+    start = time.monotonic()
+    code, out, _ = run(capsys, command, "--json", flag, str(value), path(fixture))
+    assert time.monotonic() - start < 1.0
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "CapacityExceeded"
+
+
+@pytest.mark.parametrize("coeff", ["x1/(1/0)", "(1/0)^(-2)"])
+def test_dividing_by_an_undefined_quotient_is_a_domain_error(tmp_path, capsys, coeff):
+    # the zero denominator of 1/0 used to become the zero numerator of
+    # its inverse, and the coefficient read as 0
+    ini = tmp_path / "zero.ini"
+    ini.write_text('[problem]\nkind = linear-ode\n\n'
+                   f'[operator]\ng[2,1] = "1"\ng[0,1] = "{coeff}"\n', encoding="utf-8")
+    code, out, _ = run(capsys, "expand", "--json", str(ini))
+    assert code == 1
+    assert json.loads(out)["error"] == {"message": "division by a zero expression",
+                                        "type": "DomainError"}
+
 
 def test_coefficient_nesting_limit(tmp_path, capsys):
     # a coefficient nested exactly MAX_NESTING deep goes through expand,

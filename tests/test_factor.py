@@ -6,6 +6,7 @@ import pytest
 
 from opfactor.conditions import CheckOptions, FactorizationCandidate, check_candidate
 from opfactor.errors import (
+    CapacityExceeded,
     NoRealFactorization,
     NonPolynomialCoefficients,
     NonPolynomialSqrtDelta,
@@ -24,6 +25,7 @@ from opfactor.expr import (
     x_,
 )
 from opfactor.factor import (
+    MAX_ANSATZ_DEGREE,
     SearchConfig,
     factor_constant,
     factor_ode,
@@ -166,6 +168,16 @@ def test_riccati_degree_cap_limits_search():
     assert y in ys
     cand = riccati_candidate(prob, y)
     assert verified(P, cand)
+
+
+def test_riccati_ansatz_degree_is_capped():
+    # u'' - (x1^2 + 1) u splits through Y = -x1; 65 unknowns used to pass a
+    # fixed recursion cutoff of 64 levels and came back as no solution
+    prob = riccati_from_operator(ode("1", "0", "-x1^2 - 1"))
+    at_cap = solve_riccati_ansatz(prob, SearchConfig(ansatz_degree=MAX_ANSATZ_DEGREE))
+    assert at_cap == solve_riccati_ansatz(prob, SearchConfig(ansatz_degree=3)) == [E("-x1")]
+    with pytest.raises(CapacityExceeded):
+        solve_riccati_ansatz(prob, SearchConfig(ansatz_degree=MAX_ANSATZ_DEGREE + 1))
 
 
 def test_factor_ode_dispatch():

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and no
-module imports a `_`-prefixed name from another opfactor module.
+"""Every name a package module imports is used in that module, no
+module imports a `_`-prefixed name from another opfactor module, and
+every `_`-prefixed top-level function or class is read in its module.
 
 `__init__.py` is exempt from the first rule: its imports are the public
 re-exports.
@@ -78,3 +79,30 @@ def test_detects_a_private_import():
     tree = ast.parse("from .expr import _cancel, simplify\nfrom os import _exit\n"
                      "from opfactor.cascade import _grid\nimport _thread\n")
     assert set(_private(tree)) == {"_cancel", "_grid"}
+
+
+def _unread_helpers(tree) -> set:
+    """`_`-prefixed top-level functions and classes that nothing else in
+    the module reads; a helper's reads of itself do not count."""
+    defs = [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")]
+    return {node.name for node in defs
+            if not any(node.name in _used(other) for other in tree.body if other is not node)}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unread_private_helpers(path):
+    unread = _unread_helpers(ast.parse(path.read_text(encoding="utf-8")))
+    assert not unread, f"{path.name}: private helpers read nowhere {sorted(unread)}"
+
+
+def test_detects_an_unread_private_helper():
+    tree = ast.parse("def _dead(x):\n    return 1\n"
+                     "def _self_only(n):\n    return _self_only(n - 1)\n"
+                     "def _used(x):\n    return x\n"
+                     "class _Unused:\n    pass\n"
+                     "def __getattr__(name):\n    return name\n"
+                     "def public():\n    return _used(2)\n"
+                     "TABLE = {'k': _Kept}\nclass _Kept:\n    pass\n")
+    assert _unread_helpers(tree) == {"_dead", "_self_only", "_Unused"}

@@ -6,18 +6,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opfactor.errors import OrderOverflow, ShapeMismatch
-from opfactor.jet import DerivIndex
+from opfactor.errors import DomainError, OrderOverflow, ShapeMismatch
+from opfactor.jet import DerivIndex, index_to_axes
 from opfactor.expr import (
+    _subs,
+    _total_leaf,
+    Const,
     DepVar,
+    FuncSym,
     IndepVar,
     JetVar,
     ONE,
+    Product,
+    Sum,
     Var,
     ZERO,
     const,
     evaluate,
+    expr_variables,
+    ratio,
     simplify,
+    substitute,
     u_,
     x_,
 )
@@ -35,6 +44,7 @@ from opfactor.operator import (
     render_jet,
 )
 from opfactor.parse import parse_expr
+from test_expr import CHAIN_ATOMS, _reference_chain, atom_exprs
 
 
 def E(text):
@@ -256,6 +266,99 @@ def test_matrix_apply():
     out = matrix_apply(M, {1: E("x1"), 2: E("x1^2")})
     assert simplify(out[0]) == E("x1^2 + 1")
     assert simplify(out[1]) == E("2*x1")
+
+
+# application against the tree loop it replaced, on the reference chain rule
+
+def _reference_apply(op, target, u_exprs):
+    """Sum over slots of the substituted coefficient times the target
+    differentiated along the slot's axes, one simplified step at a time."""
+    out = ZERO
+    for d, coeff in op.coeffs:
+        val = target
+        for axis in index_to_axes(d):
+            val = simplify(_reference_chain(val, _total_leaf(axis, op.n)))
+        out = out + substitute(coeff, {DepVar(j): e for j, e in u_exprs.items()}) * val
+    return simplify(out)
+
+
+def _only_x(v):
+    return isinstance(v, IndepVar) or (isinstance(v, FuncSym)
+                                       and all(kind == "x" for kind, _ in v.deps))
+
+
+# coefficient atoms may hold u1 (quasi-linear), never a jet coordinate;
+# target atoms are functions of x1 and x2 alone
+COEFF_ATOMS = [a for a in CHAIN_ATOMS
+               if not any(isinstance(v, JetVar) for v in expr_variables(a))]
+X_ATOMS = [a for a in CHAIN_ATOMS if all(_only_x(v) for v in expr_variables(a))]
+SLOTS = [(0, 1), (1, 1), (1, 2), (2, 1), (2, 2), (2, 4)]
+
+
+@st.composite
+def x_functions(draw):
+    return simplify(_subs(draw(atom_exprs(X_ATOMS)), {DepVar(1): x_(1)}))
+
+
+@st.composite
+def quasilinear_ops(draw, m=1, slots=SLOTS):
+    chosen = draw(st.lists(st.sampled_from(slots), min_size=1, max_size=3, unique=True))
+    return make_operator(2, m, {s: draw(atom_exprs(COEFF_ATOMS)) for s in chosen},
+                         linear=False)
+
+
+def _outcome(f, *args):
+    """f(*args), or DomainError where a coefficient is undefined along u."""
+    try:
+        return f(*args)
+    except DomainError:
+        return DomainError
+
+
+def assert_same_application(got, want, *parts):
+    """got equals want exactly, and is the same tree where every atom of
+    the inputs is a variable; both raise alike where one does."""
+    if DomainError in (got, want):
+        assert got is want
+        return
+    assert simplify(Sum((got, Product((Const(Fraction(-1)), want))))) == ZERO
+    if all(isinstance(a, Var) for e in parts for p in ratio(simplify(e))
+           for mono in p for a, _ in mono):
+        assert got == want
+
+
+# derandomized: the reference chain rule is slow on rare draws
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(quasilinear_ops(), x_functions(), x_functions())
+def test_apply_to_expr_matches_the_tree_loop(op, target, u):
+    got = _outcome(apply_to_expr, op, target, {1: u})
+    want = _outcome(_reference_apply, op, target, {1: u})
+    assert_same_application(got, want, target, u, *(c for _, c in op.coeffs))
+
+
+def _reference_rows(M, u_exprs):
+    return tuple(simplify(Sum(tuple(_reference_apply(M.entries[p][q], u_exprs[q + 1], u_exprs)
+                                    for q in range(M.m))))
+                 for p in range(M.m))
+
+
+# the rows add entries up, which first order diagonals test as well as
+# second order ones; the reference chain rule is slow on the latter
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(quasilinear_ops(m=2, slots=SLOTS[:3]), min_size=2, max_size=2),
+       st.lists(quasilinear_ops(m=2, slots=[(0, 1)]), min_size=2, max_size=2),
+       x_functions(), x_functions())
+def test_matrix_apply_matches_the_tree_loop(diagonal, off, u1, u2):
+    M = MatrixOperator(2, 2, ((diagonal[0], off[0]), (off[1], diagonal[1])))
+    u_exprs = {1: u1, 2: u2}
+    got = _outcome(matrix_apply, M, u_exprs)
+    want = _outcome(_reference_rows, M, u_exprs)
+    if DomainError in (got, want):
+        assert got is want
+        return
+    for p in range(2):
+        assert_same_application(got[p], want[p], u1, u2,
+                                *(c for op in M.entries[p] for _, c in op.coeffs))
 
 
 def test_jet_polynomial_roundtrip():
