@@ -6,9 +6,15 @@ tree into a canonical form: a fully distributed sum of terms
 Const * product of atom powers, where an atom is a variable or an
 opaque function application.  Quotients are combined over a common
 denominator and surface as a single Div at the root; the zero test for
-a quotient is therefore the zero test of its numerator.  Rational
-normalization is best effort (constant content and common monomial
-factors are cancelled), polynomial normalization is exact.
+a quotient is therefore the zero test of its numerator.  Polynomial
+normalization is exact.  A quotient's numerator and denominator are
+coprime over Z[atoms], each atom an indeterminate, whenever the
+heuristic gcd of Char, Geddes and Gonnet succeeds (`_poly_gcd`); every
+candidate gcd is verified by exact division first.  Past MAX_GCD_BITS
+per evaluation image or MAX_GCD_POINTS evaluation points, the pair
+keeps only the cancellation of common monomials, constant content and
+constant multiples.  The denominator is primitive with a positive
+leading term.
 
 A simplified tree carries the polynomial pair it was built from, so a
 canonical subtree inside a larger expression is not expanded again, and
@@ -438,11 +444,14 @@ def fraction_sqrt(q: Fraction):
 
 
 # A pair (num, den) of polys stands for the quotient num/den.  Pair
-# arithmetic is exact and does not cancel; `_cancel` normalizes a pair.
+# arithmetic is exact and does not cancel; `cancel` normalizes a pair.
 
 def pair_sum(a, b):
-    """Pair of a + b; equal denominators are kept, others multiplied."""
+    """Pair of a + b; equal denominators are kept, others multiplied, and
+    a zero operand leaves the other as it is."""
     (an, ad), (bn, bd) = a, b
+    if not an or not bn:
+        return b if not an else a
     if ad == bd:
         return _poly_add(an, bn), ad
     return _poly_add(_poly_mul(an, bd), _poly_mul(bn, ad)), _poly_mul(ad, bd)
@@ -509,6 +518,12 @@ def poly_content(p):
     return -g if lead < 0 else g
 
 
+def cancel(pair):
+    """The canonical pair of num/den: coprime whenever `_poly_gcd`
+    succeeds, the denominator primitive with a positive leading term."""
+    return _cancel(*pair)
+
+
 def _cancel(num, den):
     if not den:
         raise DomainError("division by a zero expression")
@@ -532,6 +547,14 @@ def _cancel(num, den):
                                 if e > common.get(a, 0))
         num = {shift(m): c for m, c in num.items()}
         den = {shift(m): c for m, c in den.items()}
+    if len(num) > 1 and len(den) > 1:
+        # a constant multiple of the denominator
+        if num.keys() == den.keys():
+            mono = next(iter(den))
+            c = num[mono] / den[mono]
+            if all(num[m] == c * v for m, v in den.items()):
+                return {(): c}, _ONE_POLY
+        num, den = _poly_gcd(num, den) or (num, den)
     # pull exp factors out of a single-term denominator
     if len(den) == 1:
         (mono, c), = den.items()
@@ -553,13 +576,188 @@ def _cancel(num, den):
     if content != 1:
         num = _poly_scale(num, 1 / content)
         den = _poly_scale(den, 1 / content)
-    # a constant multiple of the denominator
-    if num.keys() == den.keys():
-        mono = next(iter(den))
-        c = num[mono] / den[mono]
-        if all(num[m] == c * v for m, v in den.items()):
-            return {(): c}, _ONE_POLY
     return num, den
+
+
+# ---------------------------------------------------------------------------
+# polynomial gcd
+#
+# `_poly_gcd` works on integer polys over exponent vectors: dicts
+# {(e_1, ..., e_k): int} with one position per atom, the atoms in
+# `sort_key` order, so that the vectors order terms lexicographically.
+
+# bits an evaluation image may take before `_poly_gcd` gives up and the
+# pair stays uncancelled; factor-search images reach about 580 bits
+MAX_GCD_BITS = 1 << 14
+# evaluation points one gcd may try, over all its variables
+MAX_GCD_POINTS = 64
+
+
+def _poly_gcd(p, q):
+    """Cofactors (p / g, q / g) of g = gcd(p, q) over Z[atoms], each atom
+    an indeterminate; None when g is a constant or was not found.
+
+    Relations between atoms (sqrt(2)^2 = 2, exp(a) exp(b) = exp(a + b))
+    are not used.  They never meet in a cofactor: a canonical monomial
+    holds an exp atom or a constant surd at most once, and degrees in a
+    set of indeterminates add under products, so g or its cofactor
+    holds none of them.  The pair p/q therefore multiplies out unchanged.
+    """
+    atoms = sorted({a for r in (p, q) for m in r for a, _ in m}, key=sort_key)
+    slot = {a: i for i, a in enumerate(atoms)}
+
+    def dense(r):
+        d = math.lcm(*(c.denominator for c in r.values()))
+        out = {}
+        for m, c in r.items():
+            v = [0] * len(atoms)
+            for a, e in m:
+                v[slot[a]] = e
+            out[tuple(v)] = c.numerator * (d // c.denominator)
+        return out, d
+
+    def sparse(r, d):
+        return {tuple((atoms[i], e) for i, e in enumerate(v) if e): Fraction(c, d)
+                for v, c in r.items()}
+
+    (f, df), (g, dg) = dense(p), dense(q)
+    found = _heu_gcd(f, g, [MAX_GCD_POINTS])
+    if found is None or (len(found[0]) == 1 and not any(next(iter(found[0])))):
+        return None
+    return sparse(found[1], df), sparse(found[2], dg)
+
+
+def _heu_gcd(f, g, budget):
+    """(h, f / h, g / h) for h = gcd(f, g) of two nonzero integer polys,
+    or None.
+
+    The heuristic of Char, Geddes and Gonnet (J. Symb. Comp. 1989), as
+    sympy's `dmp_zz_heu_gcd` runs it: evaluate the first variable at an
+    integer xi, take the gcd of the two images recursively (down to an
+    integer gcd), rebuild h from the symmetric base-xi digits of the
+    image gcd and make it primitive.  The candidate stands only if it
+    divides f and g exactly (`_exact_quotient`).  Since every xi here
+    exceeds 2 min(|f|, |g|) + 2 in max-norm, CGG's theorem makes such a
+    candidate the gcd.  A failed candidate is retried at a larger xi,
+    six times at most.  It gives up, returning None, when `budget[0]`
+    evaluation points are spent or an image would exceed MAX_GCD_BITS,
+    a bound taken from the degrees and norms before any image is built.
+    """
+    cf, cg = math.gcd(*f.values()), math.gcd(*g.values())
+    c = math.gcd(cf, cg)
+    f = {m: v // cf for m, v in f.items()}
+    g = {m: v // cg for m, v in g.items()}
+    if not next(iter(f)):  # integers
+        return {(): c}, {(): f[()] * (cf // c)}, {(): g[()] * (cg // c)}
+    nf, ng = max(map(abs, f.values())), max(map(abs, g.values()))
+    xi = 2 * min(nf, ng) + 29
+    deg = max(m[0] for r in (f, g) for m in r)
+    norm_bits = (max(nf, ng) * (len(f) + len(g))).bit_length()
+    for _ in range(6):
+        if not budget[0] or deg * xi.bit_length() + norm_bits > MAX_GCD_BITS:
+            return None
+        budget[0] -= 1
+        ff, gg = _evaluate_first(f, xi), _evaluate_first(g, xi)
+        if ff and gg:
+            inner = _heu_gcd(ff, gg, budget)
+            if inner is None:
+                return None
+            h = _interpolate_first(inner[0], xi)
+            hc = math.gcd(*h.values())
+            h = {m: v // hc for m, v in h.items()}
+            qf = _exact_quotient(f, h)
+            qg = None if qf is None else _exact_quotient(g, h)
+            if qg is not None:
+                return ({m: v * c for m, v in h.items()},
+                        {m: v * (cf // c) for m, v in qf.items()},
+                        {m: v * (cg // c) for m, v in qg.items()})
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _evaluate_first(f, xi):
+    """f with its first variable set to xi."""
+    powers = [1]
+    out = {}
+    for m, c in f.items():
+        while len(powers) <= m[0]:
+            powers.append(powers[-1] * xi)
+        out[m[1:]] = out.get(m[1:], 0) + c * powers[m[0]]
+    return {m: c for m, c in out.items() if c}
+
+
+def _interpolate_first(h, xi):
+    """The poly whose first variable at xi gives h, read off the
+    symmetric base-xi digits of h's coefficients."""
+    out = {}
+    k = 0
+    while h:
+        rest = {}
+        for m, c in h.items():
+            d = c % xi
+            if d > xi // 2:
+                d -= xi
+            if d:
+                out[(k,) + m] = d
+            if c != d:
+                rest[m] = (c - d) // xi
+        h, k = rest, k + 1
+    return out
+
+
+def _exact_quotient(f, h):
+    """f / h over the integers, or None when h does not divide f.
+
+    Long division on lexicographic leading terms.  If f = q h, the
+    leading term of any remainder r = (q - q') h is the leading term of
+    q - q' times that of h, so each step either finds the next term of
+    q or proves that h does not divide f.  A term of q has degrees at
+    most deg f - deg h in every variable, which bounds the steps.
+    """
+    lead = max(h)
+    lc = h[lead]
+    if not any(lead):  # a constant divides term by term
+        q = {m: divmod(v, lc) for m, v in f.items()}
+        return None if any(rem for _, rem in q.values()) else {m: t for m, (t, _) in q.items()}
+    box = [max(col) for col in zip(*f)]
+    box = [b - max(col) for b, col in zip(box, zip(*h))]
+    r, q = dict(f), {}
+    while r:
+        m = max(r)
+        e = tuple(a - b for a, b in zip(m, lead))
+        t, rem = divmod(r[m], lc)
+        if rem or any(x < 0 or x > b for x, b in zip(e, box)):
+            return None
+        q[e] = t
+        for mh, ch in h.items():
+            mm = tuple(a + b for a, b in zip(e, mh))
+            v = r.get(mm, 0) - t * ch
+            if v:
+                r[mm] = v
+            else:
+                del r[mm]
+    return q
+
+
+def poly_substitute(p, values: dict):
+    """The poly p with each atom that `values` maps replaced by that
+    poly; atoms inside function arguments are left as they are."""
+    out = {}
+    for mono, c in p.items():
+        rest, term = [], _ONE_POLY
+        for a, e in mono:
+            v = values.get(a)
+            if v is None:
+                rest.append((a, e))
+            elif len(v) == 1 and () in v:  # a constant: no product
+                c *= v[()] ** e
+            else:
+                term = _poly_mul(term, _poly_pow(v, e))
+        for m, t in _poly_mul({tuple(rest): c}, term).items():
+            s = out[m] = out.get(m, 0) + t
+            if not s:
+                del out[m]
+    return out
 
 
 def _term_expr(mono, c: Fraction) -> Expr:
@@ -601,7 +799,12 @@ def from_pair(pair) -> Expr:
 
 @lru_cache(maxsize=1 << 18)
 def simplify(e: Expr) -> Expr:
-    """Canonical form: distributed polynomial, or Div of two of them."""
+    """Canonical form: distributed polynomial, or Div of two of them,
+    coprime whenever the gcd succeeds (see the module docstring for the
+    fallback past MAX_GCD_BITS or MAX_GCD_POINTS).  A tree that carries
+    its pair is canonical already and comes back as it is."""
+    if getattr(e, "_polys", None) is not None:
+        return e
     return from_pair(ratio(e))
 
 
@@ -749,7 +952,9 @@ def _terms_derivative(p, leaf):
             rest = mono[:i] + (((a, k - 1),) if k > 1 else ()) + mono[i + 1:]
             ck = c * k
             for m2, c2 in dn.items():
-                m, t = _mono_times(rest, m2, ck * c2)
+                # a variable's leaf derivative holds no surd to collapse
+                m, t = (_mono_mul(rest, m2), ck * c2) if isinstance(a, Var) \
+                    else _mono_times(rest, m2, ck * c2)
                 s = acc[m] = acc.get(m, 0) + t
                 if not s:
                     del acc[m]

@@ -16,9 +16,10 @@ from fractions import Fraction
 from .errors import (CapacityExceeded, DomainError, NonPolynomialCoefficients,
                      NonPolynomialSqrtDelta, NoRealFactorization, NotConstant, UnsupportedTemplate)
 from .expr import (Const, Div, Expr, Fun, FuncSym, IndepVar, Power, Var, ZERO,
-                   ONE, evaluate, expr_to_poly, expr_variables, fraction_sqrt,
-                   is_constant, poly_sqrt, poly_to_expr, render, simplify,
-                   sort_key, substitute, total_derivative)
+                   ONE, cancel, evaluate, expr_to_poly, expr_variables, fraction_sqrt,
+                   from_pair, is_constant, pair_product, pair_sum, pair_total,
+                   pair_total_derivative, poly_sqrt, poly_substitute, ratio, render,
+                   simplify, sort_key, substitute, total_derivative)
 from .conditions import FactorizationCandidate, discriminant
 from .operator import DiffOperator, make_operator
 
@@ -127,9 +128,10 @@ def solve_riccati_ansatz(prob: RiccatiProblem,
     """All polynomial solutions Y of degree <= config.ansatz_degree.
 
     Substitutes an undetermined polynomial, collects powers of x1 and
-    solves the resulting quadratic system exactly over the rationals.
-    An empty list means the ansatz is exhausted, not an error.  A degree
-    above MAX_ANSATZ_DEGREE raises CapacityExceeded.
+    solves the resulting quadratic system exactly over the rationals,
+    on polys in the unknowns c_d.  An empty list means the ansatz is
+    exhausted, not an error.  A degree above MAX_ANSATZ_DEGREE raises
+    CapacityExceeded.
     """
     deg = config.ansatz_degree
     if deg > MAX_ANSATZ_DEGREE:
@@ -138,31 +140,19 @@ def solve_riccati_ansatz(prob: RiccatiProblem,
         if not _polynomial_in_x(c):
             raise NonPolynomialCoefficients(
                 f"Riccati coefficient {render(c)} is not polynomial in x1")
-    cvars = [FuncSym("c", (d,)) for d in range(deg + 1)]
-    Y = ZERO
-    for d in range(deg + 1):
-        term = Var(cvars[d])
-        if d:
-            term = term * (Power(Var(IndepVar(1)), d) if d > 1 else Var(IndepVar(1)))
-        Y = Y + term
-    resid = simplify(total_derivative(Y, 1, 1)
-                     + prob.y2 * Y * Y + prob.y1 * Y + prob.y0)
-    if isinstance(resid, Div):
-        resid = resid.num
-    equations = _collect_x_powers(resid)
+    cvars = [Var(FuncSym("c", (d,))) for d in range(deg + 1)]
+    Y = ratio(simplify(sum((c * Power(Var(IndepVar(1)), d) for d, c in enumerate(cvars)), ZERO)))
+    resid = cancel(pair_total([pair_total_derivative(Y, 1, 1),
+                               pair_product(ratio(prob.y2), pair_product(Y, Y)),
+                               pair_product(ratio(prob.y1), Y), ratio(prob.y0)]))[0]
+    by_deg = _c_degree(resid, Var(IndepVar(1)))
     solutions = []
-    _solve_branch(equations, {}, list(reversed(cvars)), solutions)
-    out = []
-    seen = set()
+    _solve_branch([by_deg[d] for d in sorted(by_deg, reverse=True)], {}, cvars[::-1], solutions)
+    out = {}  # distinct solutions, in the order found
     for sol in solutions:
-        y = simplify(substitute(Y, sol))
-        check = simplify(substitute(resid, sol))
-        if check != ZERO or y in seen:
-            continue
-        seen.add(y)
-        out.append(y)
-    out.sort(key=sort_key)
-    return out
+        if not poly_substitute(resid, sol):
+            out.setdefault(from_pair((poly_substitute(Y[0], sol), Y[1])))
+    return sorted(out, key=sort_key)
 
 
 def _polynomial_in_x(e: Expr) -> bool:
@@ -173,38 +163,34 @@ def _polynomial_in_x(e: Expr) -> bool:
                for mono in p for a, _ in mono)
 
 
-def _collect_x_powers(e: Expr) -> list:
-    """Coefficients of powers of x1, highest power first."""
-    by_deg = _c_degree(e, IndepVar(1))
-    return [by_deg[d] for d in sorted(by_deg, reverse=True) if by_deg[d] != ZERO]
-
-
-def _c_degree(eq: Expr, c) -> dict:
-    """Coefficient exprs by degree of eq as a polynomial in the variable c."""
-    p = expr_to_poly(eq)
-    if p is None:
-        raise NonPolynomialCoefficients("residual is not polynomial")
+def _c_degree(p, c) -> dict:
+    """Coefficient polys by degree of the poly p in the atom c."""
     by_deg = {}
     for mono, coeff in p.items():
         d = 0
         rest = []
         for a, exp in mono:
-            if isinstance(a, Var) and a.vid == c:
+            if a == c:
                 d = exp
             else:
                 rest.append((a, exp))
         by_deg.setdefault(d, {})[tuple(rest)] = coeff
-    return {d: simplify(poly_to_expr(m)) for d, m in by_deg.items()}
+    return by_deg
+
+
+def _constant(p):
+    """The value of a constant poly, or None."""
+    return p.get((), Fraction(0)) if set(p) <= {()} else None
 
 
 def _solve_branch(equations, assignment, cvars, solutions):
     """Each level assigns one unknown, so the depth is at most len(cvars)."""
     eqs = []
     for eq in equations:
-        r = simplify(substitute(eq, assignment)) if assignment else eq
-        if r == ZERO:
+        r = poly_substitute(eq, assignment) if assignment else eq
+        if not r:
             continue
-        if isinstance(r, Const):
+        if _constant(r) is not None:
             return  # contradiction
         eqs.append(r)
     if not eqs:
@@ -212,11 +198,12 @@ def _solve_branch(equations, assignment, cvars, solutions):
         return
     # prefer an equation in a single unknown
     for eq in eqs:
-        cs = [v for v in expr_variables(eq) if isinstance(v, FuncSym)]
-        if len(set(cs)) == 1:
-            c = cs[0]
+        cs = {a for mono in eq for a, _ in mono}
+        if len(cs) == 1:
+            c, = cs
             for val in _univariate_roots(eq, c):
-                _solve_branch(eqs, {**assignment, c: val}, cvars, solutions)
+                _solve_branch(eqs, {**assignment, c: {(): val} if val else {}},
+                              cvars, solutions)
             return
     # otherwise eliminate a variable that appears linearly with a
     # constant leading coefficient
@@ -225,43 +212,33 @@ def _solve_branch(equations, assignment, cvars, solutions):
             continue
         for eq in eqs:
             by_deg = _c_degree(eq, c)
-            if by_deg.get(2, ZERO) == ZERO and isinstance(by_deg.get(1, ZERO), Const) \
-                    and by_deg.get(1, ZERO) != ZERO:
-                val = simplify(Div(Const(Fraction(-1)) * by_deg.get(0, ZERO), by_deg[1]))
+            lead = _constant(by_deg.get(1, {}))
+            if 2 not in by_deg and lead:
+                val = {m: -v / lead for m, v in by_deg.get(0, {}).items()}
                 _solve_branch(eqs, {**assignment, c: val}, cvars, solutions)
                 return
     return  # stuck: abandon this branch
 
 
-def _univariate_roots(eq: Expr, c: FuncSym) -> list:
+def _univariate_roots(eq, c) -> list:
+    """Rational roots of a poly of degree at most 2 in its one atom c;
+    only exact rational roots participate in the search."""
     by_deg = _c_degree(eq, c)
-    a2 = by_deg.get(2, ZERO)
-    a1 = by_deg.get(1, ZERO)
-    a0 = by_deg.get(0, ZERO)
-    if not all(isinstance(a, Const) for a in (a2, a1, a0)):
-        return []
-    a2v, a1v, a0v = a2.value, a1.value, a0.value
-    if a2v == 0:
-        if a1v == 0:
-            return []
-        return [Const(-a0v / a1v)]
-    disc = a1v * a1v - 4 * a2v * a0v
-    if disc < 0:
-        return []
-    root = fraction_sqrt(disc)
+    a2, a1, a0 = (_constant(by_deg.get(d, {})) for d in (2, 1, 0))
+    if a2 == 0:
+        return [-a0 / a1] if a1 else []
+    root = fraction_sqrt(a1 * a1 - 4 * a2 * a0)  # None below zero too
     if root is None:
-        return []  # only exact rational roots participate in the search
-    if root == 0:
-        return [Const(-a1v / (2 * a2v))]
-    return [Const((-a1v + root) / (2 * a2v)), Const((-a1v - root) / (2 * a2v))]
+        return []
+    return [(-a1 + r) / (2 * a2) for r in dict.fromkeys((root, -root))]
 
 
 def _resolve(assignment, cvars) -> dict:
-    full = {c: assignment.get(c, ZERO) for c in cvars}
+    full = {c: assignment.get(c, {}) for c in cvars}
     for _ in range(len(cvars) + 1):
         changed = False
         for c, v in full.items():
-            nv = simplify(substitute(v, full))
+            nv = poly_substitute(v, full)
             if nv != v:
                 full[c] = nv
                 changed = True
@@ -315,10 +292,8 @@ def _swap_expr(e: Expr) -> Expr:
 
 def _swap_axes(op: DiffOperator) -> DiffOperator:
     """Exchange the two independent variables, slots and coefficients."""
-    coeffs = {}
-    for d, c in op.coeffs:
-        coeffs[_SLOT_SWAP[(d.k, d.h)]] = _swap_expr(c)
-    return make_operator(op.n, op.m, coeffs, op.linear)
+    return make_operator(op.n, op.m, {_SLOT_SWAP[(d.k, d.h)]: _swap_expr(c)
+                                      for d, c in op.coeffs}, op.linear)
 
 
 @dataclass(frozen=True)
@@ -360,25 +335,24 @@ class PdeObligation:
     c2: Expr
     equation: Expr
 
-    def _carry(self, e: Expr) -> Expr:
-        return simplify(self.a1 * total_derivative(e, 1, 2)
-                        + self.a2 * total_derivative(e, 2, 2))
-
     def check(self, z: Expr) -> ObligationCheck:
         """Complete and verify a candidate for a proposed Z."""
         P = self.operator
-        if self.c1 != ZERO:
-            pivot, other = (1, 1), (1, 2)
-            cp, co, ap, ao = self.c1, self.c2, self.a1, self.a2
+        a1, a2, c1, c2, zp = (ratio(simplify(e))
+                              for e in (self.a1, self.a2, self.c1, self.c2, z))
+        if c1[0]:
+            pivot, other, cp, co, ap, ao = (1, 1), (1, 2), c1, c2, a1, a2
         else:
-            pivot, other = (1, 2), (1, 1)
-            cp, co, ap, ao = self.c2, self.c1, self.a2, self.a1
-        y = simplify(Div(P.coeff(*pivot) - ap * z - self._carry(cp), cp))
-        res_mixed = simplify(y * co + ao * z + self._carry(co) - P.coeff(*other))
-        res_quad = simplify(y * z + self._carry(z) - P.coeff(0, 1))
-        Q1 = make_operator(2, 1, {(0, 1): y, (1, 1): self.a1, (1, 2): self.a2})
+            pivot, other, cp, co, ap, ao = (1, 2), (1, 1), c2, c1, a2, a1
+        carry = _carrier(a1, a2)
+        y = _over(_minus(_minus(ratio(P.coeff(*pivot)), pair_product(ap, zp)), carry(cp)), cp)
+        res_mixed = _minus(pair_total([pair_product(y, co), pair_product(ao, zp), carry(co)]),
+                           ratio(P.coeff(*other)))
+        res_quad = _minus(pair_sum(pair_product(y, zp), carry(zp)), ratio(P.coeff(0, 1)))
+        Q1 = make_operator(2, 1, {(0, 1): from_pair(y), (1, 1): self.a1, (1, 2): self.a2})
         Q2 = make_operator(2, 1, {(0, 1): z, (1, 1): self.c1, (1, 2): self.c2})
-        return ObligationCheck(FactorizationCandidate((Q1, Q2)), res_quad, res_mixed)
+        return ObligationCheck(FactorizationCandidate((Q1, Q2)), from_pair(res_quad),
+                               from_pair(res_mixed))
 
 
 @dataclass(frozen=True)
@@ -410,7 +384,7 @@ def _swap_result(res: PdeFactorResult) -> PdeFactorResult:
                            else sub(res.sqrt_delta), branches, ob, swapped=True)
 
 
-def _delta_sqrt(delta: Expr, config: SearchConfig) -> Expr:
+def _delta_sqrt(P: DiffOperator, delta: Expr, config: SearchConfig) -> Expr:
     """Exact square root of the discriminant, or a domain error."""
     if isinstance(delta, Const):
         if delta.value < 0:
@@ -425,7 +399,11 @@ def _delta_sqrt(delta: Expr, config: SearchConfig) -> Expr:
         rn, rd = poly_sqrt(delta.num), poly_sqrt(delta.den)
         if rn is not None and rd is not None:
             return simplify(Div(rn, rd))
-    if _probably_negative(delta, config.seed):
+    # the sign is sampled on (g22 + g23)^2 - 4 g21 g24 evaluated from the
+    # coefficients, which keeps the digits the expanded delta loses near a pole
+    s = P.coeff(2, 2) + P.coeff(2, 3)
+    if _probably_negative(s * s - Const(Fraction(4)) * P.coeff(2, 1) * P.coeff(2, 4),
+                          config.seed):
         raise NoRealFactorization(
             "discriminant is negative on the sample grid")
     raise NonPolynomialSqrtDelta(
@@ -458,42 +436,61 @@ def factor_pde_second_order(P: DiffOperator,
     if P.n != 2 or not P.linear:
         raise UnsupportedTemplate(
             "the principal symbol route needs a linear operator over two variables")
-    g21, g24 = P.coeff(2, 1), P.coeff(2, 4)
-    if g21 == ZERO:
-        if g24 == ZERO:
+    if P.coeff(2, 1) == ZERO:
+        if P.coeff(2, 4) == ZERO:
             raise UnsupportedTemplate(
                 "no pure second order slot present; the pipeline needs "
                 "a nonzero coefficient on u_x1x1 or u_x2x2")
         return _swap_result(factor_pde_second_order(_swap_axes(P), config))
-    S = simplify(P.coeff(2, 2) + P.coeff(2, 3))
-    g11, g12, g01 = P.coeff(1, 1), P.coeff(1, 2), P.coeff(0, 1)
+    g21, g11, g12, g01 = (ratio(P.coeff(*s)) for s in ((2, 1), (1, 1), (1, 2), (0, 1)))
+    S = cancel(pair_sum(ratio(P.coeff(2, 2)), ratio(P.coeff(2, 3))))
     delta = discriminant(P)
-    half = Const(Fraction(1, 2))
 
     if delta == ZERO:
-        a2 = simplify(half * S)
-        c2 = simplify(Div(S, 2 * g21))
-        zsym = FuncSym("Z", (), deps=(("x", 1), ("x", 2)))
-        zv = Var(zsym)
-        carry = (g21 * total_derivative(zv, 1, 2) + a2 * total_derivative(zv, 2, 2))
-        equation = simplify(carry - g21 * zv * zv + g11 * zv - g01)
-        ob = PdeObligation(P, g21, a2, ONE, c2, equation)
+        a2 = cancel(pair_product(_HALF, S))
+        c2 = _over(S, pair_product(_TWO, g21))
+        z = ratio(Var(FuncSym("Z", (), deps=(("x", 1), ("x", 2)))))
+        equation = from_pair(pair_total([
+            _carrier(g21, a2)(z), pair_product(_MINUS, pair_product(g21, pair_product(z, z))),
+            pair_product(g11, z), pair_product(_MINUS, g01)]))
+        ob = PdeObligation(P, P.coeff(2, 1), from_pair(a2), ONE, from_pair(c2), equation)
         return PdeFactorResult(delta, None, (), ob)
 
-    sq = _delta_sqrt(delta, config)
+    sq = _delta_sqrt(P, delta, config)
     branches = []
     for sign in (1, -1):
-        root = simplify(Const(Fraction(sign)) * sq)
-        a2 = simplify(half * (S - root))
-        c2 = simplify(Div(S + root, 2 * g21))
-        carry = lambda e: simplify(g21 * total_derivative(e, 1, 2)
-                                   + a2 * total_derivative(e, 2, 2))
-        rb = simplify(g12 - carry(c2))
-        det = simplify(a2 - g21 * c2)
-        y = simplify(Div(g11 * a2 - g21 * rb, det))
-        z = simplify(Div(rb - c2 * g11, det))
-        residual = simplify(y * z + carry(z) - g01)
-        Q1 = make_operator(2, 1, {(0, 1): y, (1, 1): g21, (1, 2): a2})
-        Q2 = make_operator(2, 1, {(0, 1): z, (1, 1): ONE, (1, 2): c2})
+        root = ratio(sq) if sign == 1 else pair_product(_MINUS, ratio(sq))
+        a2 = cancel(pair_product(_HALF, _minus(S, root)))
+        c2 = _over(pair_sum(S, root), pair_product(_TWO, g21))
+        carry = _carrier(g21, a2)
+        rb = cancel(_minus(g12, carry(c2)))
+        det = pair_product(_MINUS, root)  # a2 - g21 c2, identically
+        y = _over(_minus(pair_product(g11, a2), pair_product(g21, rb)), det)
+        z = _over(_minus(rb, pair_product(c2, g11)), det)
+        residual = from_pair(_minus(pair_sum(pair_product(y, z), carry(z)), g01))
+        Q1 = make_operator(2, 1, {(0, 1): from_pair(y), (1, 1): P.coeff(2, 1),
+                                  (1, 2): from_pair(a2)})
+        Q2 = make_operator(2, 1, {(0, 1): from_pair(z), (1, 1): ONE, (1, 2): from_pair(c2)})
         branches.append(PdeBranch(FactorizationCandidate((Q1, Q2)), residual, sign))
     return PdeFactorResult(delta, sq, tuple(branches), None)
+
+
+# constant pairs of the principal symbol route
+_MINUS, _HALF, _TWO = (ratio(Const(Fraction(c))) for c in (-1, Fraction(1, 2), 2))
+
+
+def _minus(a, b):
+    """Pair of a - b."""
+    return pair_sum(a, pair_product(_MINUS, b))
+
+
+def _over(a, b):
+    """Cancelled pair of a / b."""
+    return cancel(pair_product(a, b[::-1]))
+
+
+def _carrier(a1, a2):
+    """The map from a pair e to the cancelled pair of a1 D1 e + a2 D2 e,
+    with total derivatives over two variables."""
+    return lambda e: cancel(pair_sum(pair_product(a1, pair_total_derivative(e, 1, 2)),
+                                     pair_product(a2, pair_total_derivative(e, 2, 2))))

@@ -176,7 +176,8 @@ def jet_polynomial(n: int, m: int, e: Expr) -> JetPolynomial:
 
 def _apply_to_pair(op: DiffOperator, pair, u_exprs=None):
     """Pair of one operator applied to the jet expression num/den; with
-    u_exprs, quasi-linear coefficients are evaluated along it first."""
+    u_exprs, quasi-linear coefficients are evaluated along it first, and
+    those that vanish there are skipped."""
     derived = {(): pair}
 
     def along(axes):
@@ -184,9 +185,8 @@ def _apply_to_pair(op: DiffOperator, pair, u_exprs=None):
             derived[axes] = pair_total_derivative(along(axes[:-1]), axes[-1], op.n)
         return derived[axes]
 
-    return pair_total([pair_product(ratio(_subs_components(coeff, u_exprs)),
-                                     along(index_to_axes(d)))
-                        for d, coeff in op.coeffs])
+    coeffs = [(d, ratio(_subs_components(coeff, u_exprs))) for d, coeff in op.coeffs]
+    return pair_total([pair_product(c, along(index_to_axes(d))) for d, c in coeffs if c[0]])
 
 
 def expand_product(factors) -> JetPolynomial:

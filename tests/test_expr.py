@@ -2,12 +2,14 @@
 
 import math
 import struct
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opfactor import expr
 from opfactor.expr import (
     _cancel,
     _mono_mul,
@@ -90,6 +92,60 @@ def test_division_cancellation():
     # quotients agree once the denominator content is normalized out
     assert P("(2*x1 + 2)/(4*x1 + 4)") == P("(x1 + 1)/(2*x1 + 2)")
     assert evaluate(P("(2*x1 + 2)/(4*x1 + 4)"), {IndepVar(1): 3.0}) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("text, canonical", [
+    ("(x1^2 - 1)/(x1 - 1)", "x1 + 1"),
+    ("(x1^2 - x2^2)/(x1 + x2)", "-x2 + x1"),
+    ("(x1^2 + 2*x1 + 1)/(2*x1^2 - 2)", "((1/2)*x1 + 1/2)/(x1 - 1)"),
+    ("(x1 + 1)/(exp(x1)*x1 + exp(x1))", "exp(-x1)"),
+    # a zero term no longer multiplies its denominator into the sum
+    ("0/(x1 + 1) + x2/(x1 + 2)", "x2/(x1 + 2)"),
+])
+def test_quotients_cancel_their_polynomial_gcd(text, canonical):
+    assert render(P(text)) == canonical
+
+
+def test_a_gcd_candidate_that_does_not_divide_is_retried(monkeypatch):
+    # at its first evaluation point this quotient yields a candidate gcd
+    # that does not divide; it is rejected, and a later point finds the
+    # true gcd 3 - 3*x2
+    rejected = []
+    quotient = expr._exact_quotient
+
+    def spy(f, h):
+        q = quotient(f, h)
+        if q is None:
+            rejected.append(h)
+        return q
+    monkeypatch.setattr(expr, "_exact_quotient", spy)
+    got = P("((-x1*x2 - 1)*(3 - 3*x2))/((-3 + 3*x2)*(3 - 3*x2))")
+    assert rejected
+    assert render(got) == "(-(1/3)*x1*x2 - 1/3)/(x2 - 1)"
+
+
+def test_the_gcd_bounds_its_work_before_building_an_image():
+    # 24 exp atoms on each side: a single Kronecker image of all atoms
+    # would take millions of bits; evaluated one atom at a time, the
+    # images of these sparse sides stay small and the common factor goes
+    def side(shift):
+        return sum((Fun("exp", const(k) * x_(1) + const(k + shift) * x_(2)) * (x_(1) + const(k))
+                    for k in range(1, 25)), ZERO)
+    common = x_(1) + x_(2) + const(1)
+    for num, den in ((side(0), side(0) + x_(2)), (side(0), side(1))):
+        start = time.perf_counter()
+        got = simplify(Div(Product((num, common)), Product((den, common))))
+        assert time.perf_counter() - start < 1.0
+        assert got._polys == _cancel(ratio(simplify(num))[0], ratio(simplify(den))[0])
+
+
+def test_a_gcd_over_the_bit_cap_leaves_the_pair_uncancelled(monkeypatch):
+    # past MAX_GCD_BITS no image is built and the pair stays as the
+    # monomial, content and constant-multiple steps leave it
+    monkeypatch.setattr(expr, "MAX_GCD_BITS", 8)
+    num, den = ratio(P("2*x1^2 - 2"))[0], ratio(P("4*x1 - 4"))[0]
+    assert _cancel(num, den) == ({((x_(1), 2),): Fraction(1, 2), (): Fraction(-1, 2)},
+                                 {((x_(1), 1),): Fraction(1), (): Fraction(-1)})
 
 
 def test_division_by_zero_rejected():
@@ -747,6 +803,19 @@ def test_poly_pow_equals_repeated_products(p):
     for k in range(10):
         assert _poly_pow(p, k) == power
         power = _poly_mul(power, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_polys(surd_exp=1, max_terms=3), kernel_polys(surd_exp=1, max_terms=3),
+       kernel_polys(surd_exp=1, max_terms=3))
+def test_cancel_keeps_the_quotient_over_surds_and_exps(p, q, r):
+    # the gcd treats sqrt and exp atoms as free indeterminates; the
+    # cancelled pair must still multiply out to the same quotient
+    num, den = _poly_mul(p, r), _poly_mul(q, r)
+    if not den:
+        return
+    cn, cd = _cancel(num, den)
+    assert _poly_mul(cn, den) == _poly_mul(num, cd)
 
 
 def test_atom_hash_is_the_dataclass_hash():

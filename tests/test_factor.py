@@ -231,6 +231,21 @@ def test_pde_variable_coefficient_plant():
     assert sum(1 for b in res.branches if b.ok) == 1
 
 
+def test_pde_variable_lead_split_cancels_its_polynomial_gcd():
+    # a variable-lead plant whose Q2 slot (1,2) came out as
+    # (-2*x1^2 - 5*x1 - 2)/(2*x1 + 1), keeping the factor 2*x1 + 1, and
+    # whose check failed on the rounding of that form
+    Q1 = pde({(1, 1): "2*x1 + 1", (1, 2): "2*x2 - 1", (0, 1): "-2"})
+    Q2 = pde({(1, 1): "1", (1, 2): "-x1 - 2", (0, 1): "-1"})
+    P = operator_from_jet(expand_product([Q1, Q2]))
+    res = factor_pde_second_order(P)
+    assert len(res.candidates) == 1
+    cand = res.candidates[0]
+    assert render(cand.factors[1].coeff(1, 2)) == "-x1 - 2"
+    assert cand.factors[1].coeff(0, 1) == const(-1)
+    assert check_candidate(P, cand, CheckOptions()).passed
+
+
 def test_pde_variable_lead_split_has_constant_zero_order():
     # the search writes each zero order coefficient as a quotient that is
     # a constant multiple of its denominator; it must reduce to that constant

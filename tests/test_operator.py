@@ -258,6 +258,15 @@ def test_quasilinear_apply_substitutes_dependent_variable():
     assert out == E("2*x1^3")
 
 
+def test_a_coefficient_vanishing_along_u_leaves_no_denominator():
+    # (u1 - x1) D1 + 1 along u1 = x1 is the identity; the vanishing
+    # coefficient used to multiply the derivative's denominator (x1 + 2)^2
+    # into the result
+    Q = make_operator(2, 1, {(1, 1): E("u1 - x1"), (0, 1): ONE}, linear=False)
+    target = E("x2/(x1 + 2)")
+    assert apply_to_expr(Q, target, {1: x_(1)}) == target
+
+
 def test_matrix_apply():
     d = op1({(1, 1): ONE}, m=2)
     one = op1({(0, 1): ONE}, m=2)

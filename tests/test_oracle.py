@@ -211,3 +211,48 @@ def test_discriminant_agrees_with_sympy(seed):
                ((X[1], X[1]), (X[1], X[2]), (X[2], X[2])))
     P = operator_from_jet(expand_product([Q1, Q2]))
     _agree(to_sympy(discriminant(P)), b * b - 4 * a * c, U, rng)
+
+
+# ---------------------------------------------------------------------------
+# canonical quotients: numerator and denominator coprime, as sympy.cancel
+#
+# Each draw is (A C) / (B C) over x1, x2, u1 and log(x1^2 + 1), with one
+# exp atom at degree one in one of the three factors: opfactor keeps
+# exp(2 x1) as an atom of its own, where sympy reads exp(x1)^2.
+
+GENERATORS = [x_(1), x_(2), u_(1), Fun("log", Power(x_(1), 2) + const(1))]
+
+
+@st.composite
+def factor_polys(draw, exp_atom=None):
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        term = [const(draw(st.sampled_from([-3, -2, -1, 1, 2, 5])))]
+        for g in GENERATORS:
+            term.append(Power(g, draw(st.integers(0, 2))))
+        terms.append(Product(tuple(term)))
+    if exp_atom is not None:
+        terms.append(Product((const(draw(st.sampled_from([-1, 2]))), exp_atom,
+                              draw(st.sampled_from(GENERATORS)))))
+    return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+
+
+@st.composite
+def reducible_quotients(draw):
+    exp_atom = Fun("exp", draw(st.sampled_from([x_(1), u_(1), x_(1) + x_(2)])))
+    where = draw(st.integers(0, 2))
+    A, B, C = (draw(factor_polys(exp_atom if where == i else None)) for i in range(3))
+    return Div(Product((A, C)), Product((B, C)))
+
+
+def _terms(p) -> int:
+    return len(sympy.Add.make_args(sympy.expand(p)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(reducible_quotients())
+def test_quotients_are_as_coprime_as_sympy_cancel(e):
+    got = _simplified(e)
+    want_num, want_den = sympy.fraction(sympy.cancel(to_sympy(e)))
+    assert (len(got._polys[1]) if isinstance(got, Div) else 1) == _terms(want_den)
+    assert sympy.cancel(to_sympy(got) * want_den - want_num) == 0
