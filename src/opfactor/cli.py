@@ -104,7 +104,7 @@ def _load(path: str) -> ProblemFile:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_problem(fh.read())
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ValidationError(f"cannot read {path}: {err}") from err
 
 

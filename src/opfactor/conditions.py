@@ -26,8 +26,8 @@ from fractions import Fraction
 
 from .errors import CapacityExceeded, DomainError, UnsupportedTemplate
 from .expr import (DepVar, Expr, FuncSym, IndepVar, Var, ZERO, diff, evaluate,
-                   expr_to_poly, expr_variables, poly_content, poly_to_expr,
-                   render, simplify, sort_key, substitute)
+                   expr_to_poly, expr_variables, from_pair, pair_substitute, pair_sum,
+                   poly_content, poly_to_expr, ratio, render, simplify, sort_key)
 from .jet import DerivIndex, Jet, canonical_slot, index_to_multiindex, slot_count
 from .operator import (DiffOperator, MatrixOperator, as_matrix, identify,
                        make_operator, matrix_expand_product, render_mono)
@@ -230,8 +230,7 @@ def derive_conditions(template: str, m: int = 1) -> ConditionSystem:
         sym = lambda k, h: coeff_sym(family, (), p, q, k, h, deps)
         block = (p, q) if system else None
         for (k, h) in sorted(buckets, key=lambda kh: (-kh[0], kh[1])):
-            equations.append(Equation(
-                _lhs_for(sym, k, h, n), simplify(buckets[(k, h)]), block))
+            equations.append(Equation(_lhs_for(sym, k, h, n), buckets[(k, h)], block))
         zeros = [c for _, c in others]
         if system and not linear:
             zeros = _normalize_zeros(zeros, _nonvanishing_symbols(deps, m))
@@ -412,19 +411,12 @@ def condition_residuals(system: ConditionSystem, P, candidate) -> list:
     expands the candidate product, so it is independent of
     check_candidate.
     """
-    mapping = {}
-    syms = set()
-    for eq in system.equations:
-        for v in expr_variables(eq.lhs) | expr_variables(eq.rhs):
-            if isinstance(v, FuncSym):
-                syms.add(v)
-    for s in syms:
-        mapping[s] = _concrete_symbol(s, P, candidate)
-    out = []
-    for i, eq in enumerate(system.equations):
-        r = simplify(substitute(eq.rhs, mapping) - substitute(eq.lhs, mapping))
-        out.append((i, r))
-    return out
+    syms = {v for eq in system.equations for side in (eq.lhs, eq.rhs)
+            for v in expr_variables(side) if isinstance(v, FuncSym)}
+    values = {Var(s): ratio(_concrete_symbol(s, P, candidate)) for s in syms}
+    return [(i, from_pair(pair_sum(pair_substitute(ratio(eq.rhs), values),
+                                   pair_substitute(ratio(-eq.lhs), values))))
+            for i, eq in enumerate(system.equations)]
 
 
 def _concrete_symbol(s: FuncSym, P, candidate) -> Expr:

@@ -19,10 +19,12 @@ leading term.
 A simplified tree carries the polynomial pair it was built from, so a
 canonical subtree inside a larger expression is not expanded again, and
 `expr_to_poly` of a simplified tree is a lookup.  The carried dicts are
-shared between trees and callers: they are read-only.  Derivatives are
-taken on the pair, never on a tree: `diff`, `total_derivative` and
-`pair_total_derivative` differentiate the pair of the canonical form
-term by term, with the quotient rule for its denominator.
+shared between trees and callers: they are read-only.  Derivatives and
+substitutions are taken on the pair, never on a tree: `diff`,
+`total_derivative` and `pair_total_derivative` differentiate the pair of
+the canonical form term by term, with the quotient rule for its
+denominator, and `pair_substitute` replaces atoms all at once, inside
+function arguments too.
 
 Variables come in four kinds: independent coordinates x^i, dependent
 components u^j, jet coordinates u^j_(k)[h] for derivative slot (k, h),
@@ -483,15 +485,9 @@ def ratio(e: Expr):
             return ({(): atom.value} if atom.value else {}), _ONE_POLY
         return {((atom, 1),): Fraction(1)}, _ONE_POLY
     if isinstance(e, Sum):
-        out = {}, _ONE_POLY
-        for t in e.terms:
-            out = pair_sum(out, ratio(t))
-        return out
+        return reduce(pair_sum, map(ratio, e.terms))
     if isinstance(e, Product):
-        out = _ONE_POLY, _ONE_POLY
-        for f in e.factors:
-            out = pair_product(out, ratio(f))
-        return out
+        return reduce(pair_product, map(ratio, e.factors))
     if isinstance(e, Power):
         bn, bd = ratio(e.base) if e.exp >= 0 else _inverse(ratio(e.base))
         return _poly_pow(bn, abs(e.exp)), _poly_pow(bd, abs(e.exp))
@@ -521,10 +517,7 @@ def poly_content(p):
 def cancel(pair):
     """The canonical pair of num/den: coprime whenever `_poly_gcd`
     succeeds, the denominator primitive with a positive leading term."""
-    return _cancel(*pair)
-
-
-def _cancel(num, den):
+    num, den = pair
     if not den:
         raise DomainError("division by a zero expression")
     if not num:
@@ -739,27 +732,6 @@ def _exact_quotient(f, h):
     return q
 
 
-def poly_substitute(p, values: dict):
-    """The poly p with each atom that `values` maps replaced by that
-    poly; atoms inside function arguments are left as they are."""
-    out = {}
-    for mono, c in p.items():
-        rest, term = [], _ONE_POLY
-        for a, e in mono:
-            v = values.get(a)
-            if v is None:
-                rest.append((a, e))
-            elif len(v) == 1 and () in v:  # a constant: no product
-                c *= v[()] ** e
-            else:
-                term = _poly_mul(term, _poly_pow(v, e))
-        for m, t in _poly_mul({tuple(rest): c}, term).items():
-            s = out[m] = out.get(m, 0) + t
-            if not s:
-                del out[m]
-    return out
-
-
 def _term_expr(mono, c: Fraction) -> Expr:
     factors = []
     if c != 1 or not mono:
@@ -779,9 +751,10 @@ def poly_to_expr(p) -> Expr:
     return terms[0] if len(terms) == 1 else Sum(terms)
 
 
-def _carrying(num, den) -> Expr:
-    """The canonical tree of num/den, carrying the pair unless it is a
-    Const or a Var."""
+def cancelled_tree(pair) -> Expr:
+    """The tree of a pair that `cancel` returned, carrying the pair
+    unless it is a Const or a Var."""
+    num, den = pair
     if den == _ONE_POLY:
         out = poly_to_expr(num)
         if isinstance(out, (Const, Var)):
@@ -794,7 +767,7 @@ def _carrying(num, den) -> Expr:
 
 def from_pair(pair) -> Expr:
     """The canonical tree of the quotient num/den."""
-    return _carrying(*_cancel(*pair))
+    return cancelled_tree(cancel(pair))
 
 
 @lru_cache(maxsize=1 << 18)
@@ -816,10 +789,8 @@ def expr_to_poly(e: Expr):
     """Poly dict of a simplified polynomial expression; None if it has
     a denominator.  The dict may be the one the tree carries: read it,
     never change it."""
-    num, den = _cancel(*ratio(e))
-    if den != _ONE_POLY:
-        return None
-    return num
+    num, den = ratio(simplify(e))
+    return num if den == _ONE_POLY else None
 
 
 def split_jet(pair, m: int) -> dict:
@@ -832,7 +803,7 @@ def split_jet(pair, m: int) -> dict:
     stays in the coefficient.  A denominator that depends on u or its
     jet has no such split and raises NotQuasiLinear.
     """
-    num, den = _cancel(*pair)
+    num, den = cancel(pair)
     den_vars = set()
     for mono in den:
         for a, _ in mono:
@@ -864,7 +835,7 @@ def split_jet(pair, m: int) -> dict:
     for mono, p in groups.items():
         p = {rest: c for rest, c in p.items() if c}
         if p:
-            out[mono] = _carrying(*_cancel(p, den))
+            out[mono] = from_pair((p, den))
     return out
 
 
@@ -896,7 +867,7 @@ def total_derivative(e: Expr, axis: int, n: int) -> Expr:
 
 def pair_total_derivative(pair, axis: int, n: int):
     """Cancelled pair of the total derivative along x^axis of num/den."""
-    return _cancel(*_poly_derivative(pair, _total_leaf(axis, n)))
+    return cancel(_poly_derivative(pair, _total_leaf(axis, n)))
 
 
 def _total_leaf(axis: int, n: int):
@@ -976,23 +947,57 @@ def _atom_derivative(a, leaf):
 # substitution, variables, evaluation
 
 def substitute(e: Expr, mapping: dict) -> Expr:
-    return simplify(_subs(e, mapping))
+    """e with the variables `mapping` maps replaced at once (see `pair_substitute`)."""
+    return from_pair(pair_substitute(ratio(e), {Var(v): ratio(x) for v, x in mapping.items()}))
 
 
-def _subs(e: Expr, mapping: dict) -> Expr:
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Var):
-        return mapping.get(e.vid, e)
-    if isinstance(e, Sum):
-        return Sum(tuple(_subs(t, mapping) for t in e.terms))
-    if isinstance(e, Product):
-        return Product(tuple(_subs(f, mapping) for f in e.factors))
-    if isinstance(e, Power):
-        return Power(_subs(e.base, mapping), e.exp)
-    if isinstance(e, Div):
-        return Div(_subs(e.num, mapping), _subs(e.den, mapping))
-    return Fun(e.name, _subs(e.arg, mapping))
+def poly_substitute(p, values: dict):
+    """The poly p with each atom that `values` maps replaced by that poly."""
+    return pair_substitute((p, _ONE_POLY), {a: (v, _ONE_POLY) for a, v in values.items()})[0]
+
+
+def pair_substitute(pair, values: dict):
+    """Uncancelled pair of num/den with each atom that `values` maps to a
+    pair replaced by it, all at once.  A function atom whose argument
+    holds a mapped atom is rebuilt around the substituted argument.  A
+    constant value multiplies into the coefficient, and terms over equal
+    denominators add in place."""
+    images = {}  # atom: None, a constant, or the pair replacing it
+
+    def image(a):
+        v = values.get(a)
+        if v is None and isinstance(a, Fun) and \
+                any(Var(x) in values for x in expr_variables(a.arg)):
+            v = ratio(Fun(a.name, from_pair(pair_substitute(ratio(a.arg), values))))
+        if v is not None and v[1] == _ONE_POLY and v[0].keys() <= {()}:
+            v = v[0].get((), 0)
+        images[a] = v
+        return v
+
+    def poly(p):
+        sums = {}  # denominator's items, None for 1: (numerator, denominator)
+        for mono, c in p.items():
+            rest, tn, td = [], _ONE_POLY, _ONE_POLY
+            for a, e in mono:
+                v = images[a] if a in images else image(a)
+                if v is None:
+                    rest.append((a, e))
+                elif type(v) is not tuple:
+                    c *= v ** e
+                else:
+                    tn, td = _poly_mul(tn, _poly_pow(v[0], e)), _poly_mul(td, _poly_pow(v[1], e))
+            if not c:
+                continue
+            key = None if td is _ONE_POLY else frozenset(td.items())
+            acc = sums.setdefault(key, ({}, td))[0]
+            for m, t in _poly_mul({tuple(rest): c}, tn).items():
+                s = acc[m] = acc.get(m, 0) + t
+                if not s:
+                    del acc[m]
+        return pair_total([s for s in sums.values() if s[0]])
+
+    num, den = pair
+    return poly(num) if den == _ONE_POLY else pair_product(poly(num), _inverse(poly(den)))
 
 
 def expr_variables(e: Expr) -> set:

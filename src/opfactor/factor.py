@@ -16,8 +16,8 @@ from fractions import Fraction
 from .errors import (CapacityExceeded, DomainError, NonPolynomialCoefficients,
                      NonPolynomialSqrtDelta, NoRealFactorization, NotConstant, UnsupportedTemplate)
 from .expr import (Const, Div, Expr, Fun, FuncSym, IndepVar, Power, Var, ZERO,
-                   ONE, cancel, evaluate, expr_to_poly, expr_variables, fraction_sqrt,
-                   from_pair, is_constant, pair_product, pair_sum, pair_total,
+                   ONE, cancel, cancelled_tree, evaluate, expr_to_poly, expr_variables,
+                   fraction_sqrt, from_pair, is_constant, pair_product, pair_sum, pair_total,
                    pair_total_derivative, poly_sqrt, poly_substitute, ratio, render,
                    simplify, sort_key, substitute, total_derivative)
 from .conditions import FactorizationCandidate, discriminant
@@ -349,7 +349,7 @@ class PdeObligation:
         res_mixed = _minus(pair_total([pair_product(y, co), pair_product(ao, zp), carry(co)]),
                            ratio(P.coeff(*other)))
         res_quad = _minus(pair_sum(pair_product(y, zp), carry(zp)), ratio(P.coeff(0, 1)))
-        Q1 = make_operator(2, 1, {(0, 1): from_pair(y), (1, 1): self.a1, (1, 2): self.a2})
+        Q1 = make_operator(2, 1, {(0, 1): cancelled_tree(y), (1, 1): self.a1, (1, 2): self.a2})
         Q2 = make_operator(2, 1, {(0, 1): z, (1, 1): self.c1, (1, 2): self.c2})
         return ObligationCheck(FactorizationCandidate((Q1, Q2)), from_pair(res_quad),
                                from_pair(res_mixed))
@@ -453,7 +453,8 @@ def factor_pde_second_order(P: DiffOperator,
         equation = from_pair(pair_total([
             _carrier(g21, a2)(z), pair_product(_MINUS, pair_product(g21, pair_product(z, z))),
             pair_product(g11, z), pair_product(_MINUS, g01)]))
-        ob = PdeObligation(P, P.coeff(2, 1), from_pair(a2), ONE, from_pair(c2), equation)
+        ob = PdeObligation(P, P.coeff(2, 1), cancelled_tree(a2), ONE, cancelled_tree(c2),
+                           equation)
         return PdeFactorResult(delta, None, (), ob)
 
     sq = _delta_sqrt(P, delta, config)
@@ -468,9 +469,10 @@ def factor_pde_second_order(P: DiffOperator,
         y = _over(_minus(pair_product(g11, a2), pair_product(g21, rb)), det)
         z = _over(_minus(rb, pair_product(c2, g11)), det)
         residual = from_pair(_minus(pair_sum(pair_product(y, z), carry(z)), g01))
-        Q1 = make_operator(2, 1, {(0, 1): from_pair(y), (1, 1): P.coeff(2, 1),
-                                  (1, 2): from_pair(a2)})
-        Q2 = make_operator(2, 1, {(0, 1): from_pair(z), (1, 1): ONE, (1, 2): from_pair(c2)})
+        Q1 = make_operator(2, 1, {(0, 1): cancelled_tree(y), (1, 1): P.coeff(2, 1),
+                                  (1, 2): cancelled_tree(a2)})
+        Q2 = make_operator(2, 1, {(0, 1): cancelled_tree(z), (1, 1): ONE,
+                                  (1, 2): cancelled_tree(c2)})
         branches.append(PdeBranch(FactorizationCandidate((Q1, Q2)), residual, sign))
     return PdeFactorResult(delta, sq, tuple(branches), None)
 

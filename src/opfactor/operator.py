@@ -19,17 +19,18 @@ once, at the end (`expr.split_jet`).
 
 Application to concrete functions of the base coordinates and
 expansion share that fold (`_apply_to_pair`); derivatives along a shared
-prefix of axes are taken once per operator.
+prefix of axes are taken once per operator.  Reading an expansion back
+(`identify`) sums each slot's coefficients on pairs into a canonical
+coefficient, which `operator_from_jet` takes as it is.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArityMismatch, NotQuasiLinear, OrderOverflow, ShapeMismatch
-from .expr import (Const, DepVar, Div, Expr, IndepVar, JetVar, Power, Sum, Var,
-                   ZERO, ONE, expr_variables, from_pair, pair_product, pair_total,
-                   pair_total_derivative, ratio, render, simplify, split_jet,
-                   substitute)
+from .expr import (Const, DepVar, Div, Expr, IndepVar, JetVar, Sum, Var, ZERO, ONE,
+                   cancel, expr_variables, from_pair, pair_product, pair_substitute,
+                   pair_total, pair_total_derivative, ratio, render, simplify, split_jet)
 from .jet import DerivIndex, index_to_axes
 
 DEFAULT_ORDER_CAP = 6
@@ -185,7 +186,7 @@ def _apply_to_pair(op: DiffOperator, pair, u_exprs=None):
             derived[axes] = pair_total_derivative(along(axes[:-1]), axes[-1], op.n)
         return derived[axes]
 
-    coeffs = [(d, ratio(_subs_components(coeff, u_exprs))) for d, coeff in op.coeffs]
+    coeffs = [(d, _subs_components(coeff, u_exprs)) for d, coeff in op.coeffs]
     return pair_total([pair_product(c, along(index_to_axes(d))) for d, c in coeffs if c[0]])
 
 
@@ -236,12 +237,12 @@ def _component(u_exprs: dict, j: int) -> Expr:
     return u_exprs[j]
 
 
-def _subs_components(e: Expr, u_exprs) -> Expr:
-    if u_exprs is None:  # expansion: u stays generic
-        return e
-    mapping = {v: _component(u_exprs, v.component)
-               for v in expr_variables(e) if isinstance(v, DepVar)}
-    return substitute(e, mapping) if mapping else e
+def _subs_components(e: Expr, u_exprs):
+    """Pair of e with each u^j replaced by u_exprs[j], cancelled."""
+    values = {} if u_exprs is None else {  # expansion: u stays generic
+        Var(v): ratio(_component(u_exprs, v.component))
+        for v in expr_variables(e) if isinstance(v, DepVar)}
+    return cancel(pair_substitute(ratio(e), values)) if values else ratio(e)
 
 
 def apply_operator(op: DiffOperator, target: int, u_exprs: dict) -> Expr:
@@ -266,8 +267,9 @@ def matrix_apply(mop: MatrixOperator, u_exprs: dict, targets=None) -> tuple:
     """
     if targets is None:
         targets = [_component(u_exprs, q) for q in range(1, mop.m + 1)]
+    targets = [ratio(simplify(t)) for t in targets]
     return tuple(from_pair(pair_total([
-        ratio(apply_to_expr(mop.entries[p][q], targets[q], u_exprs))
+        cancel(_apply_to_pair(mop.entries[p][q], targets[q], u_exprs))
         for q in range(mop.m)])) for p in range(mop.m))
 
 
@@ -280,29 +282,27 @@ def identify(jp: JetPolynomial, target: int):
     A monomial that is a single degree-one jet coordinate of the target,
     times order-0 factors that fold into the coefficient, goes to that
     coordinate's slot (k, h); a pure power of the target goes to (0, 1)
-    after one factor is pulled out.  Returns ({(k, h): unsimplified
-    coefficient sum}, [(monomial, coefficient)] of everything else).
+    after one factor is pulled out.  Returns ({(k, h): canonical
+    coefficient}, [(monomial, coefficient)] of everything else); a slot
+    that one monomial with no order-0 factor fills keeps its coefficient.
     """
-    buckets = {}
+    parts = {}
     others = []
     for mono, coeff in jp.terms:
         high = [(key, e) for key, e in mono if key[1] >= 1]
         lows = [(key, e) for key, e in mono if key[1] == 0]
         if len(high) == 1 and high[0][1] == 1 and high[0][0][0] == target:
-            key = high[0][0][1:]
-            extra = ONE
-            for (j, _, _), e in lows:
-                v = Var(DepVar(j))
-                extra = extra * (Power(v, e) if e > 1 else v)
+            key, u = high[0][0][1:], tuple((Var(DepVar(j)), e) for (j, _, _), e in lows)
         elif not high and len(lows) == 1 and lows[0][0][0] == target:
-            e = lows[0][1]
-            key = (0, 1)
-            extra = Power(Var(DepVar(target)), e - 1) if e > 2 else (
-                Var(DepVar(target)) if e == 2 else ONE)
+            (_, e), = lows
+            key, u = (0, 1), ((Var(DepVar(target)), e - 1),) if e > 1 else ()
         else:
             others.append((mono, coeff))
             continue
-        buckets[key] = buckets.get(key, ZERO) + coeff * extra
+        parts.setdefault(key, []).append((coeff, u))
+    buckets = {key: ps[0][0] if len(ps) == 1 and not ps[0][1] else from_pair(pair_total(
+        [pair_product(ratio(c), ({u: Fraction(1)}, ratio(ONE)[1])) for c, u in ps]))
+        for key, ps in parts.items()}
     return buckets, others
 
 
@@ -316,10 +316,9 @@ def operator_from_jet(jp: JetPolynomial, component: int = 1) -> DiffOperator:
     buckets, others = identify(jp, component)
     if others:
         raise NotQuasiLinear(_no_slot(others[0][0], component))
-    op = make_operator(jp.n, jp.m, buckets, linear=False)
-    linear = not any(isinstance(v, DepVar)
-                     for _, c in op.coeffs for v in expr_variables(c))
-    return replace(op, linear=True) if linear else op
+    coeffs = tuple((DerivIndex(k, h, jp.n), c) for (k, h), c in buckets.items() if c != ZERO)
+    linear = not any(isinstance(v, DepVar) for _, c in coeffs for v in expr_variables(c))
+    return DiffOperator(jp.n, jp.m, coeffs, linear)
 
 
 def _no_slot(mono: JetMono, component: int) -> str:

@@ -1,12 +1,12 @@
 """Text grammar for coefficient expressions.
 
-Accepted forms: integers, decimals and a/b rationals; identifiers
-x1..x9 for independent variables and u, u1..u9 for dependent
-components (u is the same as u1); the operators + - * / ^ with the
-usual precedence, ^ associating to the right; unary minus; the
-functions exp, log, sin, cos, sqrt; parentheses.  Whitespace is
-insignificant.  Exponents must simplify to integers of absolute value
-at most MAX_EXPONENT.
+Accepted forms: integers, decimals and a/b rationals, written in the
+ASCII digits 0-9; identifiers x1..x9 for independent variables and u,
+u1..u9 for dependent components (u is the same as u1); the operators
++ - * / ^ with the usual precedence, ^ associating to the right; unary
+minus; the functions exp, log, sin, cos, sqrt; parentheses.
+Whitespace is insignificant.  Exponents must simplify to integers of
+absolute value at most MAX_EXPONENT.
 """
 
 from dataclasses import dataclass
@@ -47,10 +47,10 @@ def _tokenize(text: str, line0: int = 1, col0: int = 1) -> list[Token]:
             i += 1
             continue
         start_col = col
-        if c.isdigit() or (c == "." and i + 1 < len(text) and text[i + 1].isdigit()):
+        if c in "0123456789" or (c == "." and i + 1 < len(text) and text[i + 1] in "0123456789"):
             j = i
             seen_dot = False
-            while j < len(text) and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
+            while j < len(text) and (text[j] in "0123456789" or (text[j] == "." and not seen_dot)):
                 seen_dot = seen_dot or text[j] == "."
                 j += 1
             tokens.append(Token("num", text[i:j], line, start_col))
@@ -176,12 +176,12 @@ class _Parser:
     def _variable(self, name, tok):
         if name == "u":
             return DepVar(1)
-        if len(name) == 2 and name[0] in "xu" and name[1].isdigit() and name[1] != "0":
+        if len(name) == 2 and name[0] in "xu" and name[1] in "123456789":
             idx = int(name[1])
             return IndepVar(idx) if name[0] == "x" else DepVar(idx)
-        if name[0] == "x" and name[1:].isdigit():
+        if name[0] == "x" and name[1:].isdecimal():
             self.fail("independent variables are x1..x9", tok)
-        if name[0] == "u" and name[1:].isdigit():
+        if name[0] == "u" and name[1:].isdecimal():
             self.fail("dependent components are u, u1..u9", tok)
         self.fail(f"unknown identifier {name!r}", tok)
 

@@ -46,7 +46,7 @@ from .operator import DiffOperator, MatrixOperator, as_matrix, make_operator
 from .parse import parse_expr
 
 _SECTIONS = ("problem", "operator", "Q1", "Q2", "N1", "N2", "solve")
-_KEY_RE = re.compile(r"^([a-z])\[(\d+(?:,\d+)*)\]$")
+_KEY_RE = re.compile(r"^([a-z])\[(\d+(?:,\d+)*)\]$", re.ASCII)
 
 
 @dataclass(frozen=True)

@@ -390,6 +390,17 @@ def test_huge_product_is_a_capacity_error(tmp_path, capsys):
     assert error["type"] == "CapacityExceeded"
     assert f"exceeds {MAX_PRODUCT_PAIRS} term pairs" in error["message"]
 
+@pytest.mark.parametrize("coeff", ["x1^²", "x²", "٣", "x٣"])
+def test_non_ascii_digits_are_a_parse_error(tmp_path, capsys, coeff):
+    # x1^² and x² used to end in a traceback, with no JSON document
+    ini = tmp_path / "digits.ini"
+    ini.write_text('[problem]\nkind = linear-ode\n\n'
+                   f'[operator]\ng[2,1] = "1"\ng[0,1] = "{coeff}"\n', encoding="utf-8")
+    code, out, _ = run(capsys, "expand", "--json", str(ini))
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ParseError"
+
+
 @pytest.mark.parametrize("command, flag, value, fixture", [
     ("factor", "--ansatz-degree", MAX_ANSATZ_DEGREE + 1, "ode-riccati-poly.ini"),
     ("factor", "--ansatz-degree", 64, "ode-riccati-poly.ini"),

@@ -11,11 +11,9 @@ from hypothesis import strategies as st
 
 from opfactor import expr
 from opfactor.expr import (
-    _cancel,
     _mono_mul,
     _poly_mul,
     _poly_pow,
-    _subs,
     _total_leaf,
     Const,
     DepVar,
@@ -31,6 +29,7 @@ from opfactor.expr import (
     Sum,
     Var,
     ZERO,
+    cancel,
     compile_float,
     const,
     diff,
@@ -54,6 +53,28 @@ from opfactor.parse import parse_expr
 
 def P(text: str) -> Expr:
     return simplify(parse_expr(text))
+
+
+def _cancel(num, den):
+    return cancel((num, den))
+
+
+def _subs(e: Expr, mapping: dict) -> Expr:
+    """Tree substitution: each Var that mapping maps is replaced, inside
+    function arguments too, and nothing is simplified."""
+    if isinstance(e, Const):
+        return e
+    if isinstance(e, Var):
+        return mapping.get(e.vid, e)
+    if isinstance(e, Sum):
+        return Sum(tuple(_subs(t, mapping) for t in e.terms))
+    if isinstance(e, Product):
+        return Product(tuple(_subs(f, mapping) for f in e.factors))
+    if isinstance(e, Power):
+        return Power(_subs(e.base, mapping), e.exp)
+    if isinstance(e, Div):
+        return Div(_subs(e.num, mapping), _subs(e.den, mapping))
+    return Fun(e.name, _subs(e.arg, mapping))
 
 
 # ---------------------------------------------------------------------------
@@ -636,6 +657,54 @@ def test_simplify_carries_the_pair_it_was_built_from(e):
     assert not hasattr(c, "_polys")
     assert s._polys == ratio(c)
     assert s._polys == _cancel(*ratio(c))
+
+
+# values a substitution may bring: zero (which can zero a denominator),
+# constants, variables, quotients and function atoms
+SUBSTITUTED = [ZERO, const(2), const(Fraction(-1, 3)), x_(1), x_(2), u_(1),
+               Div(x_(2), Sum((x_(1), ONE))), Div(ONE, Sum((x_(1), const(-1)))),
+               Fun("exp", x_(2)), Fun("sqrt", x_(1)), Fun("log", Div(x_(1), x_(2)))]
+
+
+@st.composite
+def substitutions(draw):
+    """A mapping over x1, x2 and u1, sometimes starting from the x1 <-> x2
+    swap, whose values are SUBSTITUTED or drawn atom expressions."""
+    mapping = {IndepVar(1): x_(2), IndepVar(2): x_(1)} if draw(st.booleans()) else {}
+    for vid in (IndepVar(1), IndepVar(2), DepVar(1)):
+        if draw(st.integers(0, 2)) == 0:
+            mapping[vid] = draw(st.sampled_from(SUBSTITUTED) | atom_exprs(CHAIN_ATOMS))
+    return mapping
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(atom_exprs(CHAIN_ATOMS), substitutions())
+def test_substitute_on_pairs_matches_the_tree_substitution(e, mapping):
+    from opfactor.errors import DomainError
+    e = simplify(e)
+    try:
+        want = simplify(_subs(e, mapping))
+    except DomainError:
+        with pytest.raises(DomainError):
+            substitute(e, mapping)
+        return
+    assert substitute(e, mapping) == want
+
+
+def test_substitute_swaps_inside_function_arguments():
+    swap = {IndepVar(1): x_(2), IndepVar(2): x_(1)}
+    assert substitute(P("exp(x1) + x1/x2"), swap) == P("exp(x2) + x2/x1")
+    assert substitute(P("log(x1 + 2*x2)*x1"), swap) == P("log(2*x1 + x2)*x2")
+    assert substitute(P("exp(x1)*exp(x2)"), {IndepVar(1): x_(2)}) == P("exp(2*x2)")
+
+
+@pytest.mark.parametrize("text", ["1/(x1 - 1)", "x2/(x1^2 - x1) + 1", "log(1/(x1 - 1))"])
+def test_substituting_a_zero_denominator_is_a_domain_error(text):
+    from opfactor.errors import DomainError
+    with pytest.raises(DomainError):
+        simplify(_subs(P(text), {IndepVar(1): ONE}))
+    with pytest.raises(DomainError):
+        substitute(P(text), {IndepVar(1): ONE})
 
 
 def _reference_chain(e: Expr, leaf) -> Expr:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from opfactor import expr, factor
 from opfactor.conditions import CheckOptions, FactorizationCandidate, check_candidate
 from opfactor.errors import (
     CapacityExceeded,
@@ -244,6 +245,29 @@ def test_pde_variable_lead_split_cancels_its_polynomial_gcd():
     assert render(cand.factors[1].coeff(1, 2)) == "-x1 - 2"
     assert cand.factors[1].coeff(0, 1) == const(-1)
     assert check_candidate(P, cand, CheckOptions()).passed
+
+
+def test_the_split_search_runs_the_gcd_once_per_quotient(monkeypatch):
+    # y, z, a2 and c2 come out of cancel; building their trees used to
+    # run the gcd again on the coprime pair cancel had just returned
+    Q1 = pde({(1, 1): "2*x1 + 1", (1, 2): "2*x2 - 1", (0, 1): "-2"})
+    Q2 = pde({(1, 1): "1", (1, 2): "-x1 - 2", (0, 1): "-1"})
+    P = operator_from_jet(expand_product([Q1, Q2]))
+    cancelled, repeated = [], []
+
+    def recording_cancel(pair, cancel=expr.cancel):
+        cancelled.append(cancel(pair))
+        return cancelled[-1]
+
+    def recording_gcd(p, q, gcd=expr._poly_gcd):
+        repeated.extend((p, q) for num, den in cancelled if num is p and den is q)
+        return gcd(p, q)
+
+    monkeypatch.setattr(expr, "cancel", recording_cancel)
+    monkeypatch.setattr(factor, "cancel", recording_cancel)
+    monkeypatch.setattr(expr, "_poly_gcd", recording_gcd)
+    assert len(factor_pde_second_order(P).candidates) == 1
+    assert len(cancelled) > 10 and repeated == []
 
 
 def test_pde_variable_lead_split_has_constant_zero_order():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from opfactor.errors import DomainError, OrderOverflow, ShapeMismatch
 from opfactor.jet import DerivIndex, index_to_axes
 from opfactor.expr import (
-    _subs,
     _total_leaf,
     Const,
     DepVar,
@@ -17,6 +16,7 @@ from opfactor.expr import (
     IndepVar,
     JetVar,
     ONE,
+    Power,
     Product,
     Sum,
     Var,
@@ -44,7 +44,7 @@ from opfactor.operator import (
     render_jet,
 )
 from opfactor.parse import parse_expr
-from test_expr import CHAIN_ATOMS, _reference_chain, atom_exprs
+from test_expr import CHAIN_ATOMS, _reference_chain, _subs, atom_exprs
 
 
 def E(text):
@@ -377,6 +377,52 @@ def test_jet_polynomial_roundtrip():
     back = jet_polynomial(2, 1, jet(2) + jet(3) + x_(1) * u_(1))
     jp = expand_product([op2({(2, 2): const(2), (0, 1): x_(1)})])
     assert render_jet(back) == render_jet(jp)
+
+
+# ---------------------------------------------------------------------------
+# reading an expansion back
+
+
+@pytest.mark.parametrize("Q1, Q2", [
+    (op1({(1, 1): E("x1 + 2"), (0, 1): E("x1^2")}), op1({(1, 1): ONE, (0, 1): E("1/(x1 + 1)")})),
+    (op2({(1, 1): E("x1"), (1, 2): E("x2 - 1"), (0, 1): const(3)}),
+     op2({(1, 1): ONE, (1, 2): E("x1*x2"), (0, 1): E("exp(x1)")})),
+])
+def test_a_linear_read_back_keeps_the_coefficient_objects_of_the_split(Q1, Q2):
+    jp = expand_product([Q1, Q2])
+    split = jp.as_dict()
+    P = operator_from_jet(jp)
+    assert P.linear and len(P.coeffs) == len(split)
+    for d, c in P.coeffs:
+        assert c is split[(((1, d.k, d.h), 1),)]
+
+
+def _tree_read_back(jp):
+    """Coefficients of operator_from_jet as trees build them: per slot a
+    Sum of coefficient * order-0 factor Products, simplified."""
+    buckets = {}
+    for mono, coeff in jp.terms:
+        high = [key for key, _ in mono if key[1] >= 1]
+        lows = [(j, e) for (j, k, _), e in mono if k == 0]
+        slot, extra = (high[0][1:], lows) if high else ((0, 1), [(1, lows[0][1] - 1)])
+        buckets[slot] = buckets.get(slot, ZERO) + Product(
+            (coeff, ONE) + tuple(Power(u_(j), e) for j, e in extra))
+    return make_operator(jp.n, jp.m, buckets, linear=False).coeffs
+
+
+@pytest.mark.parametrize("Q1, Q2", [
+    (op1({(1, 1): E("u1 + x1"), (0, 1): E("x1*u1")}, linear=False),
+     op1({(1, 1): ONE, (0, 1): E("u1^2 + x1")}, linear=False)),
+    (op2({(1, 1): E("u1"), (1, 2): E("x2"), (0, 1): ONE}, linear=False),
+     op2({(1, 1): ONE, (1, 2): E("x1"), (0, 1): E("u1/(x1 + 1) - u1^3")}, linear=False)),
+])
+def test_a_quasilinear_read_back_folds_order_zero_factors_as_trees_did(Q1, Q2):
+    jp = expand_product([Q1, Q2])
+    # some monomial carries an order-0 factor to fold into its slot
+    assert any(len(mono) > 1 or mono[0][1] > 1 for mono, _ in jp.terms)
+    P = operator_from_jet(jp)
+    assert not P.linear
+    assert P.coeffs == _tree_read_back(jp)
 
 
 # ---------------------------------------------------------------------------

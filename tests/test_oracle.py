@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -14,8 +15,6 @@ from opfactor.expr import (Const, DepVar, Div, Fun, IndepVar, Power, Product, Su
                            Var, const, diff, poly_sqrt, simplify, u_, x_)
 from opfactor.jet import DerivIndex, index_to_axes
 from opfactor.operator import expand_product, make_operator, operator_from_jet
-
-sympy = pytest.importorskip("sympy")
 
 X = {1: sympy.Symbol("x1"), 2: sympy.Symbol("x2")}
 

@@ -145,3 +145,11 @@ def test_exponent_limit():
         # reported at the first token of the exponent
         assert info.value.column == column, text
         assert f"exponent larger than {MAX_EXPONENT}" in str(info.value)
+
+
+@pytest.mark.parametrize("text", ["x1^²", "x²", "٣", "３", "x٣", "2*x1 + ٣", "１.5"])
+def test_only_ascii_digits_are_numbers(text):
+    # str.isdigit holds for these, and they used to end in a ValueError
+    # (x1^², x²) or read silently as 3 and x3
+    with pytest.raises(ParseError):
+        parse_expr(text)
