@@ -25,7 +25,7 @@ from .errors import (CapacityExceeded, EngineError, OrderOverflow, ParseError,
 from .expr import ZERO, compile_float, render, IndepVar
 from .factor import SearchConfig, factor_ode, factor_pde_second_order
 from .operator import expand_product, matrix_expand_product, render_jet
-from .problemfile import ProblemFile, parse_interval, parse_problem
+from .problemfile import ProblemFile, ascii_number, parse_interval, parse_problem
 
 
 COMMANDS = ("expand", "conditions", "check", "factor", "cascade")
@@ -69,18 +69,18 @@ def _build_parser(as_json: bool) -> argparse.ArgumentParser:
         if name == "conditions":
             p.add_argument("problem", nargs="?", help="problem file path")
             p.add_argument("--kind", help="template kind instead of a file")
-            p.add_argument("--m", type=int, default=None,
+            p.add_argument("--m", type=ascii_number(int), default=None,
                            help="number of components for system kinds")
         else:
             p.add_argument("problem", help="problem file path")
         p.add_argument("--json", action="store_true", dest="as_json")
     for name in ("check", "factor"):
-        cmd[name].add_argument("--seed", type=int, default=0)
-    cmd["check"].add_argument("--samples", type=int, default=8)
-    cmd["check"].add_argument("--tol", type=float, default=1e-9)
-    cmd["factor"].add_argument("--ansatz-degree", type=int, default=3)
+        cmd[name].add_argument("--seed", type=ascii_number(int), default=0)
+    cmd["check"].add_argument("--samples", type=ascii_number(int), default=8)
+    cmd["check"].add_argument("--tol", type=ascii_number(float), default=1e-9)
+    cmd["factor"].add_argument("--ansatz-degree", type=ascii_number(int), default=3)
     cmd["cascade"].add_argument("--interval", default=None, help="a,b working interval")
-    cmd["cascade"].add_argument("--steps", type=int, default=None)
+    cmd["cascade"].add_argument("--steps", type=ascii_number(int), default=None)
     cmd["cascade"].add_argument("--csv", default=None, metavar="PATH",
                                 help="export cascade trajectories as CSV")
     return ap

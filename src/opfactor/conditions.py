@@ -24,7 +24,7 @@ other templates keep their prefactors.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapacityExceeded, DomainError, UnsupportedTemplate
+from .errors import CapacityExceeded, DomainError, UnsupportedTemplate, ValidationError
 from .expr import (DepVar, Expr, FuncSym, IndepVar, Var, ZERO, diff, evaluate,
                    expr_to_poly, expr_variables, from_pair, pair_substitute, pair_sum,
                    poly_content, poly_to_expr, ratio, render, simplify, sort_key)
@@ -272,8 +272,14 @@ def check_candidate(P, candidate: FactorizationCandidate,
     coefficient trees on floats and Taylor jets and applies the factors
     one after the other, with no simplification or symbolic
     differentiation.  On a valid split the probe's gap is at rounding
-    level, not 0.  More than MAX_SAMPLES samples raise CapacityExceeded.
+    level, not 0.  Fewer than one sample or a tolerance that is negative
+    or not finite raise ValidationError, more than MAX_SAMPLES samples
+    CapacityExceeded.
     """
+    if opts.samples < 1:
+        raise ValidationError(f"{opts.samples} probe samples; need at least 1")
+    if not 0 <= opts.tol < float("inf"):
+        raise ValidationError(f"tolerance {opts.tol} is not a finite number >= 0")
     if opts.samples > MAX_SAMPLES:
         raise CapacityExceeded(f"{opts.samples} probe samples exceed {MAX_SAMPLES}")
     import random

@@ -1268,7 +1268,8 @@ def _raiser(err: Exception):
 # polynomial square root
 
 def poly_sqrt(e: Expr):
-    """Exact square root of a polynomial expression, or None.
+    """Exact square root of a polynomial expression, or None; of a
+    quotient, the root of its numerator over the root of its denominator.
 
     Works by peeling: take the square root of the leading term under
     graded lexicographic order, then repeatedly divide the residual's
@@ -1278,8 +1279,13 @@ def poly_sqrt(e: Expr):
     makes every half exponent an integer and the even shift_k makes
     every exponent nonnegative.
     """
-    p = expr_to_poly(simplify(e))
+    e = simplify(e)
+    p = expr_to_poly(e)
     if p is None:
+        if isinstance(e, Div):
+            rn, rd = poly_sqrt(e.num), poly_sqrt(e.den)
+            if rn is not None and rd is not None:
+                return simplify(Div(rn, rd))
         return None
     if not p:
         return ZERO

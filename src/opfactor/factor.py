@@ -14,12 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (CapacityExceeded, DomainError, NonPolynomialCoefficients,
-                     NonPolynomialSqrtDelta, NoRealFactorization, NotConstant, UnsupportedTemplate)
+                     NonPolynomialSqrtDelta, NoRealFactorization, NotConstant, UnsupportedTemplate,
+                     ValidationError)
 from .expr import (Const, Div, Expr, Fun, FuncSym, IndepVar, Power, Var, ZERO,
                    ONE, cancel, cancelled_tree, evaluate, expr_to_poly, expr_variables,
                    fraction_sqrt, from_pair, is_constant, pair_product, pair_sum, pair_total,
                    pair_total_derivative, poly_sqrt, poly_substitute, ratio, render,
-                   simplify, sort_key, substitute, total_derivative)
+                   simplify, sort_key, substitute)
 from .conditions import FactorizationCandidate, discriminant
 from .operator import DiffOperator, make_operator
 
@@ -96,19 +97,16 @@ def _const_value(e: Expr) -> Fraction:
 @dataclass(frozen=True)
 class RiccatiProblem:
     """D(Y) + y2 Y^2 + y1 Y + y0 = 0 in the right factor's zero order
-    coefficient Y, under the gauge (b111, b211)."""
+    coefficient Y, for the split (X + g21 D)(Y + D)."""
 
     operator: DiffOperator
-    b111: Expr
-    b211: Expr
     y2: Expr
     y1: Expr
     y0: Expr
 
 
 def riccati_from_operator(P: DiffOperator) -> RiccatiProblem:
-    """Riccati problem of a second order operator over one variable,
-    in the gauge b111 = g21, b211 = 1."""
+    """Riccati problem of a second order operator over one variable."""
     if P.n != 1 or not P.linear:
         raise UnsupportedTemplate("Riccati route needs a linear operator over x1")
     g21 = P.coeff(2, 1)
@@ -116,7 +114,7 @@ def riccati_from_operator(P: DiffOperator) -> RiccatiProblem:
         raise UnsupportedTemplate("operator is not second order")
     g11, g01 = P.coeff(1, 1), P.coeff(0, 1)
     return RiccatiProblem(
-        operator=P, b111=g21, b211=ONE,
+        operator=P,
         y2=Const(Fraction(-1)),
         y1=simplify(Div(g11, g21)),
         y0=simplify(Div(Const(Fraction(-1)) * g01, g21)),
@@ -130,10 +128,12 @@ def solve_riccati_ansatz(prob: RiccatiProblem,
     Substitutes an undetermined polynomial, collects powers of x1 and
     solves the resulting quadratic system exactly over the rationals,
     on polys in the unknowns c_d.  An empty list means the ansatz is
-    exhausted, not an error.  A degree above MAX_ANSATZ_DEGREE raises
-    CapacityExceeded.
+    exhausted, not an error.  A negative degree raises ValidationError,
+    one above MAX_ANSATZ_DEGREE CapacityExceeded.
     """
     deg = config.ansatz_degree
+    if deg < 0:
+        raise ValidationError(f"ansatz degree {deg} is negative")
     if deg > MAX_ANSATZ_DEGREE:
         raise CapacityExceeded(f"ansatz degree {deg} exceeds {MAX_ANSATZ_DEGREE}")
     for c in (prob.y2, prob.y1, prob.y0):
@@ -248,13 +248,12 @@ def _resolve(assignment, cvars) -> dict:
 
 
 def riccati_candidate(prob: RiccatiProblem, y: Expr) -> FactorizationCandidate:
-    """Candidate (X + b111 D, Y + b211 D) for a Riccati solution Y."""
+    """Candidate (X + g21 D, Y + D) for a Riccati solution Y, with
+    X = g11 - g21 Y."""
     P = prob.operator
-    x_expr = simplify(Div(
-        P.coeff(1, 1) - prob.b111 * total_derivative(prob.b211, 1, 1)
-        - prob.b111 * y, prob.b211))
-    Q1 = make_operator(1, 1, {(0, 1): x_expr, (1, 1): prob.b111})
-    Q2 = make_operator(1, 1, {(0, 1): y, (1, 1): prob.b211})
+    g21 = P.coeff(2, 1)
+    Q1 = make_operator(1, 1, {(0, 1): simplify(P.coeff(1, 1) - g21 * y), (1, 1): g21})
+    Q2 = make_operator(1, 1, {(0, 1): y, (1, 1): ONE})
     return FactorizationCandidate((Q1, Q2))
 
 
@@ -268,33 +267,6 @@ def factor_ode(P: DiffOperator, config: SearchConfig = SearchConfig()) -> list:
 
 # ---------------------------------------------------------------------------
 # principal symbol pipeline over two variables
-
-_SLOT_SWAP = {(0, 1): (0, 1), (1, 1): (1, 2), (1, 2): (1, 1),
-              (2, 1): (2, 4), (2, 2): (2, 3), (2, 3): (2, 2), (2, 4): (2, 1)}
-
-
-def _swap_coord(c):
-    return ("x", 3 - c[1]) if c[0] == "x" else c
-
-
-def _swap_expr(e: Expr) -> Expr:
-    """Exchange x1 and x2, including derivative tags on opaque symbols."""
-    mapping = {}
-    for v in expr_variables(e):
-        if isinstance(v, IndepVar):
-            mapping[v] = Var(IndepVar(3 - v.index))
-        elif isinstance(v, FuncSym):
-            mapping[v] = Var(FuncSym(v.family, v.indices,
-                                     tuple(sorted(_swap_coord(c) for c in v.derivs)),
-                                     tuple(sorted(_swap_coord(c) for c in v.deps))))
-    return substitute(e, mapping)
-
-
-def _swap_axes(op: DiffOperator) -> DiffOperator:
-    """Exchange the two independent variables, slots and coefficients."""
-    return make_operator(op.n, op.m, {_SLOT_SWAP[(d.k, d.h)]: _swap_expr(c)
-                                      for d, c in op.coeffs}, op.linear)
-
 
 @dataclass(frozen=True)
 class PdeBranch:
@@ -361,44 +333,26 @@ class PdeFactorResult:
     sqrt_delta: "Expr | None"
     branches: tuple
     obligation: "PdeObligation | None"
-    swapped: bool = False
+    swapped: bool = False  # pivoted on x2: the operator has no u_x1x1 slot
 
     @property
     def candidates(self) -> list:
         return [b.candidate for b in self.branches if b.ok]
 
 
-def _swap_candidate(c: FactorizationCandidate) -> FactorizationCandidate:
-    return FactorizationCandidate(tuple(_swap_axes(f) for f in c.factors))
-
-
-def _swap_result(res: PdeFactorResult) -> PdeFactorResult:
-    sub = _swap_expr
-    branches = tuple(PdeBranch(_swap_candidate(b.candidate), sub(b.residual), b.sign)
-                     for b in res.branches)
-    ob = res.obligation
-    if ob is not None:
-        ob = PdeObligation(_swap_axes(ob.operator), sub(ob.a2), sub(ob.a1),
-                           sub(ob.c2), sub(ob.c1), sub(ob.equation))
-    return PdeFactorResult(sub(res.delta), None if res.sqrt_delta is None
-                           else sub(res.sqrt_delta), branches, ob, swapped=True)
-
-
-def _delta_sqrt(P: DiffOperator, delta: Expr, config: SearchConfig) -> Expr:
-    """Exact square root of the discriminant, or a domain error."""
+def _delta_sqrt(P: DiffOperator, delta: Expr, pivot: int, config: SearchConfig) -> Expr:
+    """Exact square root of the discriminant, or a domain error.  Its
+    sign is poly_sqrt's with the pivot axis ranked first."""
     if isinstance(delta, Const):
         if delta.value < 0:
             raise NoRealFactorization(
                 f"discriminant {render(delta)} is negative")
         root = fraction_sqrt(delta.value)
         return Const(root) if root is not None else Fun("sqrt", delta)
-    root = poly_sqrt(delta)
+    flip = _swap_x if pivot == 2 else (lambda e: e)
+    root = poly_sqrt(flip(delta))
     if root is not None:
-        return root
-    if isinstance(delta, Div):
-        rn, rd = poly_sqrt(delta.num), poly_sqrt(delta.den)
-        if rn is not None and rd is not None:
-            return simplify(Div(rn, rd))
+        return flip(root)
     # the sign is sampled on (g22 + g23)^2 - 4 g21 g24 evaluated from the
     # coefficients, which keeps the digits the expanded delta loses near a pole
     s = P.coeff(2, 2) + P.coeff(2, 3)
@@ -408,6 +362,11 @@ def _delta_sqrt(P: DiffOperator, delta: Expr, config: SearchConfig) -> Expr:
             "discriminant is negative on the sample grid")
     raise NonPolynomialSqrtDelta(
         f"discriminant {render(delta)} has no polynomial square root")
+
+
+def _swap_x(e: Expr) -> Expr:
+    """e with x1 and x2 exchanged."""
+    return substitute(e, {IndepVar(1): Var(IndepVar(2)), IndepVar(2): Var(IndepVar(1))})
 
 
 def _probably_negative(delta: Expr, seed: int) -> bool:
@@ -427,54 +386,64 @@ def factor_pde_second_order(P: DiffOperator,
                             config: SearchConfig = SearchConfig()) -> PdeFactorResult:
     """Split a linear second order operator over two variables.
 
-    The roots of the principal symbol fix the first order slots of
-    both factors.  Distinct roots leave a linear system for the zero
-    order slots, solved by elimination, and the candidate stands iff
-    the zero order residual vanishes.  A repeated root leaves one
-    scalar freedom, returned as an obligation on Z.
+    The pivot axis i is x1 when u_x1x1 is present, else x2; j is the
+    other axis.  The roots of the principal symbol fix the first order
+    slots of both factors, Q1 = g_ii D_i + a D_j + y and
+    Q2 = D_i + c D_j + z.  Distinct roots leave a linear system for y
+    and z, solved by elimination, and the candidate stands iff the
+    zero order residual vanishes.  A repeated root leaves one scalar
+    freedom, returned as an obligation on Z.
     """
     if P.n != 2 or not P.linear:
         raise UnsupportedTemplate(
             "the principal symbol route needs a linear operator over two variables")
-    if P.coeff(2, 1) == ZERO:
-        if P.coeff(2, 4) == ZERO:
-            raise UnsupportedTemplate(
-                "no pure second order slot present; the pipeline needs "
-                "a nonzero coefficient on u_x1x1 or u_x2x2")
-        return _swap_result(factor_pde_second_order(_swap_axes(P), config))
-    g21, g11, g12, g01 = (ratio(P.coeff(*s)) for s in ((2, 1), (1, 1), (1, 2), (0, 1)))
+    pivot = 1 if P.coeff(2, 1) != ZERO else 2
+    lead = P.coeff(2, 3 * pivot - 2)  # on u_x1x1 or u_x2x2
+    if lead == ZERO:
+        raise UnsupportedTemplate(
+            "no pure second order slot present; the pipeline needs "
+            "a nonzero coefficient on u_x1x1 or u_x2x2")
+
+    def axes(on_i, on_j):
+        """(on D1, on D2) of the coefficients on D_i and D_j."""
+        return (on_i, on_j) if pivot == 1 else (on_j, on_i)
+
+    def first_order(zero, on_i, on_j):
+        return make_operator(2, 1, {(0, 1): zero, (1, pivot): on_i, (1, 3 - pivot): on_j})
+
+    gii, gi, gj, g01 = (ratio(e) for e in (lead, P.coeff(1, pivot), P.coeff(1, 3 - pivot),
+                                           P.coeff(0, 1)))
     S = cancel(pair_sum(ratio(P.coeff(2, 2)), ratio(P.coeff(2, 3))))
     delta = discriminant(P)
 
     if delta == ZERO:
-        a2 = cancel(pair_product(_HALF, S))
-        c2 = _over(S, pair_product(_TWO, g21))
+        a = cancel(pair_product(_HALF, S))
+        c = _over(S, pair_product(_TWO, gii))
         z = ratio(Var(FuncSym("Z", (), deps=(("x", 1), ("x", 2)))))
         equation = from_pair(pair_total([
-            _carrier(g21, a2)(z), pair_product(_MINUS, pair_product(g21, pair_product(z, z))),
-            pair_product(g11, z), pair_product(_MINUS, g01)]))
-        ob = PdeObligation(P, P.coeff(2, 1), cancelled_tree(a2), ONE, cancelled_tree(c2),
+            _carrier(*axes(gii, a))(z),
+            pair_product(_MINUS, pair_product(gii, pair_product(z, z))),
+            pair_product(gi, z), pair_product(_MINUS, g01)]))
+        ob = PdeObligation(P, *axes(lead, cancelled_tree(a)), *axes(ONE, cancelled_tree(c)),
                            equation)
-        return PdeFactorResult(delta, None, (), ob)
+        return PdeFactorResult(delta, None, (), ob, pivot == 2)
 
-    sq = _delta_sqrt(P, delta, config)
+    sq = _delta_sqrt(P, delta, pivot, config)
     branches = []
     for sign in (1, -1):
         root = ratio(sq) if sign == 1 else pair_product(_MINUS, ratio(sq))
-        a2 = cancel(pair_product(_HALF, _minus(S, root)))
-        c2 = _over(pair_sum(S, root), pair_product(_TWO, g21))
-        carry = _carrier(g21, a2)
-        rb = cancel(_minus(g12, carry(c2)))
-        det = pair_product(_MINUS, root)  # a2 - g21 c2, identically
-        y = _over(_minus(pair_product(g11, a2), pair_product(g21, rb)), det)
-        z = _over(_minus(rb, pair_product(c2, g11)), det)
+        a = cancel(pair_product(_HALF, _minus(S, root)))
+        c = _over(pair_sum(S, root), pair_product(_TWO, gii))
+        carry = _carrier(*axes(gii, a))
+        rb = cancel(_minus(gj, carry(c)))
+        det = pair_product(_MINUS, root)  # a - g_ii c, identically
+        y = _over(_minus(pair_product(gi, a), pair_product(gii, rb)), det)
+        z = _over(_minus(rb, pair_product(c, gi)), det)
         residual = from_pair(_minus(pair_sum(pair_product(y, z), carry(z)), g01))
-        Q1 = make_operator(2, 1, {(0, 1): cancelled_tree(y), (1, 1): P.coeff(2, 1),
-                                  (1, 2): cancelled_tree(a2)})
-        Q2 = make_operator(2, 1, {(0, 1): cancelled_tree(z), (1, 1): ONE,
-                                  (1, 2): cancelled_tree(c2)})
+        Q1 = first_order(cancelled_tree(y), lead, cancelled_tree(a))
+        Q2 = first_order(cancelled_tree(z), ONE, cancelled_tree(c))
         branches.append(PdeBranch(FactorizationCandidate((Q1, Q2)), residual, sign))
-    return PdeFactorResult(delta, sq, tuple(branches), None)
+    return PdeFactorResult(delta, sq, tuple(branches), None, pivot == 2)
 
 
 # constant pairs of the principal symbol route

@@ -63,6 +63,18 @@ class ProblemFile:
         return template_traits(self.kind)[1]
 
 
+def ascii_number(kind):
+    """A reader of `kind` (int, float or Fraction) that takes ASCII text
+    only; kind alone reads any Unicode decimal digit.  The reader keeps
+    kind's name, which argparse prints for a value it cannot read."""
+    def read(text: str):
+        if not text.isascii():
+            raise ValueError(f"{text!r} is not ASCII")
+        return kind(text)
+    read.__name__ = kind.__name__
+    return read
+
+
 # ---------------------------------------------------------------------------
 # raw INI reading
 
@@ -196,7 +208,7 @@ def parse_problem(text: str) -> ProblemFile:
 
     def _int(name, value):
         try:
-            return int(value)
+            return ascii_number(int)(value)
         except ValueError:
             raise ValidationError(f"[problem] {name} must be an integer, got {value!r}")
 
@@ -209,7 +221,7 @@ def parse_problem(text: str) -> ProblemFile:
         if m < 2:
             raise ValidationError(f"system kinds need m >= 2, got {m}")
     else:
-        m = _int("m", header.get("m", 1))
+        m = _int("m", header.get("m", "1"))
         if m != 1:
             raise ValidationError(f"scalar kinds fix m = 1, file says {m}")
 
@@ -249,7 +261,7 @@ def parse_interval(text: str, where: str) -> tuple:
     if len(parts) != 2:
         raise ValidationError(f"{where} must be two comma separated numbers")
     try:
-        a, b = float(parts[0]), float(parts[1])
+        a, b = (ascii_number(float)(t) for t in parts)
     except ValueError:
         raise ValidationError(f"{where} must be two numbers") from None
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -267,7 +279,7 @@ def _parse_solve(items: dict) -> CascadeOptions:
             fields["interval"] = parse_interval(value, f"interval on line {line}")
         elif key == "steps":
             try:
-                steps = int(value)
+                steps = ascii_number(int)(value)
             except ValueError:
                 raise ValidationError(f"steps on line {line} must be an integer")
             if steps <= 0:
@@ -275,7 +287,7 @@ def _parse_solve(items: dict) -> CascadeOptions:
             fields["steps"] = steps
         elif key == "constant":
             try:
-                fields["constant"] = Fraction(value)
+                fields["constant"] = ascii_number(Fraction)(value)
             except (ValueError, ZeroDivisionError):
                 raise ValidationError(f"bad constant on line {line}")
         else:

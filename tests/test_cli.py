@@ -509,3 +509,57 @@ def test_fixture_corpus_check_verdicts(capsys):
             assert code == 0, p.name
         else:
             assert code == 2, p.name  # no candidate sections
+
+
+@pytest.mark.parametrize("command, flag, value, fixture, message", [
+    ("check", "--samples", "-3", "ode-const-factorable.ini", "-3 probe samples; need at least 1"),
+    ("check", "--samples", "0", "ode-const-factorable.ini", "0 probe samples; need at least 1"),
+    ("check", "--tol", "nan", "ode-const-factorable.ini",
+     "tolerance nan is not a finite number >= 0"),
+    ("check", "--tol", "inf", "ode-const-factorable.ini",
+     "tolerance inf is not a finite number >= 0"),
+    ("check", "--tol", "-1e-09", "ode-const-factorable.ini",
+     "tolerance -1e-09 is not a finite number >= 0"),
+    ("factor", "--ansatz-degree", "-1", "ode-riccati-poly.ini", "ansatz degree -1 is negative"),
+])
+def test_request_value_below_its_range_is_a_validation_error(capsys, command, flag, value,
+                                                              fixture, message):
+    # --samples -3 and 0 printed PASS with the probe skipped, --tol nan
+    # always failed, and --ansatz-degree -1 searched degree <= -1
+    code, out, _ = run(capsys, command, "--json", f"{flag}={value}", path(fixture))
+    assert code == 2
+    assert json.loads(out) == {"command": command, "schema": 1,
+                               "error": {"type": "ValidationError", "message": message}}
+    code, out, err = run(capsys, command, f"{flag}={value}", path(fixture))
+    assert (code, out, err) == (2, "", f"error: ValidationError: {message}\n")
+
+
+def test_request_values_at_the_bottom_of_their_range_run(capsys):
+    assert run(capsys, "check", "--samples", "1", path("ode-const-factorable.ini"))[0] == 0
+    # a gap at rounding level fails a zero tolerance; the value is legal
+    code, out, _ = run(capsys, "check", "--tol", "0", path("ode-const-factorable.ini"))
+    assert code in (0, 1) and "(tol 0, seed 0)" in out
+    code, out, _ = run(capsys, "factor", "--ansatz-degree", "0", path("ode-riccati-poly.ini"))
+    assert code == 1 and "degree <= 0" in out
+
+
+@pytest.mark.parametrize("command, flag, value, fixture", [
+    ("cascade", "--steps", "６４", "ode-const-factorable.ini"),
+    ("check", "--seed", "３", "ode-const-factorable.ini"),
+    ("check", "--samples", "８", "ode-const-factorable.ini"),
+    ("check", "--tol", "１e-9", "ode-const-factorable.ini"),
+    ("factor", "--seed", "٣", "ode-riccati-poly.ini"),
+    ("factor", "--ansatz-degree", "３", "ode-riccati-poly.ini"),
+    ("conditions", "--m", "２", "system-diag.ini"),
+    ("cascade", "--steps", "many", "ode-const-factorable.ini"),
+    ("check", "--tol", "tiny", "ode-const-factorable.ini"),
+])
+def test_number_flags_take_ascii_digits_only(capsys, command, flag, value, fixture):
+    # int() and float() read any Unicode decimal digit, so --steps ６４
+    # ran 64 steps; argparse's message for a value that is not a number stays
+    code, out, _ = run(capsys, command, "--json", flag, value, path(fixture))
+    assert code == 2
+    kind = "float" if flag == "--tol" else "int"
+    assert json.loads(out)["error"] == {
+        "type": "ValidationError",
+        "message": f"argument {flag}: invalid {kind} value: '{value}'"}

@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, no
 module imports a `_`-prefixed name from another opfactor module, and
-every `_`-prefixed top-level function or class is read in its module.
+every `_`-prefixed top-level function, class or constant is read in its
+module.
 
 `__init__.py` is exempt from the first rule: its imports are the public
 re-exports.
@@ -106,3 +107,35 @@ def test_detects_an_unread_private_helper():
                      "def public():\n    return _used(2)\n"
                      "TABLE = {'k': _Kept}\nclass _Kept:\n    pass\n")
     assert _unread_helpers(tree) == {"_dead", "_self_only", "_Unused"}
+
+
+def _unread_constants(tree) -> set:
+    """`_`-prefixed names a module-level assignment binds that no other
+    top-level statement reads; the assignment's own reads do not count."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            out |= {name for name in names
+                    if name.startswith("_") and not name.startswith("__")
+                    and not any(name in _used(other) for other in tree.body if other is not node)}
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unread_private_constants(path):
+    unread = _unread_constants(ast.parse(path.read_text(encoding="utf-8")))
+    assert not unread, f"{path.name}: private constants read nowhere {sorted(unread)}"
+
+
+def test_detects_an_unread_private_constant():
+    tree = ast.parse("_STALE = {(1, 1): (1, 2)}\n"
+                     "_A, _B = 1, 2\n"
+                     "_SELF: int = len([_SELF for _ in ()])\n"
+                     "_KEPT = 3\n"
+                     "__version__ = '1'\n"
+                     "PUBLIC = 4\n"
+                     "def f():\n    return _KEPT + _A\n"
+                     "class C:\n    _inside = 5\n")
+    assert _unread_constants(tree) == {"_STALE", "_B", "_SELF"}

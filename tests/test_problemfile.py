@@ -227,3 +227,19 @@ def test_structural_parse_error():
         parse_problem("[problem\nkind = linear-ode\n")
     with pytest.raises(ParseError):
         parse_problem("[problem]\njust some words\n")
+
+
+@pytest.mark.parametrize("section, line", [
+    ("solve", "steps = ６４"),
+    ("solve", "interval = -１,1"),
+    ("solve", "constant = ３"),
+    ("problem", "m = １"),
+    ("problem", "n = １"),
+])
+def test_plain_numbers_take_ascii_digits_only(section, line):
+    # int(), float() and Fraction() read any Unicode decimal digit, so
+    # steps = ６４ ran 64 steps
+    text = ('[problem]\nkind = linear-ode\n' + (line + "\n" if section == "problem" else "")
+            + '\n[operator]\ng[2,1] = "1"\n\n[solve]\n'
+            + (line + "\n" if section == "solve" else ""))
+    bad(text)
