@@ -28,7 +28,7 @@ from .errors import (CapacityExceeded, DomainError, QuadratureFailure,
 from .expr import (Const, DepVar, Div, Expr, Fun, IndepVar, Var, ZERO,
                    compile_float, evaluate, expr_to_poly, simplify)
 from .operator import (DiffOperator, MatrixOperator, apply_to_expr, as_matrix,
-                       expand_product, operator_from_jet)
+                       expand_product, matrix_expand_product, operator_from_jet)
 from .conditions import FactorizationCandidate
 
 MIN_STEPS = 16
@@ -81,12 +81,8 @@ class CascadeSolution:
 
     @property
     def pieces(self) -> tuple:
-        out = []
-        for slot in (self.u0, self.v1, self.u1):
-            if slot is None:
-                continue
-            out.extend(slot if isinstance(slot, tuple) else (slot,))
-        return tuple(out)
+        slots = [s for s in (self.u0, self.v1, self.u1) if s is not None]
+        return tuple(p for s in slots for p in (s if isinstance(s, tuple) else (s,)))
 
 
 @dataclass(frozen=True)
@@ -99,21 +95,13 @@ class ResidualReport:
 # ---------------------------------------------------------------------------
 # antiderivative table
 
-def _linear_arg(e: Expr):
-    """(a, b) with e = a x1 + b over the rationals, or None."""
+def _slope(e: Expr):
+    """a with e = a x1 + b over the rationals, or None."""
     p = expr_to_poly(e)
-    if p is None:
+    x1 = ((Var(IndepVar(1)), 1),)
+    if p is None or not p.keys() <= {(), x1}:
         return None
-    a = b = Fraction(0)
-    x = Var(IndepVar(1))
-    for mono, c in p.items():
-        if mono == ():
-            b = c
-        elif mono == ((x, 1),):
-            a = c
-        else:
-            return None
-    return a, b
+    return p.get(x1, Fraction(0))
 
 
 def antiderivative(e: Expr):
@@ -158,10 +146,10 @@ def antiderivative(e: Expr):
             continue
         if not isinstance(atom, Fun) or exp != 1:
             return None
-        arg = _linear_arg(atom.arg)
-        if arg is None or arg[0] == 0:
+        slope = _slope(atom.arg)
+        if slope is None or slope == 0:
             return None
-        a = Const(1 / arg[0])
+        a = Const(1 / slope)
         if atom.name == "exp":
             out = out + Const(c) * a * atom
         elif atom.name == "sin":
@@ -231,7 +219,10 @@ def _kernel_piece(Q: DiffOperator, grid, h, label: str) -> SolutionPiece:
     vals = _sample(ratio, grid)
     acc = _cumulative_simpson(vals, h)
     mid = acc[len(acc) // 2]
-    ys = tuple(math.exp(mid - a) for a in acc)
+    try:
+        ys = tuple(math.exp(mid - a) for a in acc)
+    except OverflowError as err:
+        raise QuadratureFailure(f"kernel {label} overflows a float on the grid") from err
     return SolutionPiece(label, None, Trajectory(grid, ys), "quadrature", 0.0)
 
 
@@ -279,7 +270,11 @@ def _second_solution(Q2, u0, v1, grid, h) -> SolutionPiece:
     u0v = _piece_values(u0, grid)
     v1v = _piece_values(v1, grid)
     b2v = _sample(b211, grid)
-    vals = [v / (b * u) for v, b, u in zip(v1v, b2v, u0v)]
+    try:
+        vals = [v / (b * u) for v, b, u in zip(v1v, b2v, u0v)]
+    except ZeroDivisionError as err:
+        raise QuadratureFailure("u1 integrand v1/(b211 u0) divides by zero: "
+                                "b211 u0 underflows to 0 on the grid") from err
     acc = _cumulative_simpson(vals, h)
     mid = acc[len(acc) // 2]
     ys = tuple(u * (a - mid) for u, a in zip(u0v, acc))
@@ -420,10 +415,10 @@ def cascade_system_numeric(cand: FactorizationCandidate, interval=None,
                            opts: CascadeOptions = CascadeOptions()) -> CascadeSolution:
     """Columnwise particular solutions for a linear system split.
 
-    Both kernels integrate from identity initial data at the left end
-    by fixed-step fourth order Runge-Kutta; u1 rides along with its
-    own v1 column so no interpolation is needed.  Residuals difference
-    the expanded product on the grid and are expected O(h^2).
+    u0, v1 and u1 of every identity column integrate together, in one
+    fixed-step fourth order Runge-Kutta pass from the left end, so u1
+    rides along with its own v1 and no interpolation is needed.
+    Residuals difference the expanded product on the grid, O(h^2).
     """
     N1, N2 = cand.factors
     if not isinstance(N1, MatrixOperator):
@@ -437,49 +432,41 @@ def cascade_system_numeric(cand: FactorizationCandidate, interval=None,
     steps = _normalize_steps(opts.steps)
     grid, h = uniform_grid(interval, steps)
     m = N1.m
-    a1 = _diag_leads(N1, grid, "N1")
-    a2 = _diag_leads(N2, grid, "N2")
-    b1 = _entry_table(N1)
-    b2 = _entry_table(N2)
+    stages = _rk4_abscissae(grid)
+    a1, a2 = _diag_leads(N1, stages, "N1"), _diag_leads(N2, stages, "N2")
+    b1, b2 = _entry_table(N1), _entry_table(N2)
 
-    def rhs_kernel(leads, b):
-        def f(x, y):
-            return tuple(
-                -sum(b[p][q](x) * y[q] for q in range(m)) / leads[p](x)
-                for p in range(m))
-        return f
-
-    f1 = rhs_kernel(a1, b1)
-    f2 = rhs_kernel(a2, b2)
-
-    def f_pair(x, y):
-        v, w = y[:m], y[m:]
-        dv = f1(x, v)
-        dw = tuple(
-            (v[p] - sum(b2[p][q](x) * w[q] for q in range(m))) / a2[p](x)
-            for p in range(m))
-        return dv + dw
+    def f(x, y):
+        # each lead and entry once per call, for every column's u0, v1 and u1
+        A1, A2 = [a(x) for a in a1], [a(x) for a in a2]
+        B1, B2 = [[b(x) for b in row] for row in b1], [[b(x) for b in row] for row in b2]
+        out = []
+        for c in range(0, len(y), 3 * m):
+            u0, v1, u1 = y[c:c + m], y[c + m:c + 2 * m], y[c + 2 * m:c + 3 * m]
+            out += [-sum([b * u for b, u in zip(row, u0)]) / a for row, a in zip(B2, A2)]
+            out += [-sum([b * v for b, v in zip(row, v1)]) / a for row, a in zip(B1, A1)]
+            out += [(v - sum([b * u for b, u in zip(row, u1)])) / a
+                    for v, row, a in zip(v1, B2, A2)]
+        return out
 
     M = _compiled_table(_expanded_system(N1, N2))
     T1 = _compiled_table(N1.entries)
-    u0c, v1c, u1c = [], [], []
+    # per column: u0 and v1 from the identity column, u1 from zero
+    ys = _rk4_vector(f, grid, [float(p == col and k < 2) for col in range(m)
+                               for k in range(3) for p in range(m)])
+    pieces = ([], [], [])
     for col in range(m):
-        e = tuple(1.0 if p == col else 0.0 for p in range(m))
-        zero = (0.0,) * m
-        u0 = _rk4_vector(f2, grid, e)
-        pair = _rk4_vector(f_pair, grid, e + zero)
-        v1 = [y[:m] for y in pair]
-        u1 = [y[m:] for y in pair]
-        u0c.append(_system_piece(f"u0[{col + 1}]", grid, u0, M))
-        v1c.append(_system_piece(f"v1[{col + 1}]", grid, v1, T1))
-        u1c.append(_system_piece(f"u1[{col + 1}]", grid, u1, M))
-    return CascadeSolution(tuple(u0c), tuple(v1c), tuple(u1c),
+        for k, (name, table) in enumerate((("u0", M), ("v1", T1), ("u1", M))):
+            c = (3 * col + k) * m
+            pieces[k].append(_system_piece(f"{name}[{col + 1}]", grid,
+                                           [y[c:c + m] for y in ys], table))
+    return CascadeSolution(*map(tuple, pieces),
                            (float(interval[0]), float(interval[1])), steps)
 
 
-def _diag_leads(N: MatrixOperator, grid, who: str) -> list:
+def _diag_leads(N: MatrixOperator, points, who: str) -> list:
     """Compiled diagonal leading coefficients of a first order factor,
-    checked nonzero on the grid; a scalar factor is its 1x1 system."""
+    checked nonzero at the points; a scalar factor is its 1x1 system."""
     leads = []
     for p in range(1, N.m + 1):
         lead = N.entries[p - 1][p - 1].coeff(1, 1)
@@ -488,7 +475,7 @@ def _diag_leads(N: MatrixOperator, grid, who: str) -> list:
                 f"diagonal entry ({p},{p}) of {who} has no derivative slot")
         f = compile_float(lead, _X)
         name = f"{who}[{p},{p}]" if N.m > 1 else who
-        for x in grid:
+        for x in points:
             if abs(f(x)) <= _TINY:
                 raise SingularLeadingCoefficient(
                     f"leading coefficient of {name} vanishes near x1 = {x:.6g}")
@@ -497,28 +484,33 @@ def _diag_leads(N: MatrixOperator, grid, who: str) -> list:
 
 
 def _entry_table(N: MatrixOperator) -> list:
-    return [[compile_float(N.entries[p][q].coeff(0, 1), _X) for q in range(N.m)]
-            for p in range(N.m)]
+    return [[compile_float(e.coeff(0, 1), _X) for e in row] for row in N.entries]
 
 
-def _rk4_vector(f, xs, y0: tuple) -> list:
-    ys = [tuple(y0)]
+def _rk4_vector(f, xs, y0) -> list:
+    ys = [list(y0)]
     for i in range(len(xs) - 1):
         x, y = xs[i], ys[-1]
         h = xs[i + 1] - x
         half = h / 2
         k1 = f(x, y)
-        k2 = f(x + half, tuple([a + half * b for a, b in zip(y, k1)]))
-        k3 = f(x + half, tuple([a + half * b for a, b in zip(y, k2)]))
-        k4 = f(x + h, tuple([a + h * b for a, b in zip(y, k3)]))
-        ys.append(tuple([a + h * (p + 2 * q + 2 * r + s) / 6
-                         for a, p, q, r, s in zip(y, k1, k2, k3, k4)]))
+        k2 = f(x + half, [a + half * b for a, b in zip(y, k1)])
+        k3 = f(x + half, [a + half * b for a, b in zip(y, k2)])
+        k4 = f(x + h, [a + h * b for a, b in zip(y, k3)])
+        ys.append([a + h * (p + 2 * q + 2 * r + s) / 6
+                   for a, p, q, r, s in zip(y, k1, k2, k3, k4)])
     return ys
+
+
+def _rk4_abscissae(xs) -> list:
+    """xs, then the stage abscissae _rk4_vector evaluates between them,
+    computed as it computes them."""
+    hs = [b - a for a, b in zip(xs, xs[1:])]
+    return [*xs, *(x + h / 2 for x, h in zip(xs, hs)), *(x + h for x, h in zip(xs, hs))]
 
 
 def _expanded_system(N1: MatrixOperator, N2: MatrixOperator) -> list:
     """Cellwise coefficient operators of the product, for residuals."""
-    from .operator import matrix_expand_product
     cells = matrix_expand_product([N1, N2])
     return [[operator_from_jet(cells[p][q], component=q + 1)
              for q in range(N1.m)] for p in range(N1.m)]

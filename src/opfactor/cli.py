@@ -353,20 +353,22 @@ def _export_csv(base: str, sol: CascadeSolution) -> list:
         rows = _piece_rows(p, sol)
         m = len(rows[0]) - 1
         head = ",".join(["x"] + [f"u{j + 1}" for j in range(m)])
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(head + "\n")
-            for row in rows:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(head + "\n")
+                for row in rows:
+                    fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        except OSError as err:
+            raise ValidationError(f"cannot write {path}: {err}") from err
         paths.append(path)
     return paths
 
 
 def _piece_rows(piece, sol: CascadeSolution) -> list:
     if piece.trajectory is not None:
-        grid, values = piece.trajectory.grid, piece.trajectory.values
-        if values and isinstance(values[0], tuple):
-            return [(x, *v) for x, v in zip(grid, values)]
-        return [(x, v) for x, v in zip(grid, values)]
+        traj = piece.trajectory
+        return [(x, *(v if isinstance(v, tuple) else (v,)))
+                for x, v in zip(traj.grid, traj.values)]
     grid, _ = uniform_grid(sol.interval, sol.steps)
     f = compile_float(piece.form, (IndepVar(1),))
     return [(x, f(x)) for x in grid]

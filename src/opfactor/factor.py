@@ -32,10 +32,18 @@ MAX_ANSATZ_DEGREE = 32
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the search strategies."""
+    """Knobs for the search strategies.  An ansatz degree below 0 raises
+    ValidationError, one above MAX_ANSATZ_DEGREE CapacityExceeded."""
 
     ansatz_degree: int = 3
     seed: int = 0
+
+    def __post_init__(self):
+        deg = self.ansatz_degree
+        if deg < 0:
+            raise ValidationError(f"ansatz degree {deg} is negative")
+        if deg > MAX_ANSATZ_DEGREE:
+            raise CapacityExceeded(f"ansatz degree {deg} exceeds {MAX_ANSATZ_DEGREE}")
 
 
 # ---------------------------------------------------------------------------
@@ -128,14 +136,9 @@ def solve_riccati_ansatz(prob: RiccatiProblem,
     Substitutes an undetermined polynomial, collects powers of x1 and
     solves the resulting quadratic system exactly over the rationals,
     on polys in the unknowns c_d.  An empty list means the ansatz is
-    exhausted, not an error.  A negative degree raises ValidationError,
-    one above MAX_ANSATZ_DEGREE CapacityExceeded.
+    exhausted, not an error.  `SearchConfig` bounds the degree.
     """
     deg = config.ansatz_degree
-    if deg < 0:
-        raise ValidationError(f"ansatz degree {deg} is negative")
-    if deg > MAX_ANSATZ_DEGREE:
-        raise CapacityExceeded(f"ansatz degree {deg} exceeds {MAX_ANSATZ_DEGREE}")
     for c in (prob.y2, prob.y1, prob.y0):
         if not _polynomial_in_x(c):
             raise NonPolynomialCoefficients(

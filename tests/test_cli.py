@@ -563,3 +563,71 @@ def test_number_flags_take_ascii_digits_only(capsys, command, flag, value, fixtu
     assert json.loads(out)["error"] == {
         "type": "ValidationError",
         "message": f"argument {flag}: invalid {kind} value: '{value}'"}
+
+
+@pytest.mark.parametrize("degree, code, kind", [
+    (-1, 2, "ValidationError"), (MAX_ANSATZ_DEGREE + 1, 3, "CapacityExceeded"),
+    (999, 3, "CapacityExceeded")])
+@pytest.mark.parametrize("fixture", ["ode-const-factorable.ini", "pde2-wave.ini",
+                                     "ode-riccati-poly.ini"])
+def test_ansatz_degree_is_range_checked_on_every_factor_route(capsys, fixture, degree,
+                                                              code, kind):
+    # the constant and principal-symbol routes never read the degree, so
+    # -1 and 999 used to factor them with exit 0
+    got, out, _ = run(capsys, "factor", "--json", f"--ansatz-degree={degree}", path(fixture))
+    assert got == code
+    assert json.loads(out)["error"]["type"] == kind
+
+
+_CASCADE_FAILURES = {
+    # N1 = diag((x1 - 1/32) D, D): the lead vanishes at the first RK4
+    # midpoint on 16 steps of [0, 1], not at a grid point
+    "stage-lead.ini": ("[problem]\nkind = linear-ode-system\nm = 2\n\n"
+                       '[operator]\nf[1,1,2,1] = "x1 - 1/32"\nf[2,2,2,1] = "1"\n\n'
+                       '[N1]\na[1,1,1,1] = "x1 - 1/32"\na[2,2,1,1] = "1"\n\n'
+                       '[N2]\na[1,1,1,1] = "1"\na[2,2,1,1] = "1"\n\n'
+                       "[solve]\ninterval = 0,1\nsteps = 16\n",
+                       "SingularLeadingCoefficient",
+                       "leading coefficient of N1[1,1] vanishes near x1 = 0.03125"),
+    # u0 = exp(-int 2000/(x1 + 2)) by quadrature overflows a float
+    "kernel-overflow.ini": ("[problem]\nkind = linear-ode\n\n"
+                            '[operator]\ng[2,1] = "x1 + 2"\ng[1,1] = "2001"\n\n'
+                            '[Q1]\nb[1,1] = "1"\n\n'
+                            '[Q2]\nb[1,1] = "x1 + 2"\nb[0,1] = "2000"\n',
+                            "QuadratureFailure", "kernel u0 overflows a float on the grid"),
+    # the closed form u0 = exp(-1000 x1^2) underflows to 0.0 near the ends
+    "kernel-underflow.ini": ("[problem]\nkind = linear-ode\n\n"
+                             '[operator]\ng[2,1] = "1"\ng[1,1] = "2000*x1"\n'
+                             'g[0,1] = "2000"\n\n'
+                             '[Q1]\nb[1,1] = "1"\n\n'
+                             '[Q2]\nb[1,1] = "1"\nb[0,1] = "2000*x1"\n',
+                             "QuadratureFailure", "b211 u0 underflows to 0 on the grid"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CASCADE_FAILURES))
+def test_cascade_numeric_failures_are_contract_errors(tmp_path, capsys, name):
+    # each ended in a ZeroDivisionError or OverflowError traceback
+    text, kind, message = _CASCADE_FAILURES[name]
+    ini = tmp_path / name
+    ini.write_text(text, encoding="utf-8")
+    assert run(capsys, "check", str(ini))[0] == 0
+    code, out, _ = run(capsys, "cascade", "--json", str(ini))
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == kind and message in error["message"]
+    code, out, err = run(capsys, "cascade", str(ini))
+    assert (code, out) == (1, "") and err.startswith(f"error: {kind}: ")
+
+
+def test_cascade_csv_to_an_unwritable_path_is_a_validation_error(tmp_path, capsys):
+    # open() raised FileNotFoundError out of main
+    target = tmp_path / "missing" / "out.csv"
+    code, out, _ = run(capsys, "cascade", "--json", "--csv", str(target),
+                       path("ode-const-factorable.ini"))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ValidationError"
+    assert error["message"].startswith(f"cannot write {tmp_path / 'missing' / 'out-u0.csv'}: ")
+    code, out, err = run(capsys, "cascade", "--csv", str(target), path("ode-const-factorable.ini"))
+    assert (code, out) == (2, "") and err.startswith("error: ValidationError: cannot write ")
