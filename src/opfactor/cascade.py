@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import (CapacityExceeded, DomainError, QuadratureFailure,
                      ShapeMismatch, SingularLeadingCoefficient, StepCountTooSmall,
-                     UnsupportedTemplate)
+                     UnsupportedTemplate, ValidationError)
 from .expr import (Const, DepVar, Div, Expr, Fun, IndepVar, Var, ZERO,
                    compile_float, evaluate, expr_to_poly, simplify)
 from .operator import (DiffOperator, MatrixOperator, apply_to_expr, as_matrix,
@@ -45,6 +45,10 @@ class CascadeOptions:
     interval: tuple = (-1.0, 1.0)
     steps: int = 1024
     constant: Fraction = Fraction(1)
+
+    def __post_init__(self):
+        if self.steps <= 0:
+            raise ValidationError(f"step count {self.steps} is not positive")
 
 
 @dataclass(frozen=True)
@@ -184,9 +188,6 @@ def _normalize_steps(steps: int) -> int:
 def _cumulative_simpson(vals, h):
     """Running integral from the left end on a uniform grid."""
     out = [0.0] * len(vals)
-    if len(vals) == 2:
-        out[1] = h * (vals[0] + vals[1]) / 2
-        return out
     out[1] = h * (5 * vals[0] + 8 * vals[1] - vals[2]) / 12
     for i in range(2, len(vals)):
         out[i] = out[i - 2] + h * (vals[i - 2] + 4 * vals[i - 1] + vals[i]) / 3
@@ -387,11 +388,14 @@ def _fd_residuals(grid, vals, table, idxs) -> list:
     """Central-difference residuals of a compiled operator table on a
     trajectory whose vals[i] holds one float per component: |row p of
     the table applied to vals| / sup |vals| at each grid index of idxs,
-    in (index, row) order."""
+    in (index, row) order.  A non-finite value is a QuadratureFailure."""
     m = len(table)
     h = grid[1] - grid[0]
     h2, hh = 2 * h, h * h
-    sup = max(1.0, max(abs(c) for row in vals for c in row))
+    mags = [abs(c) for row in vals for c in row]
+    if not all(map(math.isfinite, mags)):
+        raise QuadratureFailure("trajectory leaves the float range (inf or nan)")
+    sup = max(1.0, max(mags))
     out = []
     for i in idxs:
         y, lo, hi = vals[i], vals[i - 1], vals[i + 1]

@@ -247,8 +247,8 @@ def _cmd_factor(args, problem: ProblemFile) -> int:
         cands = factor_ode(problem.operator, cfg)
         if not cands:
             _emit(args, {"candidates": [], "verdict": "NoSolutionInAnsatz"},
-                  f"NoSolutionInAnsatz: no polynomial Riccati solution of "
-                  f"degree <= {cfg.ansatz_degree}")
+                  f"NoSolutionInAnsatz: no polynomial Riccati solution with rational "
+                  f"coefficients of degree <= {cfg.ansatz_degree}")
             return 1
         lines = [f"{len(cands)} candidate(s):"]
         for c in cands:

@@ -951,11 +951,6 @@ def substitute(e: Expr, mapping: dict) -> Expr:
     return from_pair(pair_substitute(ratio(e), {Var(v): ratio(x) for v, x in mapping.items()}))
 
 
-def poly_substitute(p, values: dict):
-    """The poly p with each atom that `values` maps replaced by that poly."""
-    return pair_substitute((p, _ONE_POLY), {a: (v, _ONE_POLY) for a, v in values.items()})[0]
-
-
 def pair_substitute(pair, values: dict):
     """Uncancelled pair of num/den with each atom that `values` maps to a
     pair replaced by it, all at once.  A function atom whose argument

@@ -1,11 +1,12 @@
 """Factorization search strategies for second order scalar operators.
 
 Three routes: exact root splitting for constant coefficient operators
-over one variable, a polynomial ansatz for the Riccati equation that
-governs variable coefficient factorizations over one variable, and the
-principal symbol pipeline over two variables, which splits the second
-order slots through the discriminant and solves the two first order
-slots by elimination.  An exhausted ansatz search returns an empty
+over one variable, polynomial solutions of the Riccati equation that
+governs variable coefficient factorizations over one variable (read
+off its normal form from the top down), and the principal symbol
+pipeline over two variables, which splits the second order slots
+through the discriminant and solves the two first order slots by
+elimination.  An exhausted ansatz search returns an empty
 list; errors are reserved for structurally impossible inputs.
 """
 
@@ -19,14 +20,15 @@ from .errors import (CapacityExceeded, DomainError, NonPolynomialCoefficients,
 from .expr import (Const, Div, Expr, Fun, FuncSym, IndepVar, Power, Var, ZERO,
                    ONE, cancel, cancelled_tree, evaluate, expr_to_poly, expr_variables,
                    fraction_sqrt, from_pair, is_constant, pair_product, pair_sum, pair_total,
-                   pair_total_derivative, poly_sqrt, poly_substitute, ratio, render,
-                   simplify, sort_key, substitute)
+                   pair_total_derivative, poly_sqrt, ratio, render, simplify, sort_key,
+                   substitute)
 from .conditions import FactorizationCandidate, discriminant
 from .operator import DiffOperator, make_operator
 
 
-# largest Riccati ansatz degree (CapacityExceeded above); the search costs
-# 0.8-0.9 s per CLI call at 32, 6.3 s at 80 and 35 s at 160
+# largest Riccati ansatz degree (CapacityExceeded above), kept as input
+# contract: the normal-form solve hardly grows with it (`factor` on
+# ode-riccati-poly.ini, in-process on a 2-vCPU host: 2.2 ms at 3 and at 32)
 MAX_ANSATZ_DEGREE = 32
 
 
@@ -104,11 +106,10 @@ def _const_value(e: Expr) -> Fraction:
 
 @dataclass(frozen=True)
 class RiccatiProblem:
-    """D(Y) + y2 Y^2 + y1 Y + y0 = 0 in the right factor's zero order
+    """D(Y) - Y^2 + y1 Y + y0 = 0 in the right factor's zero order
     coefficient Y, for the split (X + g21 D)(Y + D)."""
 
     operator: DiffOperator
-    y2: Expr
     y1: Expr
     y0: Expr
 
@@ -123,7 +124,6 @@ def riccati_from_operator(P: DiffOperator) -> RiccatiProblem:
     g11, g01 = P.coeff(1, 1), P.coeff(0, 1)
     return RiccatiProblem(
         operator=P,
-        y2=Const(Fraction(-1)),
         y1=simplify(Div(g11, g21)),
         y0=simplify(Div(Const(Fraction(-1)) * g01, g21)),
     )
@@ -131,30 +131,50 @@ def riccati_from_operator(P: DiffOperator) -> RiccatiProblem:
 
 def solve_riccati_ansatz(prob: RiccatiProblem,
                          config: SearchConfig = SearchConfig()) -> list:
-    """All polynomial solutions Y of degree <= config.ansatz_degree.
+    """All polynomial solutions Y of degree <= config.ansatz_degree with
+    rational coefficients.  An empty list means the ansatz is exhausted,
+    not an error.  `SearchConfig` bounds the degree.
 
-    Substitutes an undetermined polynomial, collects powers of x1 and
-    solves the resulting quadratic system exactly over the rationals,
-    on polys in the unknowns c_d.  An empty list means the ansatz is
-    exhausted, not an error.  `SearchConfig` bounds the degree.
+    Y = y1/2 + w turns the equation into its normal form w^2 - w' = q,
+    with q = y0 + y1'/2 + y1^2/4.  A polynomial w of degree k has w^2
+    of degree 2k and w' of degree k - 1, so q has degree 2k and w_k is
+    a square root of q's leading coefficient.  Each lower coefficient
+    w_j is then fixed by q's coefficient of x1^(k+j), which is 2 w_k w_j
+    plus products of higher ones.  When y1/2 has terms above the ansatz
+    degree, w's terms there are their negatives, so w starts from them.
+    Each start is kept when it solves the normal form exactly.
     """
-    deg = config.ansatz_degree
-    for c in (prob.y2, prob.y1, prob.y0):
+    for c in (prob.y1, prob.y0):
         if not _polynomial_in_x(c):
             raise NonPolynomialCoefficients(
                 f"Riccati coefficient {render(c)} is not polynomial in x1")
-    cvars = [Var(FuncSym("c", (d,))) for d in range(deg + 1)]
-    Y = ratio(simplify(sum((c * Power(Var(IndepVar(1)), d) for d, c in enumerate(cvars)), ZERO)))
-    resid = cancel(pair_total([pair_total_derivative(Y, 1, 1),
-                               pair_product(ratio(prob.y2), pair_product(Y, Y)),
-                               pair_product(ratio(prob.y1), Y), ratio(prob.y0)]))[0]
-    by_deg = _c_degree(resid, Var(IndepVar(1)))
-    solutions = []
-    _solve_branch([by_deg[d] for d in sorted(by_deg, reverse=True)], {}, cvars[::-1], solutions)
-    out = {}  # distinct solutions, in the order found
-    for sol in solutions:
-        if not poly_substitute(resid, sol):
-            out.setdefault(from_pair((poly_substitute(Y[0], sol), Y[1])))
+    d = config.ansatz_degree
+    half = pair_product(_HALF, ratio(prob.y1))
+    q = cancel(pair_total([ratio(prob.y0), pair_total_derivative(half, 1, 1),
+                           pair_product(half, half)]))
+    qs = _by_degree(q[0])
+    k, odd = divmod(max(qs, default=0), 2)
+    top = fraction_sqrt(qs.get(2 * k, Fraction(0)))
+    above = {m: -c for m, c in half[0].items() if sum(e for _, e in m) > d}
+    if above:
+        starts = [(above, half[1])]
+    elif odd or top is None or k > d:
+        return []
+    else:
+        starts = [ratio(Const(lead) * Power(_X1, k)) for lead in {top, -top}]
+    out = set()
+    for w in starts:
+        ws = _by_degree(w[0])
+        kw = max(ws, default=0)
+        rest = _minus(q, pair_product(w, w))  # q - w^2, updated with each term t of w
+        for j in range(min(kw, d + 1) - 1, -1, -1):
+            c = _by_degree(rest[0]).get(kw + j)
+            if c:
+                t = ratio(Const(c / (2 * ws[kw])) * Power(_X1, j))
+                rest = _minus(rest, pair_product(t, pair_total([w, w, t])))
+                w = pair_sum(w, t)
+        if not cancel(pair_sum(rest, pair_total_derivative(w, 1, 1)))[0]:
+            out.add(from_pair(pair_sum(half, w)))
     return sorted(out, key=sort_key)
 
 
@@ -166,88 +186,9 @@ def _polynomial_in_x(e: Expr) -> bool:
                for mono in p for a, _ in mono)
 
 
-def _c_degree(p, c) -> dict:
-    """Coefficient polys by degree of the poly p in the atom c."""
-    by_deg = {}
-    for mono, coeff in p.items():
-        d = 0
-        rest = []
-        for a, exp in mono:
-            if a == c:
-                d = exp
-            else:
-                rest.append((a, exp))
-        by_deg.setdefault(d, {})[tuple(rest)] = coeff
-    return by_deg
-
-
-def _constant(p):
-    """The value of a constant poly, or None."""
-    return p.get((), Fraction(0)) if set(p) <= {()} else None
-
-
-def _solve_branch(equations, assignment, cvars, solutions):
-    """Each level assigns one unknown, so the depth is at most len(cvars)."""
-    eqs = []
-    for eq in equations:
-        r = poly_substitute(eq, assignment) if assignment else eq
-        if not r:
-            continue
-        if _constant(r) is not None:
-            return  # contradiction
-        eqs.append(r)
-    if not eqs:
-        solutions.append(_resolve(assignment, cvars))
-        return
-    # prefer an equation in a single unknown
-    for eq in eqs:
-        cs = {a for mono in eq for a, _ in mono}
-        if len(cs) == 1:
-            c, = cs
-            for val in _univariate_roots(eq, c):
-                _solve_branch(eqs, {**assignment, c: {(): val} if val else {}},
-                              cvars, solutions)
-            return
-    # otherwise eliminate a variable that appears linearly with a
-    # constant leading coefficient
-    for c in cvars:
-        if c in assignment:
-            continue
-        for eq in eqs:
-            by_deg = _c_degree(eq, c)
-            lead = _constant(by_deg.get(1, {}))
-            if 2 not in by_deg and lead:
-                val = {m: -v / lead for m, v in by_deg.get(0, {}).items()}
-                _solve_branch(eqs, {**assignment, c: val}, cvars, solutions)
-                return
-    return  # stuck: abandon this branch
-
-
-def _univariate_roots(eq, c) -> list:
-    """Rational roots of a poly of degree at most 2 in its one atom c;
-    only exact rational roots participate in the search."""
-    by_deg = _c_degree(eq, c)
-    a2, a1, a0 = (_constant(by_deg.get(d, {})) for d in (2, 1, 0))
-    if a2 == 0:
-        return [-a0 / a1] if a1 else []
-    root = fraction_sqrt(a1 * a1 - 4 * a2 * a0)  # None below zero too
-    if root is None:
-        return []
-    return [(-a1 + r) / (2 * a2) for r in dict.fromkeys((root, -root))]
-
-
-def _resolve(assignment, cvars) -> dict:
-    full = {c: assignment.get(c, {}) for c in cvars}
-    for _ in range(len(cvars) + 1):
-        changed = False
-        for c, v in full.items():
-            nv = poly_substitute(v, full)
-            if nv != v:
-                full[c] = nv
-                changed = True
-        if not changed:
-            break
-    return full
+def _by_degree(p) -> dict:
+    """{degree: coefficient} of a poly in x1 alone."""
+    return {sum(e for _, e in mono): c for mono, c in p.items()}
 
 
 def riccati_candidate(prob: RiccatiProblem, y: Expr) -> FactorizationCandidate:
@@ -449,8 +390,9 @@ def factor_pde_second_order(P: DiffOperator,
     return PdeFactorResult(delta, sq, tuple(branches), None, pivot == 2)
 
 
-# constant pairs of the principal symbol route
+# constant pairs, and x1
 _MINUS, _HALF, _TWO = (ratio(Const(Fraction(c))) for c in (-1, Fraction(1, 2), 2))
+_X1 = Var(IndepVar(1))
 
 
 def _minus(a, b):

@@ -279,12 +279,9 @@ def _parse_solve(items: dict) -> CascadeOptions:
             fields["interval"] = parse_interval(value, f"interval on line {line}")
         elif key == "steps":
             try:
-                steps = ascii_number(int)(value)
+                fields["steps"] = ascii_number(int)(value)
             except ValueError:
                 raise ValidationError(f"steps on line {line} must be an integer")
-            if steps <= 0:
-                raise ValidationError(f"steps on line {line} must be positive")
-            fields["steps"] = steps
         elif key == "constant":
             try:
                 fields["constant"] = ascii_number(Fraction)(value)

@@ -631,3 +631,61 @@ def test_cascade_csv_to_an_unwritable_path_is_a_validation_error(tmp_path, capsy
     assert error["message"].startswith(f"cannot write {tmp_path / 'missing' / 'out-u0.csv'}: ")
     code, out, err = run(capsys, "cascade", "--csv", str(target), path("ode-const-factorable.ini"))
     assert (code, out) == (2, "") and err.startswith("error: ValidationError: cannot write ")
+
+
+# N1 = diag(D, D), N2 = diag(D - 1000, D) on [0, 1]: u0[1] = exp(1000 x1)
+# overflows to inf and then nan on the grid
+_OVERFLOWING_SYSTEM = """[problem]
+kind = linear-ode-system
+m = 2
+
+[operator]
+f[1,1,2,1] = "1"
+f[1,1,1,1] = "-1000"
+f[2,2,2,1] = "1"
+
+[N1]
+a[1,1,1,1] = "1"
+a[2,2,1,1] = "1"
+
+[N2]
+a[1,1,1,1] = "1"
+a[1,1,0,1] = "-1000"
+a[2,2,1,1] = "1"
+
+[solve]
+interval = 0,1
+steps = 1024
+"""
+
+
+def test_cascade_trajectory_that_leaves_the_float_range_is_a_quadrature_failure(
+        tmp_path, capsys):
+    # it exited 0 with "max residual 0.000e+00" for u0[1]
+    ini = tmp_path / "overflow.ini"
+    ini.write_text(_OVERFLOWING_SYSTEM, encoding="utf-8")
+    assert run(capsys, "check", str(ini))[0] == 0
+    code, out, _ = run(capsys, "cascade", "--json", str(ini))
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "QuadratureFailure", "message": "trajectory leaves the float range (inf or nan)"}
+    code, out, err = run(capsys, "cascade", str(ini))
+    assert (code, out) == (1, "") and err.startswith("error: QuadratureFailure: ")
+
+
+@pytest.mark.parametrize("steps, code, kind", [
+    ("0", 2, "ValidationError"), ("-5", 2, "ValidationError"),
+    ("1", 1, "StepCountTooSmall"), ("15", 1, "StepCountTooSmall"),
+])
+def test_step_counts_below_the_floor_exit_alike_from_flag_and_file(
+        tmp_path, capsys, steps, code, kind):
+    # --steps 0 and --steps -5 exited 1 (StepCountTooSmall), steps = 0 in [solve] 2
+    ini = tmp_path / "steps.ini"
+    ini.write_text(_OVERFLOWING_SYSTEM.replace("steps = 1024", f"steps = {steps}"),
+                   encoding="utf-8")
+    for argv in (("--steps", steps, path("ode-const-factorable.ini")), (str(ini),)):
+        got, out, _ = run(capsys, "cascade", "--json", *argv)
+        error = json.loads(out)["error"]
+        assert (got, error["type"]) == (code, kind)
+        if code == 2:
+            assert error["message"] == f"step count {steps} is not positive"

@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, no
-module imports a `_`-prefixed name from another opfactor module, and
-every `_`-prefixed top-level function, class or constant is read in its
-module.
+module imports a `_`-prefixed name from another opfactor module, every
+`_`-prefixed top-level function, class or constant is read in its
+module, and every public top-level function is exported by `__init__.py`
+or read somewhere in the package.
 
 `__init__.py` is exempt from the first rule: its imports are the public
 re-exports.
@@ -139,3 +140,42 @@ def test_detects_an_unread_private_constant():
                      "def f():\n    return _KEPT + _A\n"
                      "class C:\n    _inside = 5\n")
     assert _unread_constants(tree) == {"_STALE", "_B", "_SELF"}
+
+
+def _unread_public_functions(trees: dict) -> set:
+    """(module, name) of public top-level functions that `__init__.py`
+    does not export and that no statement of the package reads but
+    their own definition."""
+    exported = set(_imported(trees["__init__.py"]))
+    out = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not node.name.startswith("_") and node.name not in exported
+                    and not any(node.name in _used(other)
+                                for t in trees.values() for other in t.body
+                                if other is not node)):
+                out.add((module, node.name))
+    return out
+
+
+def test_no_unread_public_functions():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    unread = _unread_public_functions(trees)
+    assert not unread, f"public functions neither exported nor read {sorted(unread)}"
+
+
+def test_detects_an_unread_public_function():
+    trees = {"__init__.py": ast.parse("from .a import exported\n"),
+             "a.py": ast.parse("def exported():\n    return helper()\n"
+                               "def helper():\n    return 1\n"
+                               "def dead(p):\n    return dead(p)\n"
+                               "def _private():\n    return 2\n"
+                               "class Public:\n    def method(self):\n        return 3\n"),
+             "b.py": ast.parse("from .a import dead\n"
+                               "def view(p):\n    return p\n"
+                               "def reader():\n    return view\n"
+                               "TABLE = [reader]\n"
+                               "def orphan():\n    return 4\n")}
+    assert _unread_public_functions(trees) == {("a.py", "dead"), ("b.py", "orphan")}
