@@ -25,8 +25,8 @@ from fractions import Fraction
 from .errors import (CapacityExceeded, DomainError, QuadratureFailure,
                      ShapeMismatch, SingularLeadingCoefficient, StepCountTooSmall,
                      UnsupportedTemplate, ValidationError)
-from .expr import (Const, DepVar, Div, Expr, Fun, IndepVar, Var, ZERO,
-                   compile_float, evaluate, expr_to_poly, simplify)
+from .expr import (Const, DepVar, Expr, Fun, IndepVar, Var, ZERO,
+                   compile_float, evaluate, expr_to_poly, ratio, simplify)
 from .operator import (DiffOperator, MatrixOperator, apply_to_expr, as_matrix,
                        expand_product, matrix_expand_product, operator_from_jet)
 from .conditions import FactorizationCandidate
@@ -114,40 +114,23 @@ def antiderivative(e: Expr):
     Table: polynomials, c/x1, exp(a x1 + b), sin and cos of a linear
     argument, and sums of those.
     """
-    e = simplify(e)
-    if e == ZERO:
-        return ZERO
+    num, den = ratio(simplify(e))
     x = Var(IndepVar(1))
-    if isinstance(e, Div):
-        den = expr_to_poly(e.den)
-        num = expr_to_poly(e.num)
-        if den is None or num is None or den.keys() != {((x, 1),)}:
-            return None
-        c = den[((x, 1),)]
-        out = ZERO
-        for mono, cn in num.items():
-            if mono == ():
-                out = out + Const(cn / c) * Fun("log", x)
-            elif len(mono) == 1 and mono[0][0] == x:
-                d = mono[0][1]
-                out = out + Const(cn / (c * d)) * x ** d
-            else:
-                return None
-        return simplify(out)
-    p = expr_to_poly(e)
-    if p is None:
+    if len(den) != 1 or next(iter(den)) not in ((), ((x, 1),)):
         return None
+    (over, dc), = den.items()
     out = ZERO
-    for mono, c in p.items():
-        if mono == ():
-            out = out + Const(c) * x
+    for mono, c in num.items():
+        c = c / dc
+        if not mono or (len(mono) == 1 and mono[0][0] == x):
+            # x1^k, with k = -1 over the denominator x1 integrating to log
+            k = (mono[0][1] if mono else 0) - len(over)
+            out = out + (Const(c) * Fun("log", x) if k == -1 else
+                         Const(c / (k + 1)) * x ** (k + 1))
             continue
-        if len(mono) != 1:
+        if over or len(mono) != 1:
             return None
         atom, exp = mono[0]
-        if atom == x:
-            out = out + Const(c / (exp + 1)) * x ** (exp + 1)
-            continue
         if not isinstance(atom, Fun) or exp != 1:
             return None
         slope = _slope(atom.arg)
@@ -212,12 +195,12 @@ def _sample(e: Expr, grid) -> list:
 
 def _kernel_piece(Q: DiffOperator, grid, h, label: str) -> SolutionPiece:
     """Solution of Q y = 0 for a linear first order factor."""
-    ratio = simplify(Div(Q.coeff(0, 1), Q.coeff(1, 1)))
-    prim = antiderivative(ratio)
+    rate = simplify(Q.coeff(0, 1) / Q.coeff(1, 1))
+    prim = antiderivative(rate)
     if prim is not None:
         form = simplify(Fun("exp", simplify(Const(Fraction(-1)) * prim)))
         return SolutionPiece(label, form, None, "closed-form", 0.0)
-    vals = _sample(ratio, grid)
+    vals = _sample(rate, grid)
     acc = _cumulative_simpson(vals, h)
     mid = acc[len(acc) // 2]
     try:
@@ -263,7 +246,7 @@ def _second_solution(Q2, u0, v1, grid, h) -> SolutionPiece:
     """u1 = u0 * W with W' = v1 / (b211 u0), so that Q2 u1 = v1."""
     b211 = Q2.coeff(1, 1)
     if u0.form is not None and v1.form is not None:
-        integrand = simplify(Div(v1.form, b211 * u0.form))
+        integrand = simplify(v1.form / (b211 * u0.form))
         prim = antiderivative(integrand)
         if prim is not None:
             return SolutionPiece("u1", simplify(u0.form * prim),
@@ -292,8 +275,7 @@ def _quasilinear_u0(Q2, grid, h, opts) -> SolutionPiece:
     shape = _separable_shape(b0, b1)
     if shape is not None:
         c, alpha = shape
-        form = simplify(Div(Const(alpha / c),
-                            Var(IndepVar(1)) + Const(opts.constant)))
+        form = simplify(Const(alpha / c) / (Var(IndepVar(1)) + Const(opts.constant)))
         return SolutionPiece("u0", form, None, "closed-form", 0.0)
     mid = len(grid) // 2
     b0f, b1f = compile_float(b0, _XU), compile_float(b1, _XU)

@@ -7,11 +7,12 @@ byte-identical for identical inputs and seed.
 
 Exit codes: 0 success or PASS, 1 FAIL or domain errors such as
 NoRealFactorization, 2 parse and validation errors, 3 capacity
-limits.
+limits, and BROKEN_PIPE_EXIT when the reader of stdout has gone.
 """
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -29,6 +30,8 @@ from .problemfile import ProblemFile, ascii_number, parse_interval, parse_proble
 
 
 COMMANDS = ("expand", "conditions", "check", "factor", "cascade")
+# exit when stdout's reader has gone: a shell's code for death by SIGPIPE
+BROKEN_PIPE_EXIT = 141
 
 
 class _JsonParser(argparse.ArgumentParser):
@@ -40,6 +43,17 @@ class _JsonParser(argparse.ArgumentParser):
 
 
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout to devnull, as Python's `signal` docs advise: no final flush error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE_EXIT
+    return code
+
+
+def _run(argv) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # --json, or an abbreviation of it that argparse accepts
     as_json = any(len(a) > 2 and "--json".startswith(a) for a in argv)

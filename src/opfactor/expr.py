@@ -1,20 +1,20 @@
 """Exact symbolic expressions over jet coordinates.
 
 An expression is an immutable tree of Const, Var, Sum, Product, Power,
-Div and Fun nodes with Fraction constants.  `simplify` rewrites any
-tree into a canonical form: a fully distributed sum of terms
-Const * product of atom powers, where an atom is a variable or an
-opaque function application.  Quotients are combined over a common
-denominator and surface as a single Div at the root; the zero test for
-a quotient is therefore the zero test of its numerator.  Polynomial
-normalization is exact.  A quotient's numerator and denominator are
-coprime over Z[atoms], each atom an indeterminate, whenever the
-heuristic gcd of Char, Geddes and Gonnet succeeds (`_poly_gcd`); every
-candidate gcd is verified by exact division first.  Past MAX_GCD_BITS
-per evaluation image or MAX_GCD_POINTS evaluation points, the pair
-keeps only the cancellation of common monomials, constant content and
-constant multiples.  The denominator is primitive with a positive
-leading term.
+Div and Fun nodes with Fraction constants; other modules build trees
+with the arithmetic operators and never name the four compound nodes.
+`simplify` rewrites any tree into a canonical form: a fully distributed
+sum of terms Const * product of atom powers, an atom being a variable
+or an opaque function application.  Quotients are combined over a
+common denominator and surface as a single Div at the root, so the zero
+test of a quotient is that of its numerator.  A quotient's numerator
+and denominator are coprime over Z[atoms], each atom an indeterminate,
+whenever the heuristic gcd of Char, Geddes and Gonnet succeeds in
+`cancel`, which verifies every candidate by exact division.  Past
+MAX_GCD_BITS per evaluation image or MAX_GCD_POINTS evaluation points,
+the pair keeps only the cancellation of common monomials, constant
+content and constant multiples.  The denominator is primitive with a
+positive leading term.
 
 A simplified tree carries the polynomial pair it was built from, so a
 canonical subtree inside a larger expression is not expanded again, and
@@ -515,8 +515,17 @@ def poly_content(p):
 
 
 def cancel(pair):
-    """The canonical pair of num/den: coprime whenever `_poly_gcd`
-    succeeds, the denominator primitive with a positive leading term."""
+    """The canonical pair of num/den: coprime whenever the gcd is found,
+    the denominator primitive with a positive leading term.
+
+    Each side is read once into an integer poly over exponent vectors,
+    where the common monomial, a constant multiple, the gcd and the
+    content are found; the pair is built back once, or handed back when
+    nothing changed.  Atom relations (sqrt(2)^2 = 2, exp(a) exp(b) =
+    exp(a + b)) are not used: a canonical monomial holds an exp atom or
+    a constant surd at most once and degrees add under products, so
+    neither the gcd nor a cofactor holds them.
+    """
     num, den = pair
     if not den:
         raise DomainError("division by a zero expression")
@@ -524,30 +533,42 @@ def cancel(pair):
         return {}, _ONE_POLY
     if den == _ONE_POLY:
         return num, den
-    # common monomial factor across every term of both polys
-    common = None
-    for p in (num, den):
-        for m, _ in p.items():
-            d = dict(m)
-            if common is None:
-                common = d
-            else:
-                common = {a: min(e, d[a]) for a, e in common.items() if a in d}
-            if not common:
-                break
-    if common:
-        shift = lambda m: tuple((a, e - common.get(a, 0)) for a, e in m
-                                if e > common.get(a, 0))
-        num = {shift(m): c for m, c in num.items()}
-        den = {shift(m): c for m, c in den.items()}
-    if len(num) > 1 and len(den) > 1:
+    atoms = sorted({a for p in pair for m in p for a, _ in m}, key=sort_key)
+    slot = {a: i for i, a in enumerate(atoms)}
+    forms = []
+    for p in pair:
+        d, out = math.lcm(*(c.denominator for c in p.values())), {}
+        for m, c in p.items():
+            v = [0] * len(atoms)
+            for a, e in m:
+                v[slot[a]] = e
+            out[tuple(v)] = c.numerator * (d // c.denominator)
+        forms.append((out, d))
+    (f, df), (g, dg) = forms
+    # the common monomial is the column minimum; columns it empties go
+    low = [min(col) for col in zip(*f, *g)]
+    changed = any(low)
+    if changed:  # every atom occurs, so only the shift can empty a column
+        keep = [i for i, col in enumerate(zip(*f, *g)) if max(col) > low[i]]
+        atoms = [atoms[i] for i in keep]
+        f, g = ({tuple(v[i] - low[i] for i in keep): c for v, c in r.items()} for r in (f, g))
+    if len(f) > 1 and len(g) > 1:
         # a constant multiple of the denominator
-        if num.keys() == den.keys():
-            mono = next(iter(den))
-            c = num[mono] / den[mono]
-            if all(num[m] == c * v for m, v in den.items()):
-                return {(): c}, _ONE_POLY
-        num, den = _poly_gcd(num, den) or (num, den)
+        k = next(iter(g))
+        if f.keys() == g.keys() and all(f[v] * g[k] == c * f[k] for v, c in g.items()):
+            return {(): Fraction(f[k] * dg, g[k] * df)}, _ONE_POLY
+        found = _heu_gcd(f, g, [MAX_GCD_POINTS])
+        if found is not None and (len(found[0]) > 1 or any(next(iter(found[0])))):
+            _, f, g = found
+            changed = True
+    # divide by the content, signed as the leading term `_mono_key` picks
+    lead = max(g, key=lambda v: (sum(v), [(i, e) for i, e in enumerate(v) if e]))
+    unit = math.gcd(*g.values()) * (-1 if g[lead] < 0 else 1)
+    if changed or unit != 1 or dg != 1:
+        monomial = lambda v: tuple((atoms[i], e) for i, e in enumerate(v) if e)
+        num = {monomial(v): Fraction(c * dg, df * unit) for v, c in f.items()}
+        den = (_ONE_POLY if len(g) == 1 and not any(lead) else
+               {monomial(v): Fraction(c // unit) for v, c in g.items()})
     # pull exp factors out of a single-term denominator
     if len(den) == 1:
         (mono, c), = den.items()
@@ -559,65 +580,21 @@ def cancel(pair):
                 if neg != ONE:
                     inv = _poly_mul(inv, {((neg, 1),): Fraction(1)})
             num = _poly_mul(num, inv)
-            mono = tuple((a, e) for a, e in mono
-                         if not (isinstance(a, Fun) and a.name == "exp"))
-            den = {mono: c}
-    if len(den) == 1 and () in den:
-        num = _poly_scale(num, 1 / den[()])
-        return num, _ONE_POLY
-    content = poly_content(den)
-    if content != 1:
-        num = _poly_scale(num, 1 / content)
-        den = _poly_scale(den, 1 / content)
+            mono = tuple(t for t in mono if t not in exps)
+            den = {mono: c} if mono else _ONE_POLY
     return num, den
 
 
 # ---------------------------------------------------------------------------
-# polynomial gcd
-#
-# `_poly_gcd` works on integer polys over exponent vectors: dicts
-# {(e_1, ..., e_k): int} with one position per atom, the atoms in
-# `sort_key` order, so that the vectors order terms lexicographically.
+# polynomial gcd, on the integer polys of `cancel`: dicts {(e_1, ..., e_k):
+# int} with one position per atom, the atoms in `sort_key` order, so that
+# the vectors order terms lexicographically
 
-# bits an evaluation image may take before `_poly_gcd` gives up and the
-# pair stays uncancelled; factor-search images reach about 580 bits
+# bits an evaluation image may take before the gcd gives up and the pair
+# stays uncancelled; factor-search images reach about 580 bits
 MAX_GCD_BITS = 1 << 14
 # evaluation points one gcd may try, over all its variables
 MAX_GCD_POINTS = 64
-
-
-def _poly_gcd(p, q):
-    """Cofactors (p / g, q / g) of g = gcd(p, q) over Z[atoms], each atom
-    an indeterminate; None when g is a constant or was not found.
-
-    Relations between atoms (sqrt(2)^2 = 2, exp(a) exp(b) = exp(a + b))
-    are not used.  They never meet in a cofactor: a canonical monomial
-    holds an exp atom or a constant surd at most once, and degrees in a
-    set of indeterminates add under products, so g or its cofactor
-    holds none of them.  The pair p/q therefore multiplies out unchanged.
-    """
-    atoms = sorted({a for r in (p, q) for m in r for a, _ in m}, key=sort_key)
-    slot = {a: i for i, a in enumerate(atoms)}
-
-    def dense(r):
-        d = math.lcm(*(c.denominator for c in r.values()))
-        out = {}
-        for m, c in r.items():
-            v = [0] * len(atoms)
-            for a, e in m:
-                v[slot[a]] = e
-            out[tuple(v)] = c.numerator * (d // c.denominator)
-        return out, d
-
-    def sparse(r, d):
-        return {tuple((atoms[i], e) for i, e in enumerate(v) if e): Fraction(c, d)
-                for v, c in r.items()}
-
-    (f, df), (g, dg) = dense(p), dense(q)
-    found = _heu_gcd(f, g, [MAX_GCD_POINTS])
-    if found is None or (len(found[0]) == 1 and not any(next(iter(found[0])))):
-        return None
-    return sparse(found[1], df), sparse(found[2], dg)
 
 
 def _heu_gcd(f, g, budget):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import (CapacityExceeded, DomainError, NonPolynomialCoefficients,
                      NonPolynomialSqrtDelta, NoRealFactorization, NotConstant, UnsupportedTemplate,
                      ValidationError)
-from .expr import (Const, Div, Expr, Fun, FuncSym, IndepVar, Power, Var, ZERO,
+from .expr import (Const, Expr, Fun, FuncSym, IndepVar, Var, ZERO,
                    ONE, cancel, cancelled_tree, evaluate, expr_to_poly, expr_variables,
                    fraction_sqrt, from_pair, is_constant, pair_product, pair_sum, pair_total,
                    pair_total_derivative, poly_sqrt, ratio, render, simplify, sort_key,
@@ -124,8 +124,8 @@ def riccati_from_operator(P: DiffOperator) -> RiccatiProblem:
     g11, g01 = P.coeff(1, 1), P.coeff(0, 1)
     return RiccatiProblem(
         operator=P,
-        y1=simplify(Div(g11, g21)),
-        y0=simplify(Div(Const(Fraction(-1)) * g01, g21)),
+        y1=simplify(g11 / g21),
+        y0=simplify(Const(Fraction(-1)) * g01 / g21),
     )
 
 
@@ -161,7 +161,7 @@ def solve_riccati_ansatz(prob: RiccatiProblem,
     elif odd or top is None or k > d:
         return []
     else:
-        starts = [ratio(Const(lead) * Power(_X1, k)) for lead in {top, -top}]
+        starts = [ratio(Const(lead) * _X1 ** k) for lead in {top, -top}]
     out = set()
     for w in starts:
         ws = _by_degree(w[0])
@@ -170,7 +170,7 @@ def solve_riccati_ansatz(prob: RiccatiProblem,
         for j in range(min(kw, d + 1) - 1, -1, -1):
             c = _by_degree(rest[0]).get(kw + j)
             if c:
-                t = ratio(Const(c / (2 * ws[kw])) * Power(_X1, j))
+                t = ratio(Const(c / (2 * ws[kw])) * _X1 ** j)
                 rest = _minus(rest, pair_product(t, pair_total([w, w, t])))
                 w = pair_sum(w, t)
         if not cancel(pair_sum(rest, pair_total_derivative(w, 1, 1)))[0]:

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArityMismatch, NotQuasiLinear, OrderOverflow, ShapeMismatch
-from .expr import (Const, DepVar, Div, Expr, IndepVar, JetVar, Sum, Var, ZERO, ONE,
-                   cancel, expr_variables, from_pair, pair_product, pair_substitute,
+from .expr import (Const, DepVar, Expr, IndepVar, JetVar, Var, ZERO, ONE,
+                   cancel, expr_to_poly, expr_variables, from_pair, pair_product, pair_substitute,
                    pair_total, pair_total_derivative, ratio, render, simplify, split_jet)
 from .jet import DerivIndex, index_to_axes
 
@@ -358,7 +358,8 @@ def render_jet(jp: JetPolynomial) -> str:
             txt = f"-{mtxt}"
         else:
             ctxt = render(coeff)
-            if isinstance(coeff, (Sum, Div)):
+            p = expr_to_poly(coeff)
+            if p is None or len(p) > 1:
                 ctxt = f"({ctxt})"
             txt = ctxt if mtxt == "1" else f"{ctxt}*{mtxt}"
         if parts:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError
-from .expr import Const, DepVar, Div, Expr, Fun, FUN_NAMES, IndepVar, Power, Var, simplify
+from .expr import Const, DepVar, Expr, Fun, FUN_NAMES, IndepVar, Var, simplify
 
 # deepest nesting of parentheses, function arguments, unary minus and
 # exponents; far deeper input exhausts the interpreter's recursion limit
@@ -125,7 +125,7 @@ class _Parser:
         while self.peek().kind == "op" and self.peek().text in "*/":
             op = self.advance().text
             rhs = self.unary()
-            e = e * rhs if op == "*" else Div(e, rhs)
+            e = e * rhs if op == "*" else e / rhs
         return e
 
     def unary(self) -> Expr:
@@ -143,7 +143,7 @@ class _Parser:
                 self.fail("exponent must simplify to an integer", caret)
             if abs(exp.value) > MAX_EXPONENT:
                 self.fail(f"exponent larger than {MAX_EXPONENT} in absolute value", start)
-            return Power(base, int(exp.value))
+            return base ** int(exp.value)
         return base
 
     def atom(self) -> Expr:

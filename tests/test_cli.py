@@ -1,6 +1,7 @@
 """Command line contract: subcommands, exit codes, JSON schema, CSV export."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import time
 import pytest
 
 from opfactor.cascade import MAX_STEPS
-from opfactor.cli import main
+from opfactor.cli import BROKEN_PIPE_EXIT, main
 from opfactor.conditions import MAX_SAMPLES
 from opfactor.expr import MAX_PRODUCT_PAIRS
 from opfactor.factor import MAX_ANSATZ_DEGREE
@@ -497,6 +498,22 @@ def test_entry_point_runs_as_module():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "conditions for linear-ode" in proc.stdout
+
+
+@pytest.mark.parametrize("args", [["cascade", "--json", "--steps=0"], ["expand"],
+                                  ["check", "--json"]])
+def test_a_closed_stdout_exits_with_the_broken_pipe_code(args):
+    # the reader's end is closed before the first write: the report and
+    # the error document alike meet a broken pipe, which is no traceback
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "opfactor.cli", *args,
+                               str(path("ode-const-factorable.ini"))],
+                              stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (BROKEN_PIPE_EXIT, b"")
 
 
 def test_fixture_corpus_check_verdicts(capsys):

@@ -1,11 +1,12 @@
 """Every name a package module imports is used in that module, no
 module imports a `_`-prefixed name from another opfactor module, every
 `_`-prefixed top-level function, class or constant is read in its
-module, and every public top-level function is exported by `__init__.py`
-or read somewhere in the package.
+module, every public top-level function is exported by `__init__.py`
+or read somewhere in the package, and no module but `expr.py` imports
+or names the tree node classes Sum, Product, Power and Div.
 
-`__init__.py` is exempt from the first rule: its imports are the public
-re-exports.
+`__init__.py` is exempt from the first and the last rule: its imports
+are the public re-exports.
 """
 
 import ast
@@ -179,3 +180,38 @@ def test_detects_an_unread_public_function():
                                "TABLE = [reader]\n"
                                "def orphan():\n    return 4\n")}
     assert _unread_public_functions(trees) == {("a.py", "dead"), ("b.py", "orphan")}
+
+
+TREE_NODES = {"Sum", "Product", "Power", "Div"}
+
+
+def _tree_names(tree) -> dict:
+    """{name: line} of the tree node classes a module imports or names,
+    as a name or as an attribute (`expr.Sum`)."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        for name in TREE_NODES.intersection(names):
+            out.setdefault(name, node.lineno)
+    return out
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "expr.py"],
+                         ids=lambda p: p.name)
+def test_tree_nodes_stay_in_expr(path):
+    named = _tree_names(ast.parse(path.read_text(encoding="utf-8")))
+    assert not named, f"{path.name}: names tree node classes {named}"
+
+
+def test_detects_a_tree_node_outside_expr():
+    tree = ast.parse("from .expr import Div as Quotient, ratio\nimport opfactor.expr as E\n"
+                     "x = E.Sum\ny = isinstance(z, Power)\nself.Product = 2\n"
+                     "Sums, e.terms, divisor = 1, 2, 3\n")
+    assert set(_tree_names(tree)) == TREE_NODES
