@@ -18,7 +18,7 @@ from dataclasses import replace
 
 from .cascade import (CascadeOptions, CascadeSolution, cascade_ode,
                       cascade_system_numeric, uniform_grid)
-from .conditions import (TEMPLATES, CheckOptions, condition_residuals,
+from .conditions import (TEMPLATES, CheckOptions, check_m, condition_residuals,
                          check_candidate, derive_conditions,
                          render_condition_system, template_traits)
 from .errors import (CapacityExceeded, EngineError, OrderOverflow, ParseError,
@@ -177,6 +177,8 @@ def _cmd_expand(args, problem: ProblemFile) -> int:
 
 def _cmd_conditions(args) -> int:
     if args.problem is not None:
+        if args.kind is not None or args.m is not None:
+            raise ValidationError("conditions takes a problem file or --kind [--m], not both")
         problem = _load(args.problem)
         kind, m = problem.kind, problem.m
     elif args.kind is not None:
@@ -186,6 +188,7 @@ def _cmd_conditions(args) -> int:
                 f"--kind must be one of {', '.join(TEMPLATES)}")
         system = template_traits(kind)[1]
         m = args.m if args.m is not None else (2 if system else 1)
+        check_m(kind, m)
     else:
         raise ValidationError("conditions needs a problem file or --kind")
     cs = derive_conditions(kind, m)

@@ -69,7 +69,7 @@ def _generic(template: str, m: int, factor: int = 0):
     template, with one symbol per slot: order 2 on the diagonal and 1
     off it for the operator, 1 and 0 for a factor."""
     linear, system, n = template_traits(template)
-    _check_m(system, m)
+    check_m(template, m)
     deps = _deps(linear, n, m)
     family = ("fa" if system else "gb")[factor > 0]
     head = (factor,) if factor else ()
@@ -95,11 +95,22 @@ def symbolic_factors(template: str, m: int = 1):
     return _generic(template, m, 1), _generic(template, m, 2)
 
 
-def _check_m(system: bool, m: int):
-    if system and m < 2:
-        raise UnsupportedTemplate("system templates need m >= 2")
-    if not system and m != 1:
-        raise UnsupportedTemplate("scalar templates have m = 1")
+# components a template may have (CapacityExceeded above): u1..u9, all
+# that the coefficient grammar can name
+MAX_COMPONENTS = 9
+
+
+def check_m(template: str, m: int):
+    """Refuse a component count above MAX_COMPONENTS (CapacityExceeded)
+    or outside the template's range, m >= 2 for a system and m = 1 for a
+    scalar template (ValidationError)."""
+    if m > MAX_COMPONENTS:
+        raise CapacityExceeded(f"m = {m} exceeds {MAX_COMPONENTS} components")
+    if template_traits(template)[1]:
+        if m < 2:
+            raise ValidationError(f"system kinds need m >= 2, got {m}")
+    elif m != 1:
+        raise ValidationError(f"scalar kinds fix m = 1, got {m}")
 
 
 @dataclass(frozen=True)
@@ -217,7 +228,7 @@ def derive_conditions(template: str, m: int = 1) -> ConditionSystem:
     """Condition system equating a generic operator of a template with
     the expansion of two generic first order factors."""
     linear, system, n = template_traits(template)
-    _check_m(system, m)
+    check_m(template, m)
     deps = _deps(linear, n, m)
     factors = [as_matrix(f) for f in symbolic_factors(template, m)]
     grid = matrix_expand_product(factors)

@@ -290,11 +290,12 @@ def sort_key(e: Expr):
 # ---------------------------------------------------------------------------
 # polynomial normal form
 #
-# A poly is a dict {monomial: Fraction}; a monomial is a sorted tuple of
-# (atom, exponent) pairs with atom a canonical Var or Fun expression and
-# exponent >= 1.  The empty monomial is the constant term.  Stored
-# coefficients are Fractions; `_poly_mul` multiplies integers over one
-# common denominator per operand.  Polys are shared: never change one.
+# A poly is a dict {monomial: Fraction}; a monomial is a tuple of (atom,
+# exponent) pairs in `sort_key` order of the atoms, with atom a canonical
+# Var or Fun expression and exponent >= 1.  The empty monomial is the
+# constant term.  Monomials multiply only in `_poly_mul`, whose `_normal`
+# keeps the rules atoms obey, so a monomial holds an exp atom or a
+# constant surd at most once.  Polys are shared: never change one.
 
 # term pairs one product may form (CapacityExceeded above); no test,
 # fixture, script or bench workload forms more than 8,464 (92 by 92)
@@ -305,33 +306,6 @@ _ONE_POLY = {(): Fraction(1)}
 
 def _mono_key(mono):
     return (sum(e for _, e in mono), tuple((sort_key(a), e) for a, e in mono))
-
-
-def _mono_mul(m1, m2):
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    acc = dict(m1)
-    for a, e in m2:
-        acc[a] = acc.get(a, 0) + e
-    return _norm_mono(acc)
-
-
-def _norm_mono(acc: dict):
-    """Sort a monomial and merge its exp factors into a single atom."""
-    exps = [(a, e) for a, e in acc.items() if isinstance(a, Fun) and a.name == "exp"]
-    if exps:
-        total = ZERO
-        for a, e in exps:
-            del acc[a]
-            total = total + Const(Fraction(e)) * a.arg
-        total = simplify(total)
-        if total != ZERO:
-            a = Fun("exp", total)
-            acc[a] = acc.get(a, 0) + 1
-    # sort_key tells distinct atoms apart, so it alone orders them
-    return tuple((a, acc[a]) for a in sorted(acc, key=sort_key) if acc[a])
 
 
 def _poly_add(p1, p2):
@@ -346,53 +320,73 @@ def _poly_add(p1, p2):
 
 
 def _rows(p, shift):
-    """Rows (exponent vector, monomial, integer c) and d, the lcm of p's
+    """Rows (exponent vector, integer c) and d, the lcm of p's
     denominators, with p the sum of c * monomial / d.  The vector is an
     int holding the exponent of atom a at bit shift[a]."""
     d = math.lcm(*(c.denominator for c in p.values()))
-    return [(sum(e << shift[a] for a, e in m), m, c.numerator * (d // c.denominator))
+    return [(sum(e << shift[a] for a, e in m), c.numerator * (d // c.denominator))
             for m, c in p.items()], d
 
 
 def _poly_mul(p1, p2):
-    """Product of two polys.  Integer products accumulate per exponent
-    vector; each vector becomes a monomial once, by `_mono_times` of the
-    first pair giving it."""
+    """Product of two polys, the only place where monomials multiply.
+
+    Integer products, over one common denominator per operand, add up
+    per exponent vector: an int with one field per atom, the fields in
+    `sort_key` order from the low bits up, so that a vector read back
+    field by field is a sorted monomial.  When an exp atom or a constant
+    surd takes part, each result goes through `_normal`."""
     if len(p1) * len(p2) > MAX_PRODUCT_PAIRS:
         raise CapacityExceeded(f"a product of {len(p1)} by {len(p2)} terms "
                                f"exceeds {MAX_PRODUCT_PAIRS} term pairs")
     if p1 is _ONE_POLY or p2 is _ONE_POLY:
         return p2 if p1 is _ONE_POLY else p1
-    atoms = dict.fromkeys(a for p in (p1, p2) for m in p for a, _ in m)
+    atoms = sorted({a for p in (p1, p2) for m in p for a, _ in m}, key=sort_key)
     # wide enough that a sum of two exponents never carries
     width = max((e for p in (p1, p2) for m in p for _, e in m), default=0).bit_length() + 1
     shift = {a: width * i for i, a in enumerate(atoms)}
     (r1, d1), (r2, d2) = _rows(p1, shift), _rows(p2, shift)
-    acc, first = {}, {}
-    for v1, m1, c1 in r1:
-        for v2, m2, c2 in r2:
+    acc = {}
+    for v1, c1 in r1:
+        for v2, c2 in r2:
             v = v1 + v2
             if v in acc:
                 acc[v] += c1 * c2
             else:
                 acc[v] = c1 * c2
-                first[v] = m1, m2
+    fields, mask, d = tuple(shift.items()), (1 << width) - 1, d1 * d2
+    if not any(isinstance(a, Fun) and (a.name == "exp" or _is_surd(a)) for a in atoms):
+        return {tuple((a, e) for a, s in fields if (e := v >> s & mask)): Fraction(c, d)
+                for v, c in acc.items() if c}
     out = {}
     for v, c in acc.items():
-        m, c = _mono_times(*first[v], c)
+        m, c = _normal(tuple((a, e) for a, s in fields if (e := v >> s & mask)), c)
         out[m] = out.get(m, 0) + c
-    d = d1 * d2
     return {m: Fraction(c, d) for m, c in out.items() if c}
 
 
-def _mono_times(m1, m2, c):
-    """(monomial, coefficient) of c * m1 * m2, squared surds moved into c."""
-    m = _mono_mul(m1, m2)
-    for a, e in m:
-        if e >= 2 and isinstance(a, Fun) and a.name == "sqrt" and isinstance(a.arg, Const):
+def _is_surd(a):
+    return isinstance(a, Fun) and a.name == "sqrt" and isinstance(a.arg, Const)
+
+
+def _normal(mono, c):
+    """(monomial, coefficient) of c * mono, sorted, under the rules atoms
+    obey: exp factors merge into exp(sum of k * argument), and a constant
+    surd's square moves into c, sqrt(q)^2 = q."""
+    exps = [(a, e) for a, e in mono if isinstance(a, Fun) and a.name == "exp"]
+    if len(exps) > 1 or exps and exps[0][1] > 1:
+        total = simplify(reduce(Expr.__add__, (Const(Fraction(e)) * a.arg for a, e in exps)))
+        mono = [t for t in mono if t not in exps]
+        if total != ZERO:
+            mono = sorted(mono + [(Fun("exp", total), 1)], key=lambda t: sort_key(t[0]))
+    out = []
+    for a, e in mono:
+        if e >= 2 and _is_surd(a):
             c *= a.arg.value ** (e // 2)
-            m = tuple((b, e % 2 if b is a else f) for b, f in m if b is not a or e % 2)
-    return m, c
+            e %= 2
+        if e:
+            out.append((a, e))
+    return tuple(out), c
 
 
 def _poly_pow(p, k):
@@ -413,8 +407,15 @@ def _poly_scale(p, c: Fraction):
     return {m: v * c for m, v in p.items()}
 
 
+# a constant surd sheds the square factor p^2 of each prime p below this
+# bound; a larger square factor stays under the root
+SURD_TRIAL_PRIMES = 1000
+
+
 def _fun_atom(name: str, arg: Expr):
-    """Canonicalize a function application; returns an Expr."""
+    """Canonicalize a function application; returns an Expr.  sqrt(q) of
+    a rational q > 0 that is not a square is r * sqrt(s), s an integer
+    rid of its square factors by trial division up to SURD_TRIAL_PRIMES."""
     arg = simplify(arg)
     if name == "exp" and arg == ZERO:
         return ONE
@@ -431,6 +432,12 @@ def _fun_atom(name: str, arg: Expr):
             root = fraction_sqrt(arg.value)
             if root is not None:
                 return Const(root)
+            q, r = arg.value.numerator * arg.value.denominator, Fraction(1, arg.value.denominator)
+            for p in range(2, min(SURD_TRIAL_PRIMES, math.isqrt(q) + 1)):
+                while q % (p * p) == 0:
+                    q, r = q // (p * p), r * p
+            if r != 1:
+                return Product((Const(r), Fun(name, Const(Fraction(q)))))
     return Fun(name, arg)
 
 
@@ -481,9 +488,9 @@ def ratio(e: Expr):
         return polys
     if isinstance(e, Fun):
         atom = _fun_atom(e.name, e.arg)
-        if isinstance(atom, Const):
-            return ({(): atom.value} if atom.value else {}), _ONE_POLY
-        return {((atom, 1),): Fraction(1)}, _ONE_POLY
+        if isinstance(atom, Fun):
+            return {((atom, 1),): Fraction(1)}, _ONE_POLY
+        return ratio(atom)  # a constant, or r * sqrt(s)
     if isinstance(e, Sum):
         return reduce(pair_sum, map(ratio, e.terms))
     if isinstance(e, Product):
@@ -521,10 +528,11 @@ def cancel(pair):
     Each side is read once into an integer poly over exponent vectors,
     where the common monomial, a constant multiple, the gcd and the
     content are found; the pair is built back once, or handed back when
-    nothing changed.  Atom relations (sqrt(2)^2 = 2, exp(a) exp(b) =
-    exp(a + b)) are not used: a canonical monomial holds an exp atom or
-    a constant surd at most once and degrees add under products, so
-    neither the gcd nor a cofactor holds them.
+    nothing changed.  The atom relations sqrt(2)^2 = 2 and exp(a) exp(b)
+    = exp(a + b) live in `_normal`, which only `_poly_mul` applies: a
+    canonical monomial holds an exp atom or a constant surd at most once
+    and degrees add under products, so neither the gcd nor a cofactor
+    needs them.
     """
     num, den = pair
     if not den:
@@ -885,27 +893,23 @@ def _poly_derivative(pair, leaf):
 
 
 def _terms_derivative(p, leaf):
-    """Pair of the derivative of the poly p: c * prod a^k gives
-    c * k * (monomial / a) * a' for each atom a.  Pieces over equal
+    """Pair of the derivative of the poly p: the sum over its atoms a of
+    the partial derivative dp/da times a'.  Pieces over equal
     denominators add in place, and those sums add as pairs in the order
     their denominators first appear."""
-    parts = {}  # atom: (numerator of its derivative, the numerator it adds to)
-    sums = {}  # denominator's items: (numerator, denominator)
+    partials = {}  # atom: dp/da; c * a^k * rest gives the term c * k * a^(k-1) * rest
     for mono, c in p.items():
         for i, (a, k) in enumerate(mono):
-            if a not in parts:
-                dn, dd = _atom_derivative(a, leaf)
-                parts[a] = dn, sums.setdefault(frozenset(dd.items()), ({}, dd))[0]
-            dn, acc = parts[a]
             rest = mono[:i] + (((a, k - 1),) if k > 1 else ()) + mono[i + 1:]
-            ck = c * k
-            for m2, c2 in dn.items():
-                # a variable's leaf derivative holds no surd to collapse
-                m, t = (_mono_mul(rest, m2), ck * c2) if isinstance(a, Var) \
-                    else _mono_times(rest, m2, ck * c2)
-                s = acc[m] = acc.get(m, 0) + t
-                if not s:
-                    del acc[m]
+            partials.setdefault(a, {})[rest] = c * k
+    sums = {}  # denominator's items: (numerator, denominator)
+    for a, partial in partials.items():
+        dn, dd = _atom_derivative(a, leaf)
+        acc = sums.setdefault(frozenset(dd.items()), ({}, dd))[0]
+        for m, t in _poly_mul(partial, dn).items():
+            s = acc[m] = acc.get(m, 0) + t
+            if not s:
+                del acc[m]
     return pair_total([s for s in sums.values() if s[0]])
 
 
@@ -1327,8 +1331,8 @@ def _peel(p):
             t_mono[a] = t_mono.get(a, 0) - exp
             if t_mono[a] < 0:
                 return None
-        t_mono = tuple(sorted(((a, exp) for a, exp in t_mono.items() if exp),
-                              key=lambda q: (sort_key(q[0]), q[1])))
+        # the keys of lead_r, in its sorted order
+        t_mono = tuple((a, exp) for a, exp in t_mono.items() if exp)
         if vec(t_mono) >= vec(root_mono):
             return None
         t = {t_mono: rem[lead_r] / (2 * root_c)}

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cascade import CascadeOptions
-from .conditions import TEMPLATES, FactorizationCandidate, template_traits
+from .conditions import TEMPLATES, FactorizationCandidate, check_m, template_traits
 from .errors import EngineError, ParseError, ValidationError
 from .expr import DepVar, Expr, ZERO, expr_variables, render, simplify
 from .operator import DiffOperator, MatrixOperator, as_matrix, make_operator
@@ -214,16 +214,10 @@ def parse_problem(text: str) -> ProblemFile:
 
     if "n" in header and _int("n", header["n"]) != n:
         raise ValidationError(f"kind {kind} fixes n = {n}, file says {header['n']}")
-    if system:
-        if "m" not in header:
-            raise ValidationError(f"kind {kind} needs an explicit m >= 2")
-        m = _int("m", header["m"])
-        if m < 2:
-            raise ValidationError(f"system kinds need m >= 2, got {m}")
-    else:
-        m = _int("m", header.get("m", "1"))
-        if m != 1:
-            raise ValidationError(f"scalar kinds fix m = 1, file says {m}")
+    if system and "m" not in header:
+        raise ValidationError(f"kind {kind} needs an explicit m >= 2")
+    m = _int("m", header.get("m", "1"))
+    check_m(kind, m)
 
     operator = _read_operator(sections["operator"], kind, n, m,
                               "f" if system else "g", max_order=2, need_lead=True)

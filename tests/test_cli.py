@@ -11,7 +11,8 @@ import pytest
 
 from opfactor.cascade import MAX_STEPS
 from opfactor.cli import BROKEN_PIPE_EXIT, main
-from opfactor.conditions import MAX_SAMPLES
+from opfactor.conditions import MAX_COMPONENTS, MAX_SAMPLES, derive_conditions
+from opfactor.errors import CapacityExceeded, ValidationError
 from opfactor.expr import MAX_PRODUCT_PAIRS
 from opfactor.factor import MAX_ANSATZ_DEGREE
 from opfactor.parse import MAX_EXPONENT, MAX_NESTING
@@ -93,6 +94,62 @@ def test_conditions_json_lists_equations(capsys):
     assert any(e["zero_condition"] for e in eqs)
 
 
+@pytest.mark.parametrize("argv, code, kind, message", [
+    (("--kind", "linear-ode-system", "--m", "0"), 2, "ValidationError",
+     "system kinds need m >= 2, got 0"),
+    (("--kind", "nonlinear-pde2-system", "--m", "1"), 2, "ValidationError",
+     "system kinds need m >= 2, got 1"),
+    (("--kind", "linear-ode", "--m", "3"), 2, "ValidationError",
+     "scalar kinds fix m = 1, got 3"),
+    (("--kind", "nonlinear-pde2-system", "--m", str(MAX_COMPONENTS + 1)), 3,
+     "CapacityExceeded", f"m = {MAX_COMPONENTS + 1} exceeds {MAX_COMPONENTS} components"),
+    (("--kind", "nonlinear-pde2-system", "--m", "32"), 3, "CapacityExceeded",
+     f"m = 32 exceeds {MAX_COMPONENTS} components"),
+    (("--kind", "linear-ode", "--m", "32"), 3, "CapacityExceeded",
+     f"m = 32 exceeds {MAX_COMPONENTS} components"),
+    ((path("system-diag.ini"), "--kind", "linear-ode", "--m", "7"), 2, "ValidationError",
+     "conditions takes a problem file or --kind [--m], not both"),
+    ((path("system-diag.ini"), "--kind", "linear-ode-system"), 2, "ValidationError",
+     "conditions takes a problem file or --kind [--m], not both"),
+    ((path("system-diag.ini"), "--m", "2"), 2, "ValidationError",
+     "conditions takes a problem file or --kind [--m], not both"),
+])
+def test_conditions_m_has_one_range_and_a_cap(capsys, argv, code, kind, message):
+    # --m 0 on a system kind and --m 3 on a scalar kind exited 1, --m 32
+    # ran for 20 s, and a file given with --kind or --m ignored both;
+    # each is refused before any expansion
+    start = time.monotonic()
+    got, out, _ = run(capsys, "conditions", "--json", *argv)
+    assert time.monotonic() - start < 1.0
+    assert (got, json.loads(out)) == (code, {"command": "conditions", "schema": 1,
+                                             "error": {"type": kind, "message": message}})
+    got, out, err = run(capsys, "conditions", *argv)
+    assert (got, out, err) == (code, "", f"error: {kind}: {message}\n")
+
+
+@pytest.mark.parametrize("kind, m, code, error", [
+    ("linear-ode-system", MAX_COMPONENTS + 1, 3, "CapacityExceeded"),
+    ("linear-ode", 32, 3, "CapacityExceeded"),
+    ("linear-ode-system", 1, 2, "ValidationError"),
+])
+def test_problem_file_m_follows_the_same_rule(tmp_path, capsys, kind, m, code, error):
+    ini = tmp_path / "components.ini"
+    ini.write_text(f'[problem]\nkind = {kind}\nm = {m}\n\n[operator]\nf[1,1,2,1] = "1"\n',
+                   encoding="utf-8")
+    got, out, _ = run(capsys, "conditions", "--json", str(ini))
+    assert (got, json.loads(out)["error"]["type"]) == (code, error)
+    got, _, err = run(capsys, "conditions", str(ini))
+    assert got == code and err.startswith(f"error: {error}: ")
+    with pytest.raises(CapacityExceeded if code == 3 else ValidationError):
+        derive_conditions(kind, m)
+
+
+def test_conditions_run_at_the_component_cap(capsys):
+    code, out, _ = run(capsys, "conditions", "--json", "--kind", "linear-ode-system",
+                       "--m", str(MAX_COMPONENTS))
+    assert code == 0 and json.loads(out)["m"] == MAX_COMPONENTS
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -142,6 +199,31 @@ def _split_with(tmp_path, coeff: str) -> str:
                    f'[Q1]\nb[0,1] = "{coeff}"\nb[1,1] = "1"\n\n'
                    '[Q2]\nb[0,1] = "1"\nb[1,1] = "1"\n', encoding="utf-8")
     return str(ini)
+
+
+def test_check_passes_a_split_over_equal_surds(tmp_path, capsys):
+    # (D + sqrt(8)/2)(D + sqrt(2)) = D^2 + 2 sqrt(2) D + 2 failed with
+    # "1/3 conditions residual 0", sqrt(8) and sqrt(2) unrelated atoms
+    ini = tmp_path / "surds.ini"
+    ini.write_text('[problem]\nkind = linear-ode\n\n'
+                   '[operator]\ng[2,1] = "1"\ng[1,1] = "2*sqrt(2)"\ng[0,1] = "2"\n\n'
+                   '[Q1]\nb[0,1] = "sqrt(8)/2"\nb[1,1] = "1"\n\n'
+                   '[Q2]\nb[0,1] = "sqrt(2)"\nb[1,1] = "1"\n', encoding="utf-8")
+    code, out, _ = run(capsys, "check", str(ini))
+    assert code == 0 and out.startswith("PASS, 3/3 conditions residual 0")
+    code, out, _ = run(capsys, "check", "--json", str(ini))
+    assert code == 0 and json.loads(out)["verdict"] == "PASS"
+
+
+def test_factor_writes_a_surd_root_without_square_factors(tmp_path, capsys):
+    # u'' - 2u has the roots +-sqrt(8)/2, printed as (1/2)*sqrt(8)
+    ini = tmp_path / "surd.ini"
+    ini.write_text('[problem]\nkind = linear-ode\n\n'
+                   '[operator]\ng[2,1] = "1"\ng[0,1] = "-2"\n', encoding="utf-8")
+    code, out, _ = run(capsys, "factor", str(ini))
+    assert code == 0
+    assert "b[0,1] = sqrt(2), b[1,1] = 1" in out and "b[0,1] = -sqrt(2)" in out
+    assert "sqrt(8)" not in out
 
 
 def test_check_redraws_probe_points_outside_the_domain(tmp_path, capsys):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from opfactor import expr
 from opfactor.expr import (
-    _mono_mul,
+    _ONE_POLY,
     _poly_mul,
     _poly_pow,
     _total_leaf,
@@ -37,6 +37,10 @@ from opfactor.expr import (
     expr_variables,
     is_constant,
     is_zero,
+    pair_product,
+    pair_sum,
+    pair_total,
+    pair_total_derivative,
     poly_sqrt,
     ratio,
     render,
@@ -190,6 +194,24 @@ def test_sqrt_of_square_collapses():
     s = simplify(Fun("sqrt", const(5)))
     assert simplify(Product((s, s))) == const(5)
     assert simplify(Power(s, 2)) == const(5)
+
+
+@pytest.mark.parametrize("text", ["sqrt(8) - 2*sqrt(2)", "sqrt(1/2) - sqrt(2)/2",
+                                  "sqrt(72)*sqrt(2) - 12", "sqrt(12/5) - (2/5)*sqrt(15)",
+                                  "sqrt(2*997^2) - 997*sqrt(2)"])
+def test_constant_surds_shed_their_square_factors(text):
+    # sqrt(8) and sqrt(2) used to be unrelated atoms
+    assert P(text) == ZERO
+
+
+def test_constant_surd_forms_that_stay_open():
+    assert render(P("sqrt(8)")) == "2*sqrt(2)"
+    assert render(P("sqrt(1/2)")) == "(1/2)*sqrt(2)"
+    # a square factor of a prime past the trial bound stays under the
+    # root, and distinct surds do not multiply into one
+    assert expr.SURD_TRIAL_PRIMES < 1009
+    assert render(P("sqrt(2*1009^2)")) == "sqrt(2036162)"
+    assert P("sqrt(2)*sqrt(3) - sqrt(6)") != ZERO
 
 
 def test_operator_sugar():
@@ -793,6 +815,34 @@ def test_pair_is_not_part_of_equality_hash_or_a_dict():
 # product kernel and atom hashes
 
 
+def _mono_mul(m1, m2):
+    """The monomial m1 * m2 with its exp factors merged; a copy of the
+    per-pair product that `_poly_mul` replaced."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    acc = dict(m1)
+    for a, e in m2:
+        acc[a] = acc.get(a, 0) + e
+    return _norm_mono(acc)
+
+
+def _norm_mono(acc: dict):
+    """Sort a monomial and merge its exp factors into a single atom."""
+    exps = [(a, e) for a, e in acc.items() if isinstance(a, Fun) and a.name == "exp"]
+    if exps:
+        total = ZERO
+        for a, e in exps:
+            del acc[a]
+            total = total + Const(Fraction(e)) * a.arg
+        total = simplify(total)
+        if total != ZERO:
+            a = Fun("exp", total)
+            acc[a] = acc.get(a, 0) + 1
+    return tuple((a, acc[a]) for a in sorted(acc, key=sort_key) if acc[a])
+
+
 def _reference_mul(p1, p2):
     """The product as one Fraction at a time, per pair of terms, with
     the squared surds collapsed per pair: what `_poly_mul` must equal."""
@@ -885,6 +935,87 @@ def test_cancel_keeps_the_quotient_over_surds_and_exps(p, q, r):
         return
     cn, cd = _cancel(num, den)
     assert _poly_mul(cn, den) == _poly_mul(num, cd)
+
+
+# ---------------------------------------------------------------------------
+# the derivative against the per-term products it replaced
+
+
+def _mono_times(m1, m2, c):
+    """(monomial, coefficient) of c * m1 * m2, squared surds moved into c."""
+    m = _mono_mul(m1, m2)
+    for a, e in m:
+        if e >= 2 and isinstance(a, Fun) and a.name == "sqrt" and isinstance(a.arg, Const):
+            c *= a.arg.value ** (e // 2)
+            m = tuple((b, e % 2 if b is a else f) for b, f in m if b is not a or e % 2)
+    return m, c
+
+
+def _reference_terms_derivative(p, leaf):
+    """Pair of the derivative of the poly p, one monomial product per
+    piece: c * prod a^k gives c * k * (monomial / a) * a' for each atom
+    a.  A copy of the per-term route that `_terms_derivative` replaced."""
+    parts = {}  # atom: (numerator of its derivative, the numerator it adds to)
+    sums = {}  # denominator's items: (numerator, denominator)
+    for mono, c in p.items():
+        for i, (a, k) in enumerate(mono):
+            if a not in parts:
+                dn, dd = _reference_atom_derivative(a, leaf)
+                parts[a] = dn, sums.setdefault(frozenset(dd.items()), ({}, dd))[0]
+            dn, acc = parts[a]
+            rest = mono[:i] + (((a, k - 1),) if k > 1 else ()) + mono[i + 1:]
+            ck = c * k
+            for m2, c2 in dn.items():
+                m, t = (_mono_mul(rest, m2), ck * c2) if isinstance(a, Var) \
+                    else _mono_times(rest, m2, ck * c2)
+                s = acc[m] = acc.get(m, 0) + t
+                if not s:
+                    del acc[m]
+    return pair_total([s for s in sums.values() if s[0]])
+
+
+def _reference_poly_derivative(pair, leaf):
+    num, den = pair
+    if den == _ONE_POLY:
+        return _reference_terms_derivative(num, leaf)
+    top = pair_sum(pair_product(_reference_terms_derivative(num, leaf), (den, _ONE_POLY)),
+                   pair_product(({m: -c for m, c in num.items()}, _ONE_POLY),
+                                _reference_terms_derivative(den, leaf)))
+    return pair_product(top, (_ONE_POLY, _poly_mul(den, den)))
+
+
+def _reference_atom_derivative(a, leaf):
+    if isinstance(a, Var):
+        return ratio(leaf(a.vid))
+    y = a.arg
+    outer = {"exp": a, "log": Div(ONE, y), "sin": Fun("cos", y), "cos": -Fun("sin", y),
+             "sqrt": Div(ONE, Const(Fraction(2)) * a)}[a.name]
+    return pair_product(_reference_poly_derivative(ratio(y), leaf), ratio(outer))
+
+
+SYMBOLS = [a for a in ATOMS if isinstance(a, Var) and isinstance(a.vid, FuncSym)]
+
+
+@st.composite
+def derivative_exprs(draw):
+    """Canonical quotients over x1, an exp atom, a constant surd and a
+    coefficient symbol: poly_exprs with x2 and u1 replaced, plus the surd
+    times another, over a nonzero denominator of that shape."""
+    mapping = {IndepVar(2): draw(st.sampled_from(EXPS)), DepVar(1): draw(st.sampled_from(SYMBOLS))}
+    surd = draw(st.sampled_from(SURDS))
+    num, den = (_subs(draw(poly_exprs()), mapping) + surd * _subs(draw(poly_exprs()), mapping)
+                for _ in range(2))
+    return simplify(Div(num, surd if is_zero(den) else den))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(derivative_exprs(), st.sampled_from([IndepVar(1), IndepVar(2), DepVar(1)]),
+       st.integers(1, 2))
+def test_derivatives_equal_the_per_term_products(e, vid, axis):
+    pair = ratio(e)
+    assert pair_total_derivative(pair, axis, 2) == \
+        cancel(_reference_poly_derivative(pair, _total_leaf(axis, 2)))
+    assert ratio(diff(e, vid)) == cancel(_reference_poly_derivative(pair, _diff_leaf(vid)))
 
 
 def test_atom_hash_is_the_dataclass_hash():

@@ -2,8 +2,10 @@
 conditions, check (at seeds 0 and 4) and factor on every fixture
 problem file, compared byte for byte.
 
-cascade is left out: its residuals go through libm exp, whose last bit
-may differ between platforms.
+cascade is pinned only where every piece is closed-form
+(`CASCADE_STEMS`): such a residual is the exact symbolic 0.0, while a
+quadrature or rk4 residual goes through libm exp, whose last bit may
+differ between platforms.
 
 After a deliberate change to a report, regenerate the files with
 `PYTHONPATH=src python tests/test_golden_cli.py`.
@@ -27,9 +29,14 @@ COMMANDS = {
     "check-seed0": ("check", "--seed", "0"),
     "check-seed4": ("check", "--seed", "4"),
     "factor": ("factor",),
+    "cascade": ("cascade",),
 }
 
-CASES = [(p.stem, name) for p in sorted(PROBLEMS.glob("*.ini")) for name in COMMANDS]
+# fixtures whose cascade pieces are all closed-form
+CASCADE_STEMS = ("nonlinear-ode-friction", "ode-check-fail", "ode-const-factorable")
+
+CASES = [(p.stem, name) for p in sorted(PROBLEMS.glob("*.ini")) for name in COMMANDS
+         if name != "cascade" or p.stem in CASCADE_STEMS]
 
 
 def report(stem: str, name: str) -> str:
