@@ -16,7 +16,7 @@ from .conditions import (TEMPLATES, CheckOptions, CheckReport,
                          check_candidate, condition_residuals,
                          derive_conditions, discriminant,
                          render_condition_system, render_equation,
-                         symbolic_factors, symbolic_operator, template_traits)
+                         symbolic_factors, template_traits)
 from .errors import (ArityMismatch, CapacityExceeded, DomainError,
                      EngineError, NonPolynomialCoefficients,
                      NonPolynomialSqrtDelta, NoRealFactorization, NotConstant,
@@ -27,7 +27,7 @@ from .errors import (ArityMismatch, CapacityExceeded, DomainError,
 from .expr import (Const, DepVar, Div, Expr, Fun, FuncSym, IndepVar, JetVar,
                    Power, Product, Sum, Var, ZERO, ONE, const, diff, evaluate,
                    expr_to_poly, expr_variables, is_constant, is_zero,
-                   jet_var, poly_sqrt, render, simplify, substitute,
+                   poly_sqrt, render, simplify, substitute,
                    total_derivative, u_, x_)
 from .factor import (ObligationCheck, PdeBranch, PdeFactorResult,
                      PdeObligation, RiccatiProblem, SearchConfig,

@@ -3,13 +3,18 @@
 For P = Q1 Q2 the kernel chain gives two particular solutions of
 P u = 0: u0 solving Q2 u0 = 0 and u1 solving Q2 u1 = v1, where v1
 solves Q1 v1 = 0.  First order kernels come from an antiderivative
-table when the integrand is tabulated, otherwise from a cumulative
-Simpson quadrature; quasi-linear kernels use a separable closed form
-when the coefficient shape permits, else a Runge-Kutta integration.
+table when the integrand is tabulated and the table's form holds on
+the interval, otherwise from a cumulative Simpson quadrature;
+quasi-linear kernels use a separable closed form when the coefficient
+shape permits and its pole lies outside the interval, else a
+Runge-Kutta integration.  Whether a closed form holds is decided
+exactly, never by sampling it.
 
 Every coefficient evaluated at many points (quadrature samples, RK4
-stages, trajectory residuals) is compiled once per call with
-`compile_float`, which reproduces `evaluate` bit for bit.
+stages, trajectory residuals, `piece_values`) is compiled once per
+call with `compile_float`, which reproduces `evaluate` bit for bit.
+Closed-form residuals that are not symbolically zero are checked on
+`uniform_grid` points, the grid every sampler uses.
 
 Integration constants are canonical: table antiderivatives carry no
 constant term, numeric homogeneous solutions are normalized to value
@@ -182,12 +187,12 @@ _X = (IndepVar(1),)
 _XU = (IndepVar(1), DepVar(1))
 
 
-def _sample(e: Expr, grid) -> list:
+def _sample(e: Expr, grid, what: str) -> list:
     f = compile_float(e, _X)
     try:
         return [f(x) for x in grid]
     except DomainError as err:
-        raise QuadratureFailure(f"integrand not evaluable: {err}") from err
+        raise QuadratureFailure(f"{what} not evaluable: {err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +201,11 @@ def _sample(e: Expr, grid) -> list:
 def _kernel_piece(Q: DiffOperator, grid, h, label: str) -> SolutionPiece:
     """Solution of Q y = 0 for a linear first order factor."""
     rate = simplify(Q.coeff(0, 1) / Q.coeff(1, 1))
-    prim = antiderivative(rate)
+    prim = _table_antiderivative(rate, grid)
     if prim is not None:
         form = simplify(Fun("exp", simplify(Const(Fraction(-1)) * prim)))
         return SolutionPiece(label, form, None, "closed-form", 0.0)
-    vals = _sample(rate, grid)
+    vals = _sample(rate, grid, "integrand")
     acc = _cumulative_simpson(vals, h)
     mid = acc[len(acc) // 2]
     try:
@@ -210,10 +215,19 @@ def _kernel_piece(Q: DiffOperator, grid, h, label: str) -> SolutionPiece:
     return SolutionPiece(label, None, Trajectory(grid, ys), "quadrature", 0.0)
 
 
-def _piece_values(piece: SolutionPiece, grid) -> list:
+def _table_antiderivative(e: Expr, grid):
+    """The table's antiderivative of e where it holds on the grid: over
+    a denominator, its log(x1) and its poles need the grid in x1 > 0."""
+    if grid[0] <= 0 and expr_to_poly(e) is None:
+        return None
+    return antiderivative(e)
+
+
+def piece_values(piece: SolutionPiece, grid) -> list:
+    """A trajectory's samples, or the closed form evaluated on the grid."""
     if piece.trajectory is not None:
         return list(piece.trajectory.values)
-    return _sample(piece.form, grid)
+    return _sample(piece.form, grid, f"closed form {piece.label}")
 
 
 def cascade_ode(cand: FactorizationCandidate,
@@ -247,13 +261,13 @@ def _second_solution(Q2, u0, v1, grid, h) -> SolutionPiece:
     b211 = Q2.coeff(1, 1)
     if u0.form is not None and v1.form is not None:
         integrand = simplify(v1.form / (b211 * u0.form))
-        prim = antiderivative(integrand)
+        prim = _table_antiderivative(integrand, grid)
         if prim is not None:
             return SolutionPiece("u1", simplify(u0.form * prim),
                                  None, "closed-form", 0.0)
-    u0v = _piece_values(u0, grid)
-    v1v = _piece_values(v1, grid)
-    b2v = _sample(b211, grid)
+    u0v = piece_values(u0, grid)
+    v1v = piece_values(v1, grid)
+    b2v = _sample(b211, grid, "integrand")
     try:
         vals = [v / (b * u) for v, b, u in zip(v1v, b2v, u0v)]
     except ZeroDivisionError as err:
@@ -269,12 +283,18 @@ def _quasilinear_u0(Q2, grid, h, opts) -> SolutionPiece:
     """Kernel of a quasi-linear first order factor.
 
     Shape b201 = c u, b211 constant gives the separable closed form
-    (b211/c) / (x1 + C); anything else integrates numerically.
+    (b211/c) / (x1 + C), refused when its pole x1 = -C lies in the
+    interval; anything else integrates numerically.
     """
     b0, b1 = Q2.coeff(0, 1), Q2.coeff(1, 1)
     shape = _separable_shape(b0, b1)
     if shape is not None:
         c, alpha = shape
+        pole = -opts.constant
+        a, b = opts.interval
+        if a <= pole <= b:
+            raise QuadratureFailure(f"closed form u0 has a pole at x1 = {pole} "
+                                    f"in [{float(a):g}, {float(b):g}]")
         form = simplify(Const(alpha / c) / (Var(IndepVar(1)) + Const(opts.constant)))
         return SolutionPiece("u0", form, None, "closed-form", 0.0)
     mid = len(grid) // 2
@@ -308,16 +328,11 @@ def _separable_shape(b0: Expr, b1: Expr):
 # ---------------------------------------------------------------------------
 # residual verification
 
-def _residual_grid(interval, count):
-    a, b = float(interval[0]), float(interval[1])
-    return [a + (b - a) * i / (count - 1) for i in range(count)]
-
-
 def _with_residual(P: DiffOperator, piece: SolutionPiece,
                    opts: CascadeOptions) -> SolutionPiece:
     if piece.form is not None:
         rep = verify_solution(P, piece.form,
-                              _residual_grid(opts.interval, RESIDUAL_POINTS))
+                              uniform_grid(opts.interval, RESIDUAL_POINTS - 1)[0])
     else:
         rep = verify_solution(P, piece.trajectory)
     return SolutionPiece(piece.label, piece.form, piece.trajectory,
@@ -330,7 +345,7 @@ def verify_solution(P: DiffOperator, u, points=None) -> ResidualReport:
     Closed forms are differentiated symbolically; an identically zero
     residual is reported exactly.  Trajectories are differenced on
     their own grid.  `points` (tuples for n > 1) defaults to
-    RESIDUAL_POINTS values spanning [-1, 1] per axis for closed forms.
+    RESIDUAL_POINTS values spanning [-1, 1] for closed forms.
     """
     if isinstance(u, Trajectory):
         return _verify_trajectory(P, u)
@@ -338,7 +353,7 @@ def verify_solution(P: DiffOperator, u, points=None) -> ResidualReport:
     if resid == ZERO:
         return ResidualReport(0.0, True, ())
     if points is None:
-        points = _residual_grid((-1.0, 1.0), RESIDUAL_POINTS)
+        points = uniform_grid((-1.0, 1.0), RESIDUAL_POINTS - 1)[0]
     rows = []
     worst = 0.0
     for pt in points:
@@ -397,9 +412,9 @@ def _fd_residuals(grid, vals, table, idxs) -> list:
 # ---------------------------------------------------------------------------
 # linear systems
 
-def cascade_system_numeric(cand: FactorizationCandidate, interval=None,
+def cascade_system_numeric(cand: FactorizationCandidate, interval,
                            opts: CascadeOptions = CascadeOptions()) -> CascadeSolution:
-    """Columnwise particular solutions for a linear system split.
+    """Columnwise particular solutions for a linear system split on `interval`.
 
     u0, v1 and u1 of every identity column integrate together, in one
     fixed-step fourth order Runge-Kutta pass from the left end, so u1
@@ -413,8 +428,6 @@ def cascade_system_numeric(cand: FactorizationCandidate, interval=None,
         raise UnsupportedTemplate("system cascade supports linear factors only")
     if N1.n != 1:
         raise UnsupportedTemplate("system cascade integrates along one variable")
-    if interval is None:
-        interval = opts.interval
     steps = _normalize_steps(opts.steps)
     grid, h = uniform_grid(interval, steps)
     m = N1.m

@@ -17,13 +17,13 @@ import sys
 from dataclasses import replace
 
 from .cascade import (CascadeOptions, CascadeSolution, cascade_ode,
-                      cascade_system_numeric, uniform_grid)
+                      cascade_system_numeric, piece_values, uniform_grid)
 from .conditions import (TEMPLATES, CheckOptions, check_m, condition_residuals,
                          check_candidate, derive_conditions,
                          render_condition_system, template_traits)
 from .errors import (CapacityExceeded, EngineError, OrderOverflow, ParseError,
                      UnsupportedTemplate, ValidationError)
-from .expr import ZERO, compile_float, render, IndepVar
+from .expr import ZERO, render
 from .factor import SearchConfig, factor_ode, factor_pde_second_order
 from .operator import expand_product, matrix_expand_product, render_jet
 from .problemfile import ProblemFile, ascii_number, parse_interval, parse_problem
@@ -360,14 +360,15 @@ def _cmd_cascade(args, problem: ProblemFile) -> int:
 
 
 def _export_csv(base: str, sol: CascadeSolution) -> list:
-    import os
     stem, ext = os.path.splitext(base)
     ext = ext or ".csv"
+    grid, _ = uniform_grid(sol.interval, sol.steps)
     paths = []
     for p in sol.pieces:
         label = p.label.replace("[", "-").replace("]", "")
         path = f"{stem}-{label}{ext}"
-        rows = _piece_rows(p, sol)
+        rows = [(x, *(v if isinstance(v, tuple) else (v,)))
+                for x, v in zip(grid, piece_values(p, grid))]
         m = len(rows[0]) - 1
         head = ",".join(["x"] + [f"u{j + 1}" for j in range(m)])
         try:
@@ -379,16 +380,6 @@ def _export_csv(base: str, sol: CascadeSolution) -> list:
             raise ValidationError(f"cannot write {path}: {err}") from err
         paths.append(path)
     return paths
-
-
-def _piece_rows(piece, sol: CascadeSolution) -> list:
-    if piece.trajectory is not None:
-        traj = piece.trajectory
-        return [(x, *(v if isinstance(v, tuple) else (v,)))
-                for x, v in zip(traj.grid, traj.values)]
-    grid, _ = uniform_grid(sol.interval, sol.steps)
-    f = compile_float(piece.form, (IndepVar(1),))
-    return [(x, f(x)) for x in grid]
 
 
 if __name__ == "__main__":

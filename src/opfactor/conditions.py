@@ -64,30 +64,22 @@ def coeff_sym(family: str, head: tuple, p: int, q: int, k: int, h: int,
     return Var(FuncSym(family, head + cell + (k, h), deps=deps))
 
 
-def _generic(template: str, m: int, factor: int = 0):
-    """Generic operator (factor 0) or first order factor 1 or 2 of a
-    template, with one symbol per slot: order 2 on the diagonal and 1
-    off it for the operator, 1 and 0 for a factor."""
+def _generic(template: str, m: int, factor: int):
+    """Generic first order factor 1 or 2 of a template, with one symbol
+    per slot: order 1 on the diagonal and 0 off it."""
     linear, system, n = template_traits(template)
     check_m(template, m)
     deps = _deps(linear, n, m)
-    family = ("fa" if system else "gb")[factor > 0]
-    head = (factor,) if factor else ()
-    top = 1 if factor else 2
+    family = "a" if system else "b"
     rows = tuple(
         tuple(make_operator(n, m, {
-            (k, h): coeff_sym(family, head, p, q, k, h, deps)
-            for k in range(top + 1 if p == q else top)
+            (k, h): coeff_sym(family, (factor,), p, q, k, h, deps)
+            for k in range(2 if p == q else 1)
             for h in range(1, slot_count(n, k) + 1)}, linear)
             for q in range(1, m + 1))
         for p in range(1, m + 1))
     mop = MatrixOperator(n, m, rows)
     return mop if system else mop.entries[0][0]
-
-
-def symbolic_operator(template: str, m: int = 1):
-    """Generic second order operator of a template, with symbol coefficients."""
-    return _generic(template, m)
 
 
 def symbolic_factors(template: str, m: int = 1):

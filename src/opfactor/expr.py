@@ -66,8 +66,7 @@ class DepVar:
 class JetVar:
     """Jet coordinate: derivative slot `index` of component u^component.
 
-    Order zero is represented by DepVar, never by a JetVar; use
-    `jet_var` to construct whichever is canonical.
+    Order zero is represented by DepVar, never by a JetVar.
     """
 
     component: int
@@ -101,13 +100,6 @@ class FuncSym:
 
 
 VarId = IndepVar | DepVar | JetVar | FuncSym
-
-
-def jet_var(component: int, index: DerivIndex) -> VarId:
-    """Canonical variable for a derivative slot; order 0 folds to DepVar."""
-    if index.k == 0:
-        return DepVar(component)
-    return JetVar(component, index)
 
 
 def _vid_key(v):
@@ -894,19 +886,25 @@ def _poly_derivative(pair, leaf):
 
 def _terms_derivative(p, leaf):
     """Pair of the derivative of the poly p: the sum over its atoms a of
-    the partial derivative dp/da times a'.  Pieces over equal
-    denominators add in place, and those sums add as pairs in the order
-    their denominators first appear."""
+    the partial derivative dp/da times a'."""
     partials = {}  # atom: dp/da; c * a^k * rest gives the term c * k * a^(k-1) * rest
     for mono, c in p.items():
         for i, (a, k) in enumerate(mono):
             rest = mono[:i] + (((a, k - 1),) if k > 1 else ()) + mono[i + 1:]
             partials.setdefault(a, {})[rest] = c * k
+    return _total_by_denominator((_poly_mul(partial, dn), dd)
+                                 for a, partial in partials.items()
+                                 for dn, dd in (_atom_derivative(a, leaf),))
+
+
+def _total_by_denominator(pieces):
+    """Pair of the sum of (numerator, denominator) pieces: numerators over
+    equal denominators add in place, and those sums add as pairs in the
+    order their denominators first appear."""
     sums = {}  # denominator's items: (numerator, denominator)
-    for a, partial in partials.items():
-        dn, dd = _atom_derivative(a, leaf)
-        acc = sums.setdefault(frozenset(dd.items()), ({}, dd))[0]
-        for m, t in _poly_mul(partial, dn).items():
+    for num, den in pieces:
+        acc = sums.setdefault(frozenset(den.items()), ({}, den))[0]
+        for m, t in num.items():
             s = acc[m] = acc.get(m, 0) + t
             if not s:
                 del acc[m]
@@ -950,8 +948,7 @@ def pair_substitute(pair, values: dict):
         images[a] = v
         return v
 
-    def poly(p):
-        sums = {}  # denominator's items, None for 1: (numerator, denominator)
+    def terms(p):
         for mono, c in p.items():
             rest, tn, td = [], _ONE_POLY, _ONE_POLY
             for a, e in mono:
@@ -962,18 +959,14 @@ def pair_substitute(pair, values: dict):
                     c *= v ** e
                 else:
                     tn, td = _poly_mul(tn, _poly_pow(v[0], e)), _poly_mul(td, _poly_pow(v[1], e))
-            if not c:
-                continue
-            key = None if td is _ONE_POLY else frozenset(td.items())
-            acc = sums.setdefault(key, ({}, td))[0]
-            for m, t in _poly_mul({tuple(rest): c}, tn).items():
-                s = acc[m] = acc.get(m, 0) + t
-                if not s:
-                    del acc[m]
-        return pair_total([s for s in sums.values() if s[0]])
+            if c:
+                yield _poly_mul({tuple(rest): c}, tn), td
 
     num, den = pair
-    return poly(num) if den == _ONE_POLY else pair_product(poly(num), _inverse(poly(den)))
+    top = _total_by_denominator(terms(num))
+    if den == _ONE_POLY:
+        return top
+    return pair_product(top, _inverse(_total_by_denominator(terms(den))))
 
 
 def expr_variables(e: Expr) -> set:

@@ -259,15 +259,11 @@ def apply_to_expr(op: DiffOperator, target_expr: Expr, u_exprs: dict) -> Expr:
     return from_pair(_apply_to_pair(op, ratio(simplify(target_expr)), u_exprs))
 
 
-def matrix_apply(mop: MatrixOperator, u_exprs: dict, targets=None) -> tuple:
-    """Row results of a matrix operator applied to a concrete u.
-
-    Entry (p, q) acts on targets[q], component q + 1 of u by default;
-    quasi-linear coefficients are evaluated along u_exprs either way.
-    """
-    if targets is None:
-        targets = [_component(u_exprs, q) for q in range(1, mop.m + 1)]
-    targets = [ratio(simplify(t)) for t in targets]
+def matrix_apply(mop: MatrixOperator, u_exprs: dict) -> tuple:
+    """Row results of a matrix operator applied to a concrete u: entry
+    (p, q) acts on component q + 1, with quasi-linear coefficients
+    evaluated along u_exprs."""
+    targets = [ratio(simplify(_component(u_exprs, q))) for q in range(1, mop.m + 1)]
     return tuple(from_pair(pair_total([
         cancel(_apply_to_pair(mop.entries[p][q], targets[q], u_exprs))
         for q in range(mop.m)])) for p in range(mop.m))
@@ -315,22 +311,22 @@ def operator_from_jet(jp: JetPolynomial, component: int = 1) -> DiffOperator:
     """
     buckets, others = identify(jp, component)
     if others:
-        raise NotQuasiLinear(_no_slot(others[0][0], component))
+        raise NotQuasiLinear(_no_slot(others[0][0], component, jp.n))
     coeffs = tuple((DerivIndex(k, h, jp.n), c) for (k, h), c in buckets.items() if c != ZERO)
     linear = not any(isinstance(v, DepVar) for _, c in coeffs for v in expr_variables(c))
     return DiffOperator(jp.n, jp.m, coeffs, linear)
 
 
-def _no_slot(mono: JetMono, component: int) -> str:
-    """Why `identify` found no operator slot for a monomial."""
+def _no_slot(mono: JetMono, component: int, n: int) -> str:
+    """Why `identify` found no operator slot for a monomial over n axes."""
     high = [((j, k, h), e) for (j, k, h), e in mono if k >= 1]
     if len(high) > 1 or (high and high[0][1] != 1):
-        return f"monomial {mono} is not degree one in jets"
+        return f"monomial {render_mono(mono, n)} is not degree one in jets"
     if high:
         return f"jet coordinate of component u{high[0][0][0]}, expected u{component}"
     if not mono:
         return "free term with no dependence"
-    return f"order-0 monomial {mono} mixes components"
+    return f"order-0 monomial {render_mono(mono, n)} mixes components"
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command line contract: subcommands, exit codes, JSON schema, CSV export."""
 
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -679,6 +680,21 @@ def test_ansatz_degree_is_range_checked_on_every_factor_route(capsys, fixture, d
 
 
 _CASCADE_FAILURES = {
+    # Q2 = x1 D + u: the quasi-linear RK4 lead vanishes at x1 = 0, where
+    # the integration starts
+    "rk4-lead.ini": ("[problem]\nkind = nonlinear-ode\n\n"
+                     '[operator]\ng[2,1] = "x1"\ng[1,1] = "2*u + 1"\n\n'
+                     '[Q1]\nb[1,1] = "1"\n\n'
+                     '[Q2]\nb[1,1] = "x1"\nb[0,1] = "u"\n\n'
+                     "[solve]\ninterval = -1,1\n",
+                     "SingularLeadingCoefficient", "leading coefficient vanishes at x1 = 0"),
+    # u0 = exp(1000 x1) overflows where u1's quadrature samples it
+    "closed-form-overflow.ini": ("[problem]\nkind = linear-ode\n\n"
+                                 '[operator]\ng[2,1] = "1"\ng[1,1] = "-2*x1 - 1000"\n'
+                                 'g[0,1] = "2000*x1"\n\n'
+                                 '[Q1]\nb[1,1] = "1"\nb[0,1] = "-2*x1"\n\n'
+                                 '[Q2]\nb[1,1] = "1"\nb[0,1] = "-1000"\n',
+                                 "QuadratureFailure", "closed form u0 not evaluable: exp overflow"),
     # N1 = diag((x1 - 1/32) D, D): the lead vanishes at the first RK4
     # midpoint on 16 steps of [0, 1], not at a grid point
     "stage-lead.ini": ("[problem]\nkind = linear-ode-system\nm = 2\n\n"
@@ -788,3 +804,152 @@ def test_step_counts_below_the_floor_exit_alike_from_flag_and_file(
         assert (got, error["type"]) == (code, kind)
         if code == 2:
             assert error["message"] == f"step count {steps} is not positive"
+
+
+def _fixture_with(tmp_path, name, **values) -> str:
+    """A copy of a fixture with `key = value` lines replaced."""
+    text = (PROBLEMS / name).read_text(encoding="utf-8")
+    for key, value in values.items():
+        text = "\n".join(f"{key} = {value}" if line.startswith(f"{key} = ") else line
+                         for line in text.splitlines()) + "\n"
+    ini = tmp_path / name
+    ini.write_text(text, encoding="utf-8")
+    return str(ini)
+
+
+def _cascade_three_ways(tmp_path, capsys, ini, *flags):
+    """(code, out, err) of cascade in text, the --json document, and
+    (code, out, err, CSV file names) of cascade --csv."""
+    text = run(capsys, "cascade", ini, *flags)
+    code, out, err = run(capsys, "cascade", "--json", ini, *flags)
+    assert not err
+    csv = run(capsys, "cascade", "--csv", str(tmp_path / "out.csv"), ini, *flags)
+    names = sorted(p.name for p in tmp_path.glob("out*.csv"))
+    return text, (code, json.loads(out)), (*csv, names)
+
+
+@pytest.mark.parametrize("constant, interval, where", [
+    ("0", "-1,1", "x1 = 0 in [-1, 1]"), ("0", "0,1", "x1 = 0 in [0, 1]"),
+    ("0", "-2,0", "x1 = 0 in [-2, 0]"), ("1/2", "-1,1", "x1 = -1/2 in [-1, 1]"),
+])
+def test_cascade_refuses_a_closed_form_with_a_pole_in_the_interval(tmp_path, capsys,
+                                                                    constant, interval, where):
+    # u0 = 2/(x1 + C) with C = 0 on [-1, 1] printed "max residual
+    # 0.000e+00" and exited 0, and --csv exited 1 with a bare
+    # "DomainError: division by zero"
+    ini = _fixture_with(tmp_path, "nonlinear-ode-friction.ini", constant=constant,
+                        interval=interval)
+    message = f"closed form u0 has a pole at {where}"
+    text, (code, doc), csv = _cascade_three_ways(tmp_path, capsys, ini)
+    assert text == (1, "", f"error: QuadratureFailure: {message}\n")
+    assert (code, doc["error"]) == (1, {"type": "QuadratureFailure", "message": message})
+    assert csv == (1, "", f"error: QuadratureFailure: {message}\n", [])
+
+
+def test_cascade_keeps_a_closed_form_whose_pole_lies_outside(tmp_path, capsys):
+    ini = _fixture_with(tmp_path, "nonlinear-ode-friction.ini", constant=0, interval="0.5,1")
+    text, (code, doc), csv = _cascade_three_ways(tmp_path, capsys, ini)
+    assert text[0] == code == csv[0] == 0
+    assert "  u0 [closed-form] = 2/x1, max residual 0.000e+00\n" in text[1]
+    assert [(s["form"], s["residual"]) for s in doc["solutions"]] == [("2/x1", 0.0)]
+    assert csv[3] == ["out-u0.csv"]
+
+
+# Q1 = D, Q2 = D + 2/x1: the table's u0 = exp(-2*log(x1)) holds for x1 > 0 only
+_OVER_X1 = ('[problem]\nkind = linear-ode\n\n'
+            '[operator]\ng[2,1] = "1"\ng[1,1] = "2/x1"\ng[0,1] = "-2/x1^2"\n\n'
+            '[Q1]\nb[1,1] = "1"\n\n'
+            '[Q2]\nb[1,1] = "1"\nb[0,1] = "2/x1"\n')
+
+
+@pytest.mark.parametrize("interval, provenances", [
+    ("-2,-1", ["quadrature", "closed-form", "quadrature"]),
+    ("0.5,1", ["closed-form", "closed-form", "quadrature"]),
+])
+def test_table_antiderivatives_over_x1_hold_for_x1_positive_only(tmp_path, capsys,
+                                                                  interval, provenances):
+    # [-2, -1] exited 1 with "integrand not evaluable: log of a non-positive number"
+    ini = tmp_path / "over-x1.ini"
+    ini.write_text(_OVER_X1, encoding="utf-8")
+    assert run(capsys, "check", str(ini))[0] == 0
+    text, (code, doc), csv = _cascade_three_ways(tmp_path, capsys, str(ini),
+                                                 f"--interval={interval}")
+    assert text[0] == code == csv[0] == 0
+    assert [s["provenance"] for s in doc["solutions"]] == provenances
+    assert all(s["residual"] < 1e-5 for s in doc["solutions"])
+    assert [line.split()[1] for line in text[1].splitlines()[1:]] == [
+        f"[{p}]" for p in provenances]
+    assert csv[3] == ["out-u0.csv", "out-u1.csv", "out-v1.csv"]
+    rows = (tmp_path / "out-u0.csv").read_text(encoding="utf-8").splitlines()
+    assert len(rows) == 1026 and all(math.isfinite(float(v)) for r in rows[1:]
+                                     for v in r.split(","))
+
+
+def test_table_antiderivatives_over_x1_are_not_used_through_zero(tmp_path, capsys):
+    # it failed on "log of a non-positive number" sampling u0 = exp(-2*log(x1))
+    ini = tmp_path / "over-x1.ini"
+    ini.write_text(_OVER_X1, encoding="utf-8")
+    message = "integrand not evaluable: division by zero"
+    text, (code, doc), csv = _cascade_three_ways(tmp_path, capsys, str(ini),
+                                                 "--interval=-1,1")
+    assert text == (1, "", f"error: QuadratureFailure: {message}\n")
+    assert (code, doc["error"]) == (1, {"type": "QuadratureFailure", "message": message})
+    assert csv == (1, "", f"error: QuadratureFailure: {message}\n", [])
+
+
+def test_a_monomial_not_degree_one_in_jets_is_named(tmp_path, capsys):
+    # it was printed as the tuple (((1, 0, 1), 1), ((1, 1, 1), 2))
+    ini = tmp_path / "u-D.ini"
+    ini.write_text('[problem]\nkind = nonlinear-ode\n\n'
+                   '[operator]\ng[2,1] = "u^2"\ng[1,1] = "u"\n\n'
+                   '[Q1]\nb[1,1] = "u"\n\n[Q2]\nb[1,1] = "u"\n', encoding="utf-8")
+    message = "monomial u1*u1_x1^2 is not degree one in jets"
+    assert run(capsys, "cascade", str(ini)) == (
+        1, "", f"error: NotQuasiLinear: {message}\n")
+    code, out, _ = run(capsys, "cascade", "--json", str(ini))
+    assert (code, json.loads(out)["error"]) == (
+        1, {"type": "NotQuasiLinear", "message": message})
+
+
+def test_conditions_needs_a_file_or_a_kind(capsys):
+    message = "conditions needs a problem file or --kind"
+    assert run(capsys, "conditions") == (2, "", f"error: ValidationError: {message}\n")
+    code, out, _ = run(capsys, "conditions", "--json")
+    assert (code, json.loads(out)["error"]) == (2, {"type": "ValidationError", "message": message})
+
+
+def test_cascade_of_a_system_needs_its_factors(tmp_path, capsys):
+    ini = tmp_path / "no-factors.ini"
+    lines = (PROBLEMS / "system-diag.ini").read_text(encoding="utf-8").splitlines(True)
+    ini.write_text("".join(line for line in lines if not line.startswith(("[N", "a["))),
+                   encoding="utf-8")
+    assert run(capsys, "cascade", str(ini)) == (
+        1, "", "error: UnsupportedTemplate: system cascades need explicit [N1]/[N2] sections\n")
+
+
+def test_factor_says_when_it_swapped_the_axes(tmp_path, capsys):
+    # u_x2x2 + (x1 - x2) u_x1x2 has no u_x1x1 slot to pivot on
+    ini = tmp_path / "swap.ini"
+    ini.write_text('[problem]\nkind = linear-pde2\n\n'
+                   '[operator]\ng[2,4] = "1"\ng[2,2] = "x1 - x2"\n', encoding="utf-8")
+    code, out, err = run(capsys, "factor", str(ini))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "axes were swapped internally (no u_x1x1 slot)"
+
+
+def test_csv_of_a_closed_form_that_leaves_the_float_range(tmp_path, capsys):
+    # (D - 1000)^2: every piece is an exact closed form, and exp(1000 x1)
+    # overflows only where the export samples it; that was a bare
+    # "DomainError: exp overflow"
+    ini = tmp_path / "square.ini"
+    ini.write_text('[problem]\nkind = linear-ode\n\n'
+                   '[operator]\ng[2,1] = "1"\ng[1,1] = "-2000"\ng[0,1] = "1000000"\n\n'
+                   '[Q1]\nb[1,1] = "1"\nb[0,1] = "-1000"\n\n'
+                   '[Q2]\nb[1,1] = "1"\nb[0,1] = "-1000"\n', encoding="utf-8")
+    message = "closed form u0 not evaluable: exp overflow"
+    text, (code, doc), csv = _cascade_three_ways(tmp_path, capsys, str(ini))
+    assert text[0] == code == 0
+    assert [s["provenance"] for s in doc["solutions"]] == ["closed-form"] * 3
+    assert csv == (1, "", f"error: QuadratureFailure: {message}\n", [])
+    code, out, _ = run(capsys, "cascade", "--json", "--csv", str(tmp_path / "out.csv"), str(ini))
+    assert (code, json.loads(out)["error"]) == (1, {"type": "QuadratureFailure", "message": message})

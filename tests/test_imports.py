@@ -3,18 +3,22 @@ module imports a `_`-prefixed name from another opfactor module, every
 `_`-prefixed top-level function, class or constant is read in its
 module, every public top-level function is exported by `__init__.py`
 or read somewhere in the package, and no module but `expr.py` imports
-or names the tree node classes Sum, Product, Power and Div.
+or names the tree node classes Sum, Product, Power and Div, and every
+name `__init__.py` re-exports is referenced by another Python file of
+the repository or named in README.md.
 
-`__init__.py` is exempt from the first and the last rule: its imports
-are the public re-exports.
+`__init__.py` is exempt from the first and the last but one rule: its
+imports are the public re-exports.
 """
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).parent.parent / "src" / "opfactor"
+ROOT = pathlib.Path(__file__).parent.parent
+PACKAGE = ROOT / "src" / "opfactor"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -215,3 +219,43 @@ def test_detects_a_tree_node_outside_expr():
                      "x = E.Sum\ny = isinstance(z, Power)\nself.Product = 2\n"
                      "Sums, e.terms, divisor = 1, 2, 3\n")
     assert set(_tree_names(tree)) == TREE_NODES
+
+
+def _references(tree) -> set:
+    """Every name, attribute name and imported name in a module."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update(part for alias in node.names for part in alias.name.split("."))
+    return out
+
+
+def _dead_exports(init, others, readme: str) -> set:
+    """Names `init` re-exports that no tree of `others` references and
+    no word of `readme` names."""
+    named = set(re.findall(r"\w+", readme)).union(*map(_references, others))
+    return set(_imported(init)) - named
+
+
+def test_every_export_is_used_or_documented():
+    others = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(ROOT.rglob("*.py"))
+              if p != PACKAGE / "__init__.py"
+              and not any(part.startswith(".") for part in p.relative_to(ROOT).parts)]
+    dead = _dead_exports(ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")),
+                         others, (ROOT / "README.md").read_text(encoding="utf-8"))
+    assert not dead, f"exports neither referenced nor in README.md {sorted(dead)}"
+
+
+def test_detects_a_dead_export():
+    init = ast.parse("from .a import by_name, by_attr, by_import, documented, dead\n"
+                     "from .b import Renamed as Alias, Other\n")
+    others = [ast.parse("from opfactor.a import by_import\nx = by_name\n"),
+              ast.parse("import opfactor\ny = opfactor.by_attr\n"
+                        "z = 'dead Other'  # strings do not count\n"
+                        "def Renamed():\n    pass\n")]
+    readme = "Call `documented(x)`; its_dead is another word.\n"
+    assert _dead_exports(init, others, readme) == {"dead", "Alias", "Other"}

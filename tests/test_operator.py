@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opfactor.errors import DomainError, OrderOverflow, ShapeMismatch
+from opfactor.errors import DomainError, NotQuasiLinear, OrderOverflow, ShapeMismatch
 from opfactor.jet import DerivIndex, index_to_axes
 from opfactor.expr import (
     _total_leaf,
@@ -395,6 +395,22 @@ def test_a_linear_read_back_keeps_the_coefficient_objects_of_the_split(Q1, Q2):
     assert P.linear and len(P.coeffs) == len(split)
     for d, c in P.coeffs:
         assert c is split[(((1, d.k, d.h), 1),)]
+
+
+def _u_x1(component):
+    return Var(JetVar(component, DerivIndex(1, 1, 1)))
+
+
+@pytest.mark.parametrize("m, e, message", [
+    (2, _u_x1(1) + _u_x1(2), "jet coordinate of component u2, expected u1"),
+    (1, _u_x1(1) + x_(1), "free term with no dependence"),
+    (2, _u_x1(1) + u_(1) * u_(2), "order-0 monomial u1*u2 mixes components"),
+])
+def test_a_monomial_with_no_slot_is_named(m, e, message):
+    # the order-0 monomial was printed as the tuple (((1, 0, 1), 1), ((2, 0, 1), 1))
+    with pytest.raises(NotQuasiLinear) as err:
+        operator_from_jet(jet_polynomial(1, m, e))
+    assert str(err.value) == message
 
 
 def _tree_read_back(jp):
