@@ -24,7 +24,6 @@ cascading pairwise from the right.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (CapacityExceeded, DomainError, QuadratureFailure,
@@ -35,6 +34,7 @@ from .expr import (Const, DepVar, Expr, Fun, IndepVar, Var, ZERO,
 from .operator import (DiffOperator, MatrixOperator, apply_to_expr, as_matrix,
                        expand_product, matrix_expand_product, operator_from_jet)
 from .conditions import FactorizationCandidate
+from .records import record
 
 MIN_STEPS = 16
 # largest step count (CapacityExceeded above); a 2x2 system costs 0.18 ms a step
@@ -45,7 +45,7 @@ RESIDUAL_POINTS = 32
 _TINY = 1e-12
 
 
-@dataclass(frozen=True)
+@record
 class CascadeOptions:
     interval: tuple = (-1.0, 1.0)
     steps: int = 1024
@@ -56,7 +56,7 @@ class CascadeOptions:
             raise ValidationError(f"step count {self.steps} is not positive")
 
 
-@dataclass(frozen=True)
+@record
 class Trajectory:
     """Sampled solution: values[i] is a float, or a tuple per component."""
 
@@ -64,7 +64,7 @@ class Trajectory:
     values: tuple
 
 
-@dataclass(frozen=True)
+@record
 class SolutionPiece:
     label: str
     form: "Expr | None"
@@ -73,7 +73,7 @@ class SolutionPiece:
     residual: float
 
 
-@dataclass(frozen=True)
+@record
 class CascadeSolution:
     """u0 and u1 solve P u = 0; v1 is the linking kernel element.
 
@@ -94,7 +94,7 @@ class CascadeSolution:
         return tuple(p for s in slots for p in (s if isinstance(s, tuple) else (s,)))
 
 
-@dataclass(frozen=True)
+@record
 class ResidualReport:
     max_relative: float
     symbolic_zero: bool

@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 from .cascade import (CascadeOptions, CascadeSolution, cascade_ode,
                       cascade_system_numeric, piece_values, uniform_grid)
@@ -60,7 +59,7 @@ def _run(argv) -> int:
     args = argparse.Namespace(
         command=argv[0] if argv and argv[0] in COMMANDS else None, as_json=as_json)
     try:
-        args = _build_parser(as_json).parse_args(argv)
+        args = _build_parser(as_json).parse_args(_join_interval(argv))
         return _dispatch(args)
     except (ParseError, ValidationError) as err:
         _emit_error(args, err)
@@ -71,6 +70,17 @@ def _run(argv) -> int:
     except EngineError as err:
         _emit_error(args, err)
         return 1
+
+
+def _join_interval(argv: list) -> list:
+    """`cascade --interval -2,-1` as `--interval=-2,-1`: argparse reads a
+    value that starts with '-' and is no plain number as an option."""
+    out, i = list(argv), 1
+    while argv[:1] == ["cascade"] and i < len(out) - 1 and out[i] != "--":
+        if len(out[i]) > 2 and "--interval".startswith(out[i]):
+            out[i:i + 2] = [f"{out[i]}={out[i + 1]}"]
+        i += 1
+    return out
 
 
 def _build_parser(as_json: bool) -> argparse.ArgumentParser:
@@ -310,11 +320,10 @@ def _cmd_factor(args, problem: ProblemFile) -> int:
 
 def _solve_options(args, problem: ProblemFile) -> CascadeOptions:
     opts = problem.solve if problem.solve is not None else CascadeOptions()
-    if args.interval is not None:
-        opts = replace(opts, interval=parse_interval(args.interval, "--interval"))
-    if args.steps is not None:
-        opts = replace(opts, steps=args.steps)
-    return opts
+    interval = (opts.interval if args.interval is None
+                else parse_interval(args.interval, "--interval"))
+    steps = opts.steps if args.steps is None else args.steps
+    return CascadeOptions(interval, steps, opts.constant)
 
 
 def _cmd_cascade(args, problem: ProblemFile) -> int:

@@ -21,7 +21,6 @@ multiple of another zero condition that reduced to a bare symbol.  The
 other templates keep their prefactors.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapacityExceeded, DomainError, UnsupportedTemplate, ValidationError
@@ -31,6 +30,7 @@ from .expr import (DepVar, Expr, FuncSym, IndepVar, Var, ZERO, diff, evaluate,
 from .jet import DerivIndex, Jet, canonical_slot, index_to_multiindex, slot_count
 from .operator import (DiffOperator, MatrixOperator, as_matrix, identify,
                        make_operator, matrix_expand_product, render_mono)
+from .records import record
 
 TEMPLATES = (
     "linear-ode", "linear-pde2", "nonlinear-ode", "nonlinear-pde2",
@@ -105,7 +105,7 @@ def check_m(template: str, m: int):
         raise ValidationError(f"scalar kinds fix m = 1, got {m}")
 
 
-@dataclass(frozen=True)
+@record
 class Equation:
     """lhs = rhs; lhs is an operator coefficient symbol (or a sum of the
     two slots merged by symmetry of mixed partials) or zero."""
@@ -119,7 +119,7 @@ class Equation:
         return self.lhs == ZERO
 
 
-@dataclass(frozen=True)
+@record
 class ConditionSystem:
     template: str
     n: int
@@ -127,7 +127,7 @@ class ConditionSystem:
     equations: tuple
 
 
-@dataclass(frozen=True)
+@record
 class FactorizationCandidate:
     """An ordered pair of first order factors, scalar or matrix."""
 
@@ -248,14 +248,14 @@ def derive_conditions(template: str, m: int = 1) -> ConditionSystem:
 MAX_SAMPLES = 1 << 12
 
 
-@dataclass(frozen=True)
+@record
 class CheckOptions:
     samples: int = 8
     tol: float = 1e-9
     seed: int = 0
 
 
-@dataclass(frozen=True)
+@record
 class CheckReport:
     passed: bool
     residuals: tuple  # ((label, Expr), ...) nonzero symbolic residuals

@@ -36,33 +36,33 @@ coefficient functions.
 """
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
 
 from .errors import (ArityMismatch, CapacityExceeded, DomainError, NotQuasiLinear,
                      UnboundVariable)
 from .jet import DerivIndex, Jet, canonical_slot, compose_index, index_to_axes
+from .records import record
 
 
 # ---------------------------------------------------------------------------
 # variable identities
 
-@dataclass(frozen=True)
+@record
 class IndepVar:
     """Independent coordinate x^index (1-based)."""
 
     index: int
 
 
-@dataclass(frozen=True)
+@record
 class DepVar:
     """Dependent component u^component (1-based)."""
 
     component: int
 
 
-@dataclass(frozen=True)
+@record
 class JetVar:
     """Jet coordinate: derivative slot `index` of component u^component.
 
@@ -80,7 +80,7 @@ class JetVar:
 Coord = tuple[str, int]  # ('x', i) or ('u', j)
 
 
-@dataclass(frozen=True)
+@record
 class FuncSym:
     """Opaque named function of the coordinates listed in `deps`.
 
@@ -162,7 +162,7 @@ class Expr:
         return Power(self, k)
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Const(Expr):
     value: Fraction
 
@@ -171,18 +171,18 @@ class Const(Expr):
             object.__setattr__(self, "value", Fraction(self.value))
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Var(Expr):
     vid: VarId
-    _hash: int = field(default=None, init=False, compare=False, hash=False, repr=False)
+    _hash: int = None  # cache: not a parameter, compared, hashed or shown
 
-    def __hash__(self):  # the dataclass hash, computed once: atoms key monomials
+    def __hash__(self):  # the record hash, computed once: atoms key monomials
         if self._hash is None:
             object.__setattr__(self, "_hash", hash((self.vid,)))
         return self._hash
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Sum(Expr):
     terms: tuple
 
@@ -191,7 +191,7 @@ class Sum(Expr):
             raise ValueError("Sum needs at least two terms")
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Product(Expr):
     factors: tuple
 
@@ -200,7 +200,7 @@ class Product(Expr):
             raise ValueError("Product needs at least two factors")
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Power(Expr):
     base: Expr
     exp: int
@@ -210,7 +210,7 @@ class Power(Expr):
             raise ValueError("Power exponent must be an int")
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Div(Expr):
     num: Expr
     den: Expr
@@ -219,11 +219,11 @@ class Div(Expr):
 FUN_NAMES = ("exp", "log", "sin", "cos", "sqrt")
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Fun(Expr):
     name: str
     arg: Expr
-    _hash: int = field(default=None, init=False, compare=False, hash=False, repr=False)
+    _hash: int = None  # cache: not a parameter, compared, hashed or shown
 
     def __post_init__(self):
         if self.name not in FUN_NAMES:

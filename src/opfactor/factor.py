@@ -11,7 +11,6 @@ list; errors are reserved for structurally impossible inputs.
 """
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (CapacityExceeded, DomainError, NonPolynomialCoefficients,
@@ -24,6 +23,7 @@ from .expr import (Const, Expr, Fun, FuncSym, IndepVar, Var, ZERO,
                    substitute)
 from .conditions import FactorizationCandidate, discriminant
 from .operator import DiffOperator, make_operator
+from .records import record
 
 
 # largest Riccati ansatz degree (CapacityExceeded above), kept as input
@@ -32,7 +32,7 @@ from .operator import DiffOperator, make_operator
 MAX_ANSATZ_DEGREE = 32
 
 
-@dataclass(frozen=True)
+@record
 class SearchConfig:
     """Knobs for the search strategies.  An ansatz degree below 0 raises
     ValidationError, one above MAX_ANSATZ_DEGREE CapacityExceeded."""
@@ -104,7 +104,7 @@ def _const_value(e: Expr) -> Fraction:
 # ---------------------------------------------------------------------------
 # Riccati ansatz over one variable
 
-@dataclass(frozen=True)
+@record
 class RiccatiProblem:
     """D(Y) - Y^2 + y1 Y + y0 = 0 in the right factor's zero order
     coefficient Y, for the split (X + g21 D)(Y + D)."""
@@ -212,7 +212,7 @@ def factor_ode(P: DiffOperator, config: SearchConfig = SearchConfig()) -> list:
 # ---------------------------------------------------------------------------
 # principal symbol pipeline over two variables
 
-@dataclass(frozen=True)
+@record
 class PdeBranch:
     """One root assignment: a fully determined candidate plus the zero
     order residual that decides whether it really factors."""
@@ -226,7 +226,7 @@ class PdeBranch:
         return self.residual == ZERO
 
 
-@dataclass(frozen=True)
+@record
 class ObligationCheck:
     candidate: FactorizationCandidate
     residual_quadratic: Expr
@@ -237,7 +237,7 @@ class ObligationCheck:
         return self.residual_quadratic == ZERO and self.residual_mixed == ZERO
 
 
-@dataclass(frozen=True)
+@record
 class PdeObligation:
     """Repeated root case: the first order slots of both factors are
     fixed, and any Z solving a quadratic first order equation completes
@@ -271,7 +271,7 @@ class PdeObligation:
                                from_pair(res_mixed))
 
 
-@dataclass(frozen=True)
+@record
 class PdeFactorResult:
     delta: Expr
     sqrt_delta: "Expr | None"

@@ -19,12 +19,12 @@ which is how the numeric probe of a factorization differentiates
 without symbolic work.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial
 
 from .errors import CapacityExceeded
+from .records import record
 
 MAX_SLOTS = 2**63 - 1
 
@@ -53,7 +53,7 @@ def jet_size(n: int, m: int, s: int) -> int:
     return m * total
 
 
-@dataclass(frozen=True)
+@record
 class DerivIndex:
     """Order k and slot h of a derivative coordinate over n variables."""
 

@@ -24,7 +24,6 @@ prefix of axes are taken once per operator.  Reading an expansion back
 coefficient, which `operator_from_jet` takes as it is.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArityMismatch, NotQuasiLinear, OrderOverflow, ShapeMismatch
@@ -32,6 +31,7 @@ from .expr import (Const, DepVar, Expr, IndepVar, JetVar, Var, ZERO, ONE,
                    cancel, expr_to_poly, expr_variables, from_pair, pair_product, pair_substitute,
                    pair_total, pair_total_derivative, ratio, render, simplify, split_jet)
 from .jet import DerivIndex, index_to_axes
+from .records import record
 
 DEFAULT_ORDER_CAP = 6
 
@@ -45,7 +45,7 @@ def _jet_mono_key(mono: JetMono):
             sum(e for _, e in mono), mono)
 
 
-@dataclass(frozen=True)
+@record
 class DiffOperator:
     """Scalar differential operator over n independent variables.
 
@@ -106,7 +106,7 @@ def make_operator(n: int, m: int, coeffs: dict, linear: bool = True) -> DiffOper
     return DiffOperator(n, m, tuple(pairs), linear)
 
 
-@dataclass(frozen=True)
+@record
 class MatrixOperator:
     """Square system operator; entry (p, q) acts on component q.
 
@@ -153,7 +153,7 @@ def as_matrix(op) -> MatrixOperator:
     return MatrixOperator(op.n, 1, ((op,),))
 
 
-@dataclass(frozen=True)
+@record
 class JetPolynomial:
     """Canonical expansion result: sorted (monomial, coefficient) terms."""
 

@@ -9,11 +9,11 @@ Whitespace is insignificant.  Exponents must simplify to integers of
 absolute value at most MAX_EXPONENT.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError
 from .expr import Const, DepVar, Expr, Fun, FUN_NAMES, IndepVar, Var, simplify
+from .records import record
 
 # deepest nesting of parentheses, function arguments, unary minus and
 # exponents; far deeper input exhausts the interpreter's recursion limit
@@ -23,7 +23,7 @@ MAX_NESTING = 100
 MAX_EXPONENT = 10_000
 
 
-@dataclass(frozen=True)
+@record
 class Token:
     kind: str  # num ident op lparen rparen end
     text: str

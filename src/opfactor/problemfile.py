@@ -35,7 +35,6 @@ coefficient so the operator really has order two.
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cascade import CascadeOptions
@@ -44,12 +43,13 @@ from .errors import EngineError, ParseError, ValidationError
 from .expr import DepVar, Expr, ZERO, expr_variables, render, simplify
 from .operator import DiffOperator, MatrixOperator, as_matrix, make_operator
 from .parse import parse_expr
+from .records import record
 
 _SECTIONS = ("problem", "operator", "Q1", "Q2", "N1", "N2", "solve")
 _KEY_RE = re.compile(r"^([a-z])\[(\d+(?:,\d+)*)\]$", re.ASCII)
 
 
-@dataclass(frozen=True)
+@record
 class ProblemFile:
     kind: str
     n: int

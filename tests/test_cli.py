@@ -370,6 +370,22 @@ def test_cascade_interval_flag_must_be_finite(capsys):
         assert error["type"] == "ValidationError" and "finite" in error["message"]
 
 
+@pytest.mark.parametrize("value, code", [("-2,-1", 0), ("-1,1", 0), ("-2,", 2)])
+def test_a_spaced_interval_reads_as_the_joined_one(capsys, value, code):
+    """argparse alone takes `-2,-1` after `--interval` for an option."""
+    ini = path("ode-const-factorable.ini")
+    for flags in ((), ("--json",)):
+        joined = run(capsys, "cascade", *flags, f"--interval={value}", ini)
+        assert joined[0] == code
+        for spelling in ("--interval", "--int"):
+            assert run(capsys, "cascade", *flags, spelling, value, ini) == joined
+            assert run(capsys, "cascade", *flags, ini, spelling, value) == joined
+    if code == 2:
+        assert joined[1].startswith('{') and '"type": "ValidationError"' in joined[1]
+        assert run(capsys, "cascade", "--interval", value, ini)[2].startswith(
+            "error: ValidationError: ")
+
+
 def test_cascade_blowup_is_domain_error(tmp_path, capsys):
     # Q2 = D - u^3: u0' = u0^4 with u0(2) = 1 blows up at x1 = 7/3
     ini = tmp_path / "blowup.ini"

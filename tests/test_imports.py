@@ -5,15 +5,20 @@ module, every public top-level function is exported by `__init__.py`
 or read somewhere in the package, and no module but `expr.py` imports
 or names the tree node classes Sum, Product, Power and Div, and every
 name `__init__.py` re-exports is referenced by another Python file of
-the repository or named in README.md.
+the repository or named in README.md.  No module imports `dataclasses`,
+and importing the CLI loads neither `dataclasses` nor `inspect`: each
+command runs in a fresh interpreter, which would pay for both.
 
 `__init__.py` is exempt from the first and the last but one rule: its
 imports are the public re-exports.
 """
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -259,3 +264,44 @@ def test_detects_a_dead_export():
                         "def Renamed():\n    pass\n")]
     readme = "Call `documented(x)`; its_dead is another word.\n"
     assert _dead_exports(init, others, readme) == {"dead", "Alias", "Other"}
+
+
+SLOW_IMPORTS = ("dataclasses", "inspect")
+
+
+def _slow_imports(tree) -> dict:
+    """{module: line} of the start-up-heavy modules a module imports."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            continue
+        for top in (name.split(".")[0] for name in names):
+            if top in SLOW_IMPORTS:
+                out.setdefault(top, node.lineno)
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_dataclasses_or_inspect(path):
+    slow = _slow_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert not slow, f"{path.name}: imports {slow}"
+
+
+def test_detects_a_dataclasses_import():
+    tree = ast.parse("from dataclasses import dataclass\nimport os, inspect\n"
+                     "def f():\n    import dataclasses as dc\n"
+                     "from .records import record\nimport inspection\n")
+    assert _slow_imports(tree) == {"dataclasses": 1, "inspect": 2}
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = ("import sys, opfactor.cli; "
+             f"print(sorted(set({SLOW_IMPORTS!r}) & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
