@@ -203,8 +203,7 @@ def _kernel_piece(Q: DiffOperator, grid, h, label: str) -> SolutionPiece:
     rate = simplify(Q.coeff(0, 1) / Q.coeff(1, 1))
     prim = _table_antiderivative(rate, grid)
     if prim is not None:
-        form = simplify(Fun("exp", simplify(Const(Fraction(-1)) * prim)))
-        return SolutionPiece(label, form, None, "closed-form", 0.0)
+        return SolutionPiece(label, _kernel_form(prim), None, "closed-form", 0.0)
     vals = _sample(rate, grid, "integrand")
     acc = _cumulative_simpson(vals, h)
     mid = acc[len(acc) // 2]
@@ -221,6 +220,18 @@ def _table_antiderivative(e: Expr, grid):
     if grid[0] <= 0 and expr_to_poly(e) is None:
         return None
     return antiderivative(e)
+
+
+def _kernel_form(prim: Expr) -> Expr:
+    """exp(-prim), with prim's multiple k log(x1), k an integer, read
+    back as x1^-k: the table writes log(x1) only for grids in x1 > 0,
+    where exp(-k log(x1)) = x1^-k.  prim's denominator is a power of x1,
+    so k is the coefficient of the one numerator term with log(x1)."""
+    x = Var(IndepVar(1))
+    log = simplify(Fun("log", x))
+    k = sum(c for mono, c in ratio(prim)[0].items() if (log, 1) in mono)
+    k = int(k) if k.denominator == 1 else 0
+    return simplify(x ** -k * Fun("exp", simplify(Const(Fraction(k)) * log - prim)))
 
 
 def piece_values(piece: SolutionPiece, grid) -> list:

@@ -180,11 +180,9 @@ def _normalize_zeros(zeros, nonvanishing):
 
 def _strip(e: Expr, nonvanishing, singles) -> Expr:
     """Drop monomials containing known-zero symbols, then divide out
-    known-nonzero symbol factors and normalize the constant content."""
-    p = expr_to_poly(e)
-    if p is None:
-        return simplify(e)
-    p = {mono: c for mono, c in p.items()
+    known-nonzero symbol factors and normalize the constant content;
+    e is a polynomial, as every zero condition is."""
+    p = {mono: c for mono, c in expr_to_poly(e).items()
          if not any(isinstance(a, Var) and a.vid in singles for a, _ in mono)}
     if not p:
         return ZERO

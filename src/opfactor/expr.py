@@ -367,10 +367,11 @@ def _normal(mono, c):
     surd's square moves into c, sqrt(q)^2 = q."""
     exps = [(a, e) for a, e in mono if isinstance(a, Fun) and a.name == "exp"]
     if len(exps) > 1 or exps and exps[0][1] > 1:
-        total = simplify(reduce(Expr.__add__, (Const(Fraction(e)) * a.arg for a, e in exps)))
-        mono = [t for t in mono if t not in exps]
-        if total != ZERO:
-            mono = sorted(mono + [(Fun("exp", total), 1)], key=lambda t: sort_key(t[0]))
+        total = pair_total([pair_product(({(): Fraction(e)}, _ONE_POLY), ratio(a.arg))
+                            for a, e in exps])
+        (merged, _), = _fun_atom("exp", from_pair(total))[0].items()
+        mono = sorted([t for t in mono if t not in exps] + list(merged),
+                      key=lambda t: sort_key(t[0]))
     out = []
     for a, e in mono:
         if e >= 2 and _is_surd(a):
@@ -405,32 +406,26 @@ SURD_TRIAL_PRIMES = 1000
 
 
 def _fun_atom(name: str, arg: Expr):
-    """Canonicalize a function application; returns an Expr.  sqrt(q) of
-    a rational q > 0 that is not a square is r * sqrt(s), s an integer
-    rid of its square factors by trial division up to SURD_TRIAL_PRIMES."""
+    """The pair of a function application, and the only place that
+    builds a function atom: a constant for exp(0), cos(0), log(1), sin(0)
+    and the square root of a rational square; r * sqrt(s) for any other
+    sqrt(q) of a rational q > 0, s an integer rid of its square factors
+    by trial division up to SURD_TRIAL_PRIMES; else the atom itself."""
     arg = simplify(arg)
-    if name == "exp" and arg == ZERO:
-        return ONE
-    if name == "log" and arg == ONE:
-        return ZERO
-    if name == "sin" and arg == ZERO:
-        return ZERO
-    if name == "cos" and arg == ZERO:
-        return ONE
-    if name == "sqrt" and isinstance(arg, Const):
-        if arg.value == 0:
-            return ZERO
-        if arg.value > 0:
-            root = fraction_sqrt(arg.value)
-            if root is not None:
-                return Const(root)
-            q, r = arg.value.numerator * arg.value.denominator, Fraction(1, arg.value.denominator)
-            for p in range(2, min(SURD_TRIAL_PRIMES, math.isqrt(q) + 1)):
-                while q % (p * p) == 0:
-                    q, r = q // (p * p), r * p
-            if r != 1:
-                return Product((Const(r), Fun(name, Const(Fraction(q)))))
-    return Fun(name, arg)
+    q = arg.value if isinstance(arg, Const) else None
+    if q == 0 and name != "log" or q == 1 and name == "log":
+        return ratio(ONE if name in ("exp", "cos") else ZERO)
+    c = Fraction(1)
+    if name == "sqrt" and q is not None and q > 0:
+        root = fraction_sqrt(q)
+        if root is not None:
+            return ratio(Const(root))
+        s, c = q.numerator * q.denominator, Fraction(1, q.denominator)
+        for p in range(2, min(SURD_TRIAL_PRIMES, math.isqrt(s) + 1)):
+            while s % (p * p) == 0:
+                s, c = s // (p * p), c * p
+        arg = Const(Fraction(s))
+    return {((Fun(name, arg), 1),): c}, _ONE_POLY
 
 
 def fraction_sqrt(q: Fraction):
@@ -479,10 +474,7 @@ def ratio(e: Expr):
     if polys is not None:
         return polys
     if isinstance(e, Fun):
-        atom = _fun_atom(e.name, e.arg)
-        if isinstance(atom, Fun):
-            return {((atom, 1),): Fraction(1)}, _ONE_POLY
-        return ratio(atom)  # a constant, or r * sqrt(s)
+        return _fun_atom(e.name, e.arg)
     if isinstance(e, Sum):
         return reduce(pair_sum, map(ratio, e.terms))
     if isinstance(e, Product):
@@ -569,19 +561,14 @@ def cancel(pair):
         num = {monomial(v): Fraction(c * dg, df * unit) for v, c in f.items()}
         den = (_ONE_POLY if len(g) == 1 and not any(lead) else
                {monomial(v): Fraction(c // unit) for v, c in g.items()})
-    # pull exp factors out of a single-term denominator
+    # pull the exp atom, at most one, out of a single-term denominator
     if len(den) == 1:
         (mono, c), = den.items()
-        exps = [(a, e) for a, e in mono if isinstance(a, Fun) and a.name == "exp"]
-        if exps:
-            inv = _ONE_POLY
-            for a, e in exps:
-                neg = _fun_atom("exp", Const(Fraction(-e)) * a.arg)
-                if neg != ONE:
-                    inv = _poly_mul(inv, {((neg, 1),): Fraction(1)})
-            num = _poly_mul(num, inv)
-            mono = tuple(t for t in mono if t not in exps)
-            den = {mono: c} if mono else _ONE_POLY
+        for a, e in mono:
+            if isinstance(a, Fun) and a.name == "exp":  # exp(-e arg) is an atom, not 1
+                num = _poly_mul(num, _fun_atom("exp", Const(Fraction(-e)) * a.arg)[0])
+                rest = tuple(t for t in mono if t[0] is not a)
+                den = {rest: c} if rest else _ONE_POLY
     return num, den
 
 
@@ -916,10 +903,15 @@ def _atom_derivative(a, leaf):
     variable, or df(y)/dy times the derivative of the argument y."""
     if isinstance(a, Var):
         return ratio(leaf(a.vid))
-    y = a.arg
-    outer = {"exp": a, "log": Div(ONE, y), "sin": Fun("cos", y), "cos": -Fun("sin", y),
-             "sqrt": Div(ONE, Const(Fraction(2)) * a)}[a.name]
-    return pair_product(_poly_derivative(ratio(y), leaf), ratio(outer))
+    y = ratio(a.arg)
+    if a.name == "log":
+        outer = _inverse(y)
+    elif a.name == "sqrt":
+        outer = {(): Fraction(1)}, {((a, 1),): Fraction(2)}
+    else:  # exp' = exp, sin' = cos, cos' = -sin
+        num, den = _fun_atom({"sin": "cos", "cos": "sin"}.get(a.name, "exp"), a.arg)
+        outer = _poly_scale(num, Fraction(-1 if a.name == "cos" else 1)), den
+    return pair_product(_poly_derivative(y, leaf), outer)
 
 
 # ---------------------------------------------------------------------------
@@ -942,7 +934,7 @@ def pair_substitute(pair, values: dict):
         v = values.get(a)
         if v is None and isinstance(a, Fun) and \
                 any(Var(x) in values for x in expr_variables(a.arg)):
-            v = ratio(Fun(a.name, from_pair(pair_substitute(ratio(a.arg), values))))
+            v = _fun_atom(a.name, from_pair(pair_substitute(ratio(a.arg), values)))
         if v is not None and v[1] == _ONE_POLY and v[0].keys() <= {()}:
             v = v[0].get((), 0)
         images[a] = v
@@ -1248,20 +1240,17 @@ def poly_sqrt(e: Expr):
     makes every half exponent an integer and the even shift_k makes
     every exponent nonnegative.
     """
-    e = simplify(e)
-    p = expr_to_poly(e)
-    if p is None:
-        if isinstance(e, Div):
-            rn, rd = poly_sqrt(e.num), poly_sqrt(e.den)
-            if rn is not None and rd is not None:
-                return simplify(Div(rn, rd))
-        return None
-    if not p:
-        return ZERO
+    roots = [_poly_root(p) for p in ratio(simplify(e))]
+    return None if None in roots else from_pair(tuple(roots))
+
+
+def _poly_root(p):
+    """Square root of a poly, or None (see `poly_sqrt`)."""
+    if not p or p == _ONE_POLY:
+        return p
     exps = {a for m in p for a, _ in m if isinstance(a, Fun) and a.name == "exp"}
     if not exps:
-        root = _peel(p)
-        return None if root is None else poly_to_expr(root)
+        return _peel(p)
     args = {a: expr_to_poly(a.arg) for a in exps}
     if any(q is None for q in args.values()):
         return None
@@ -1289,9 +1278,9 @@ def poly_sqrt(e: Expr):
         power = dict(mono)
         arg = {mu: Fraction(power.pop(stand[i], 0) + shift[i] // 2, scale)
                for i, mu in enumerate(mus)}
-        exp = Fun("exp", poly_to_expr({mu: a for mu, a in arg.items() if a}))
-        terms.append(Product((exp, _term_expr(tuple(power.items()), c))))
-    return simplify(sum(terms[1:], terms[0]))
+        exp = _fun_atom("exp", poly_to_expr({mu: a for mu, a in arg.items() if a}))
+        terms.append(pair_product(exp, ({tuple(power.items()): c}, _ONE_POLY)))
+    return pair_total(terms)[0]
 
 
 def _peel(p):

@@ -66,9 +66,7 @@ def factor_constant(P: DiffOperator) -> list:
     g2 = P.coeff(2, 1)
     if g2 == ZERO:
         raise UnsupportedTemplate("operator is not second order")
-    g2v = g2.value if isinstance(g2, Const) else None
-    if g2v is None:
-        raise NotConstant("leading coefficient is not a rational constant")
+    g2v = _const_value(g2)
     A = _const_value(P.coeff(1, 1)) / g2v
     B = _const_value(P.coeff(0, 1)) / g2v
     disc = A * A - 4 * B
@@ -291,8 +289,7 @@ def _delta_sqrt(P: DiffOperator, delta: Expr, pivot: int, config: SearchConfig) 
         if delta.value < 0:
             raise NoRealFactorization(
                 f"discriminant {render(delta)} is negative")
-        root = fraction_sqrt(delta.value)
-        return Const(root) if root is not None else Fun("sqrt", delta)
+        return simplify(Fun("sqrt", delta))
     flip = _swap_x if pivot == 2 else (lambda e: e)
     root = poly_sqrt(flip(delta))
     if root is not None:

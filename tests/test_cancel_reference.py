@@ -6,7 +6,9 @@ integer polys over exponent vectors and read the cofactors back) and
 the normalization through `poly_content` and two scalings.  That
 version is kept here as an independent reference: the cancel of today
 must return equal pairs with the same item order, and hand the input
-dicts back exactly when the reference did.
+dicts back exactly when the reference did.  The reference keeps its own
+copy of the function atom constructor of that time, which returned a
+tree where `expr._fun_atom` now returns a pair.
 """
 
 import math
@@ -18,8 +20,8 @@ from hypothesis import strategies as st
 
 from opfactor import expr
 from opfactor.errors import DomainError
-from opfactor.expr import (Const, Fun, FuncSym, ONE, Var, cancel, const, poly_content,
-                           sort_key, u_, x_)
+from opfactor.expr import (Const, Fun, FuncSym, ONE, Product, Var, ZERO, cancel, const,
+                           poly_content, sort_key, u_, x_)
 from opfactor.parse import parse_expr
 
 _ONE_POLY = expr._ONE_POLY
@@ -51,6 +53,34 @@ def _reference_gcd(p, q):
     if found is None or (len(found[0]) == 1 and not any(next(iter(found[0])))):
         return None
     return sparse(found[1], df), sparse(found[2], dg)
+
+
+def _reference_fun_atom(name, arg):
+    """The function atom as a tree, as `expr._fun_atom` built it before
+    it returned the atom's pair: a constant, r * sqrt(s) or the atom."""
+    arg = expr.simplify(arg)
+    if name == "exp" and arg == ZERO:
+        return ONE
+    if name == "log" and arg == ONE:
+        return ZERO
+    if name == "sin" and arg == ZERO:
+        return ZERO
+    if name == "cos" and arg == ZERO:
+        return ONE
+    if name == "sqrt" and isinstance(arg, Const):
+        if arg.value == 0:
+            return ZERO
+        if arg.value > 0:
+            root = expr.fraction_sqrt(arg.value)
+            if root is not None:
+                return Const(root)
+            q, r = arg.value.numerator * arg.value.denominator, Fraction(1, arg.value.denominator)
+            for p in range(2, min(expr.SURD_TRIAL_PRIMES, math.isqrt(q) + 1)):
+                while q % (p * p) == 0:
+                    q, r = q // (p * p), r * p
+            if r != 1:
+                return Product((Const(r), Fun(name, Const(Fraction(q)))))
+    return Fun(name, arg)
 
 
 def _reference_cancel(pair):
@@ -89,7 +119,7 @@ def _reference_cancel(pair):
         if exps:
             inv = _ONE_POLY
             for a, e in exps:
-                neg = expr._fun_atom("exp", Const(Fraction(-e)) * a.arg)
+                neg = _reference_fun_atom("exp", Const(Fraction(-e)) * a.arg)
                 if neg != ONE:
                     inv = expr._poly_mul(inv, {((neg, 1),): Fraction(1)})
             num = expr._poly_mul(num, inv)

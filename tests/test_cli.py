@@ -227,6 +227,21 @@ def test_factor_writes_a_surd_root_without_square_factors(tmp_path, capsys):
     assert "sqrt(8)" not in out
 
 
+def test_factor_writes_a_surd_discriminant_root_without_square_factors(tmp_path, capsys):
+    # u_x1x1 - 2 u_x2x2 printed sqrt(delta) = sqrt(8), its factors sqrt(2)
+    ini = tmp_path / "surd-pde.ini"
+    ini.write_text('[problem]\nkind = linear-pde2\n\n'
+                   '[operator]\ng[2,1] = "1"\ng[2,4] = "-2"\n', encoding="utf-8")
+    code, out, _ = run(capsys, "factor", str(ini))
+    assert code == 0
+    assert out.startswith("discriminant: 8\nsqrt(delta) = 2*sqrt(2)\n")
+    assert "b[1,2] = sqrt(2)" in out and "sqrt(8)" not in out
+    code, out, _ = run(capsys, "factor", "--json", str(ini))
+    doc = json.loads(out)
+    assert (code, doc["delta"], doc["sqrt_delta"], doc["verdict"]) == (0, "8", "2*sqrt(2)",
+                                                                       "FACTORED")
+
+
 def test_check_redraws_probe_points_outside_the_domain(tmp_path, capsys):
     # log(x1) is undefined on half of the probe box
     code, out, _ = run(capsys, "check", "--json", _split_with(tmp_path, "log(x1)"))
@@ -871,7 +886,7 @@ def test_cascade_keeps_a_closed_form_whose_pole_lies_outside(tmp_path, capsys):
     assert csv[3] == ["out-u0.csv"]
 
 
-# Q1 = D, Q2 = D + 2/x1: the table's u0 = exp(-2*log(x1)) holds for x1 > 0 only
+# Q1 = D, Q2 = D + 2/x1: the table's u0 = 1/x1^2 holds for x1 > 0 only
 _OVER_X1 = ('[problem]\nkind = linear-ode\n\n'
             '[operator]\ng[2,1] = "1"\ng[1,1] = "2/x1"\ng[0,1] = "-2/x1^2"\n\n'
             '[Q1]\nb[1,1] = "1"\n\n'
@@ -880,7 +895,7 @@ _OVER_X1 = ('[problem]\nkind = linear-ode\n\n'
 
 @pytest.mark.parametrize("interval, provenances", [
     ("-2,-1", ["quadrature", "closed-form", "quadrature"]),
-    ("0.5,1", ["closed-form", "closed-form", "quadrature"]),
+    ("0.5,1", ["closed-form", "closed-form", "closed-form"]),
 ])
 def test_table_antiderivatives_over_x1_hold_for_x1_positive_only(tmp_path, capsys,
                                                                   interval, provenances):
@@ -899,6 +914,45 @@ def test_table_antiderivatives_over_x1_hold_for_x1_positive_only(tmp_path, capsy
     rows = (tmp_path / "out-u0.csv").read_text(encoding="utf-8").splitlines()
     assert len(rows) == 1026 and all(math.isfinite(float(v)) for r in rows[1:]
                                      for v in r.split(","))
+
+
+def test_table_kernels_read_integer_log_multiples_back_as_powers(tmp_path, capsys):
+    # u0 printed as exp(-2*log(x1)), and u1's integrand x1^2 written as
+    # exp(2*log(x1)) missed the table: u1 by quadrature, residual 4.267e-06
+    ini = tmp_path / "over-x1.ini"
+    ini.write_text(_OVER_X1, encoding="utf-8")
+    text, (code, doc), csv = _cascade_three_ways(tmp_path, capsys, str(ini), "--interval=0.5,1")
+    assert text == (0, "cascade over [0.5, 1] with 1024 steps:\n"
+                       "  u0 [closed-form] = 1/x1^2, max residual 0.000e+00\n"
+                       "  v1 [closed-form] = 1, max residual 0.000e+00\n"
+                       "  u1 [closed-form] = (1/3)*x1, max residual 0.000e+00\n", "")
+    assert code == 0
+    assert [(s["label"], s["provenance"], s["form"], s["residual"])
+            for s in doc["solutions"]] == [("u0", "closed-form", "1/x1^2", 0.0),
+                                           ("v1", "closed-form", "1", 0.0),
+                                           ("u1", "closed-form", "(1/3)*x1", 0.0)]
+    assert csv[0] == 0 and csv[1].startswith(text[1])
+    assert csv[3] == ["out-u0.csv", "out-u1.csv", "out-v1.csv"]
+    rows = (tmp_path / "out-u0.csv").read_text(encoding="utf-8").splitlines()
+    assert (rows[1], rows[-1]) == ("0.5,4", "1,1")
+    rows = (tmp_path / "out-u1.csv").read_text(encoding="utf-8").splitlines()
+    assert float(rows[-1].split(",")[1]) == pytest.approx(1 / 3, abs=1e-15)
+
+
+@pytest.mark.parametrize("rate, form", [
+    # a non-integer multiple of log(x1) keeps the exp form
+    ("1/(2*x1)", "exp(-(1/2)*log(x1))"),
+    ("3/x1 + 1", "exp(-x1)/x1^3"),
+])
+def test_table_kernels_keep_the_exp_of_what_is_left(tmp_path, capsys, rate, form):
+    ini = tmp_path / "kernel.ini"
+    ini.write_text('[problem]\nkind = linear-ode\n\n'
+                   f'[operator]\ng[2,1] = "1"\ng[1,1] = "{rate}"\n\n'
+                   '[Q1]\nb[1,1] = "1"\n\n'
+                   f'[Q2]\nb[1,1] = "1"\nb[0,1] = "{rate}"\n', encoding="utf-8")
+    code, out, _ = run(capsys, "cascade", "--json", "--interval=0.5,1", str(ini))
+    u0 = json.loads(out)["solutions"][0]
+    assert (code, u0["provenance"], u0["form"], u0["residual"]) == (0, "closed-form", form, 0.0)
 
 
 def test_table_antiderivatives_over_x1_are_not_used_through_zero(tmp_path, capsys):

@@ -1037,3 +1037,49 @@ def test_caches_report_a_finite_size():
     for cached in (simplify, sort_key):
         info = cached.cache_info()
         assert info.maxsize is not None and info.maxsize > 0
+
+
+# ---------------------------------------------------------------------------
+# function atoms: one constructor, whose rules every path reaches
+
+
+@pytest.mark.parametrize("text, canonical", [
+    ("exp(0)", "1"), ("cos(0)", "1"), ("log(1)", "0"), ("sin(0)", "0"), ("sqrt(0)", "0"),
+    ("sqrt(4/9)", "2/3"),
+    # exp atoms merge in a product, and leave a one-term denominator
+    ("exp(x1)*exp(-x1)", "1"), ("exp(x1)^2*exp(-x1)", "exp(x1)"),
+    ("1/exp(x1)", "exp(-x1)"), ("x1/(2*exp(x1))", "(1/2)*x1*exp(-x1)"),
+    ("(x1 + 1)/(x2*exp(x1 - x2))", "(x1*exp(x2 - x1) + exp(x2 - x1))/x2"),
+])
+def test_function_atoms_take_their_canonical_form(text, canonical):
+    assert render(P(text)) == canonical
+
+
+def test_substitution_rebuilds_atoms_under_their_rules():
+    assert substitute(P("exp(x1*x2)"), {IndepVar(2): ZERO}) == ONE
+    assert substitute(P("cos(x1) + sin(x1)*x2"), {IndepVar(1): ZERO}) == ONE
+    e = substitute(P("sqrt(x1) + log(x1*x2)"), {IndepVar(1): const(8), IndepVar(2): P("1/8")})
+    assert render(e) == "2*sqrt(2)"
+
+
+@pytest.mark.parametrize("text, derivative", [
+    ("log(x1^2 + 1)", "2*x1/(x1^2 + 1)"), ("cos(x1^2)", "-2*x1*sin(x1^2)"),
+    ("sqrt(x1^2 + 1)", "x1/sqrt(x1^2 + 1)"), ("sqrt(x1)", "1/2/sqrt(x1)"),
+    ("sqrt(2)*x1 + log(3) + sqrt(x2)", "sqrt(2)"),
+])
+def test_diff_of_functions_of_compound_arguments(text, derivative):
+    assert render(diff(P(text), IndepVar(1))) == derivative
+
+
+@pytest.mark.parametrize("text, root", [
+    # a quotient side by side, exp atoms through their stand-ins
+    ("(x1^2 + 2*x1 + 1)/(4*x2^2)", "((1/2)*x1 + 1/2)/x2"),
+    ("exp(2*x1) + 2*exp(x1) + 1", "exp(x1) + 1"),
+    ("(exp(2*x1) - 2*x2*exp(x1) + x2^2)/(x1^2 + 2*x1 + 1)", "(exp(x1) - x2)/(x1 + 1)"),
+    ("exp(x1)", "exp((1/2)*x1)"), ("4/9", "2/3"), ("0", "0"),
+    # a quotient needs both sides squares
+    ("x1/x2^2", None), ("x2^2/x1", None), ("exp(x1) + 1", None), ("exp(x1/x2)", None),
+])
+def test_poly_sqrt_of_quotients_and_exp_atoms(text, root):
+    out = poly_sqrt(P(text))
+    assert (out if out is None else render(out)) == root

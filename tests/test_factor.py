@@ -1,5 +1,6 @@
 """Factorization search: constant roots, Riccati ansatz, principal symbol."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,16 @@ def test_constant_negative_discriminant():
 def test_constant_rejects_variable_coefficients():
     with pytest.raises(NotConstant):
         factor_constant(ode("1", "x1", "0"))
+
+
+@pytest.mark.parametrize("g2, g1, g0, culprit", [
+    ("sqrt(2)", "0", "-1", "sqrt(2)"), ("1", "sqrt(3)", "1", "sqrt(3)"),
+    ("2", "1", "exp(1)", "exp(1)"),
+])
+def test_constant_rejects_irrational_coefficients(g2, g1, g0, culprit):
+    # one check for all three: the lead reports its value like the others
+    with pytest.raises(NotConstant, match=rf"^{re.escape(culprit)} is not a rational constant$"):
+        factor_constant(ode(g2, g1, g0))
 
 
 def test_constant_requires_second_order():
@@ -361,7 +372,7 @@ def test_probably_negative_treats_undefined_points_as_not_negative():
 def test_pde_constant_surd_discriminant():
     P = pde({(2, 1): "1", (2, 4): "-2"})
     res = factor_pde_second_order(P)
-    assert isinstance(res.sqrt_delta, Fun)
+    assert (render(res.delta), render(res.sqrt_delta)) == ("8", "2*sqrt(2)")
     assert res.candidates
     for cand in res.candidates:
         assert verified(P, cand)

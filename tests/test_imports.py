@@ -2,10 +2,12 @@
 module imports a `_`-prefixed name from another opfactor module, every
 `_`-prefixed top-level function, class or constant is read in its
 module, every public top-level function is exported by `__init__.py`
-or read somewhere in the package, and no module but `expr.py` imports
-or names the tree node classes Sum, Product, Power and Div, and every
-name `__init__.py` re-exports is referenced by another Python file of
-the repository or named in README.md.  No module imports `dataclasses`,
+or read somewhere in the package, no module but `expr.py` imports or
+names the tree node classes Sum, Product, Power and Div, inside
+`expr.py` only `_fun_atom` builds a Fun and only the tree constructors
+build the other four, and every name `__init__.py` re-exports is
+referenced by another Python file of the repository or named in
+README.md.  No module imports `dataclasses`,
 and importing the CLI loads neither `dataclasses` nor `inspect`: each
 command runs in a fresh interpreter, which would pay for both.
 
@@ -224,6 +226,52 @@ def test_detects_a_tree_node_outside_expr():
                      "x = E.Sum\ny = isinstance(z, Power)\nself.Product = 2\n"
                      "Sums, e.terms, divisor = 1, 2, 3\n")
     assert set(_tree_names(tree)) == TREE_NODES
+
+
+def _misplaced_builds(tree) -> list:
+    """(scope, class) of each call, in source order, that builds a Fun outside `_fun_atom`,
+    or a Sum, Product, Power or Div outside the class Expr (its operator
+    methods), `_term_expr`, `poly_to_expr` and `cancelled_tree`.  A scope
+    is the dotted path of the classes and functions around the call."""
+    homes = {"Fun": {"_fun_atom"}}
+    homes.update(dict.fromkeys(TREE_NODES, {"Expr", "_term_expr", "poly_to_expr",
+                                            "cancelled_tree"}))
+    out = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in homes and scope.split(".")[0] not in homes[name]:
+                out.append((scope, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return out
+
+
+def test_expr_builds_atoms_and_trees_in_their_constructors():
+    # the kernel works on pairs: `_fun_atom` is the one place that makes
+    # a function atom, and only the tree constructors make tree nodes
+    misplaced = _misplaced_builds(ast.parse((PACKAGE / "expr.py").read_text(encoding="utf-8")))
+    assert not misplaced, f"expr.py: atoms or trees built outside their constructors {misplaced}"
+
+
+def test_detects_an_atom_or_tree_built_outside_its_constructor():
+    tree = ast.parse("class Expr:\n    def __add__(self, o):\n        return Sum((self, o))\n"
+                     "class Other:\n    def __add__(self, o):\n        return Sum((self, o))\n"
+                     "def _fun_atom(name, arg):\n    return Fun(name, Product((arg, arg)))\n"
+                     "def poly_to_expr(p):\n    return Sum(tuple(Power(x, 2) for x in p))\n"
+                     "def _normal(mono):\n    return expr.Fun('exp', mono)\n"
+                     "def _atom_derivative(a):\n"
+                     "    def outer(y):\n        return Div(ONE, y)\n    return outer\n"
+                     "ROOT = Fun('sqrt', TWO)\n"
+                     "def cancel(pair):\n    return isinstance(pair, Fun) and Var(pair)\n")
+    assert _misplaced_builds(tree) == [("Other.__add__", "Sum"), ("_fun_atom", "Product"),
+                                       ("_normal", "Fun"), ("_atom_derivative.outer", "Div"),
+                                       ("", "Fun")]
 
 
 def _references(tree) -> set:
