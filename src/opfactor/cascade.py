@@ -4,7 +4,7 @@ For P = Q1 Q2 the kernel chain gives two particular solutions of
 P u = 0: u0 solving Q2 u0 = 0 and u1 solving Q2 u1 = v1, where v1
 solves Q1 v1 = 0.  First order kernels come from an antiderivative
 table when the integrand is tabulated and the table's form holds on
-the interval, otherwise from a cumulative Simpson quadrature;
+the interval, otherwise from a running four-point cubic quadrature;
 quasi-linear kernels use a separable closed form when the coefficient
 shape permits and its pole lies outside the interval, else a
 Runge-Kutta integration.  Whether a closed form holds is decided
@@ -25,6 +25,7 @@ cascading pairwise from the right.
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import (CapacityExceeded, DomainError, QuadratureFailure,
                      ShapeMismatch, SingularLeadingCoefficient, StepCountTooSmall,
@@ -170,16 +171,21 @@ def _normalize_steps(steps: int) -> int:
         raise StepCountTooSmall(f"{steps} steps; need at least {MIN_STEPS}")
     if steps > MAX_STEPS:
         raise CapacityExceeded(f"{steps} steps exceed {MAX_STEPS}")
+    # even, so that the grid has a point at the interval's midpoint
     return steps + steps % 2
 
 
-def _cumulative_simpson(vals, h):
-    """Running integral from the left end on a uniform grid."""
-    out = [0.0] * len(vals)
-    out[1] = h * (5 * vals[0] + 8 * vals[1] - vals[2]) / 12
-    for i in range(2, len(vals)):
-        out[i] = out[i - 2] + h * (vals[i - 2] + 4 * vals[i - 1] + vals[i]) / 3
-    return out
+def _integral_from_midpoint(f, h) -> list:
+    """The integral of samples f on a uniform grid from its midpoint to
+    each grid point: one running sum from the left end, each step by the
+    cubic through its four nearest samples, less its midpoint value."""
+    c = h / 24
+    steps = [c * (9 * f[0] + 19 * f[1] - 5 * f[2] + f[3]),
+             *[c * (13 * (a + b) - p - q) for p, a, b, q in zip(f, f[1:], f[2:], f[3:])],
+             c * (f[-4] - 5 * f[-3] + 19 * f[-2] + 9 * f[-1])]
+    acc = list(accumulate(steps, initial=0.0))
+    mid = acc[len(acc) // 2]
+    return [a - mid for a in acc]
 
 
 # argument orders of the compiled coefficients: f(x1) and f(x1, u1)
@@ -204,11 +210,9 @@ def _kernel_piece(Q: DiffOperator, grid, h, label: str) -> SolutionPiece:
     prim = _table_antiderivative(rate, grid)
     if prim is not None:
         return SolutionPiece(label, _kernel_form(prim), None, "closed-form", 0.0)
-    vals = _sample(rate, grid, "integrand")
-    acc = _cumulative_simpson(vals, h)
-    mid = acc[len(acc) // 2]
+    acc = _integral_from_midpoint(_sample(rate, grid, "integrand"), h)
     try:
-        ys = tuple(math.exp(mid - a) for a in acc)
+        ys = tuple(math.exp(-a) for a in acc)
     except OverflowError as err:
         raise QuadratureFailure(f"kernel {label} overflows a float on the grid") from err
     return SolutionPiece(label, None, Trajectory(grid, ys), "quadrature", 0.0)
@@ -284,9 +288,7 @@ def _second_solution(Q2, u0, v1, grid, h) -> SolutionPiece:
     except ZeroDivisionError as err:
         raise QuadratureFailure("u1 integrand v1/(b211 u0) divides by zero: "
                                 "b211 u0 underflows to 0 on the grid") from err
-    acc = _cumulative_simpson(vals, h)
-    mid = acc[len(acc) // 2]
-    ys = tuple(u * (a - mid) for u, a in zip(u0v, acc))
+    ys = tuple(u * a for u, a in zip(u0v, _integral_from_midpoint(vals, h)))
     return SolutionPiece("u1", None, Trajectory(grid, ys), "quadrature", 0.0)
 
 
@@ -429,7 +431,8 @@ def cascade_system_numeric(cand: FactorizationCandidate, interval,
 
     u0, v1 and u1 of every identity column integrate together, in one
     fixed-step fourth order Runge-Kutta pass from the left end, so u1
-    rides along with its own v1 and no interpolation is needed.
+    rides along with its own v1 and no interpolation is needed.  A
+    diagonal lead that vanishes on the grid or at a stage is refused.
     Residuals difference the expanded product on the grid, O(h^2).
     """
     N1, N2 = cand.factors
@@ -442,13 +445,16 @@ def cascade_system_numeric(cand: FactorizationCandidate, interval,
     steps = _normalize_steps(opts.steps)
     grid, h = uniform_grid(interval, steps)
     m = N1.m
-    stages = _rk4_abscissae(grid)
-    a1, a2 = _diag_leads(N1, stages, "N1"), _diag_leads(N2, stages, "N2")
+    a1, a2 = _diag_leads(N1, grid, "N1"), _diag_leads(N2, grid, "N2")
     b1, b2 = _entry_table(N1), _entry_table(N2)
 
     def f(x, y):
         # each lead and entry once per call, for every column's u0, v1 and u1
         A1, A2 = [a(x) for a in a1], [a(x) for a in a2]
+        if not min(map(abs, A1 + A2)) > _TINY:
+            # a lead vanishes off the grid: the grid scan's rule at x names it
+            _diag_leads(N1, (x,), "N1")
+            _diag_leads(N2, (x,), "N2")
         B1, B2 = [[b(x) for b in row] for row in b1], [[b(x) for b in row] for row in b2]
         out = []
         for c in range(0, len(y), 3 * m):
@@ -510,13 +516,6 @@ def _rk4_vector(f, xs, y0) -> list:
         ys.append([a + h * (p + 2 * q + 2 * r + s) / 6
                    for a, p, q, r, s in zip(y, k1, k2, k3, k4)])
     return ys
-
-
-def _rk4_abscissae(xs) -> list:
-    """xs, then the stage abscissae _rk4_vector evaluates between them,
-    computed as it computes them."""
-    hs = [b - a for a, b in zip(xs, xs[1:])]
-    return [*xs, *(x + h / 2 for x, h in zip(xs, hs)), *(x + h for x, h in zip(xs, hs))]
 
 
 def _expanded_system(N1: MatrixOperator, N2: MatrixOperator) -> list:

@@ -248,9 +248,20 @@ MAX_SAMPLES = 1 << 12
 
 @record
 class CheckOptions:
+    """Probe settings: fewer than one sample or a tolerance that is not a
+    finite number >= 0 raise ValidationError, over MAX_SAMPLES CapacityExceeded."""
+
     samples: int = 8
     tol: float = 1e-9
     seed: int = 0
+
+    def __post_init__(self):
+        if self.samples < 1:
+            raise ValidationError(f"{self.samples} probe samples; need at least 1")
+        if not 0 <= self.tol < float("inf"):
+            raise ValidationError(f"tolerance {self.tol} is not a finite number >= 0")
+        if self.samples > MAX_SAMPLES:
+            raise CapacityExceeded(f"{self.samples} probe samples exceed {MAX_SAMPLES}")
 
 
 @record
@@ -273,16 +284,7 @@ def check_candidate(P, candidate: FactorizationCandidate,
     coefficient trees on floats and Taylor jets and applies the factors
     one after the other, with no simplification or symbolic
     differentiation.  On a valid split the probe's gap is at rounding
-    level, not 0.  Fewer than one sample or a tolerance that is negative
-    or not finite raise ValidationError, more than MAX_SAMPLES samples
-    CapacityExceeded.
-    """
-    if opts.samples < 1:
-        raise ValidationError(f"{opts.samples} probe samples; need at least 1")
-    if not 0 <= opts.tol < float("inf"):
-        raise ValidationError(f"tolerance {opts.tol} is not a finite number >= 0")
-    if opts.samples > MAX_SAMPLES:
-        raise CapacityExceeded(f"{opts.samples} probe samples exceed {MAX_SAMPLES}")
+    level, not 0."""
     import random
     rng = random.Random(opts.seed)
     matrix = isinstance(P, MatrixOperator)

@@ -410,9 +410,12 @@ def _fun_atom(name: str, arg: Expr):
     builds a function atom: a constant for exp(0), cos(0), log(1), sin(0)
     and the square root of a rational square; r * sqrt(s) for any other
     sqrt(q) of a rational q > 0, s an integer rid of its square factors
-    by trial division up to SURD_TRIAL_PRIMES; else the atom itself."""
+    by trial division up to SURD_TRIAL_PRIMES; else the atom itself.  A
+    log(q), q <= 0, or sqrt(q), q < 0, raises DomainError."""
     arg = simplify(arg)
     q = arg.value if isinstance(arg, Const) else None
+    if q is not None and (name == "log" and q <= 0 or name == "sqrt" and q < 0):
+        raise DomainError(f"{name}({q}) is not a real number")
     if q == 0 and name != "log" or q == 1 and name == "log":
         return ratio(ONE if name in ("exp", "cos") else ZERO)
     c = Fraction(1)

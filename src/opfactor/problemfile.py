@@ -39,8 +39,8 @@ from fractions import Fraction
 
 from .cascade import CascadeOptions
 from .conditions import TEMPLATES, FactorizationCandidate, check_m, template_traits
-from .errors import EngineError, ParseError, ValidationError
-from .expr import DepVar, Expr, ZERO, expr_variables, render, simplify
+from .errors import DomainError, EngineError, ParseError, ValidationError
+from .expr import DepVar, ZERO, expr_variables, render, simplify
 from .operator import DiffOperator, MatrixOperator, as_matrix, make_operator
 from .parse import parse_expr
 from .records import record
@@ -120,11 +120,6 @@ def _unquote(value: str, line: int, column: int):
     return value, column
 
 
-def _parse_value_expr(value: str, line: int, column: int) -> Expr:
-    body, column = _unquote(value, line, column)
-    return simplify(parse_expr(body, line, column))
-
-
 # ---------------------------------------------------------------------------
 # coefficient keys
 
@@ -134,14 +129,6 @@ def _coeff_key(key: str, family: str, line: int):
         raise ValidationError(
             f"key {key} on line {line} is not a {family}[...] coefficient")
     return tuple(int(t) for t in mt.group(2).split(","))
-
-
-def _check_slot(k: int, h: int, n: int, key: str, line: int):
-    if k > 2:
-        raise ValidationError(f"{key} on line {line}: order {k} exceeds 2")
-    if not 1 <= h <= n ** k:
-        raise ValidationError(
-            f"{key} on line {line}: slot {h} out of range 1..{n ** k}")
 
 
 def _read_operator(items: dict, kind: str, n: int, m: int, family: str,
@@ -160,11 +147,18 @@ def _read_operator(items: dict, kind: str, n: int, m: int, family: str,
         if not (1 <= p <= m and 1 <= q <= m):
             raise ValidationError(
                 f"{key} on line {line}: component out of range 1..{m}")
-        _check_slot(k, h, n, key, line)
+        # the section's order bound comes first, before n ** k is formed
         if k > max_order:
             raise ValidationError(
                 f"{key} on line {line}: order {k} exceeds {max_order}")
-        e = _parse_value_expr(value, line, column)
+        if not 1 <= h <= n ** k:
+            raise ValidationError(
+                f"{key} on line {line}: slot {h} out of range 1..{n ** k}")
+        body, column = _unquote(value, line, column)
+        try:
+            e = simplify(parse_expr(body, line, column))
+        except DomainError as err:
+            raise DomainError(f"{key} on line {line}: {err}") from err
         if linear and any(isinstance(v, DepVar) for v in expr_variables(e)):
             raise ValidationError(
                 f"{key} on line {line}: dependent variable in a linear coefficient")

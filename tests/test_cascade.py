@@ -9,9 +9,11 @@ from opfactor.cascade import (
     CascadeOptions,
     MIN_STEPS,
     Trajectory,
+    _integral_from_midpoint,
     antiderivative,
     cascade_ode,
     cascade_system_numeric,
+    uniform_grid,
     verify_solution,
 )
 from opfactor.conditions import FactorizationCandidate
@@ -155,6 +157,54 @@ def test_cascade_rejects_bad_shapes():
     pde_factor = make_operator(2, 1, {(1, 1): ONE})
     with pytest.raises(ShapeMismatch):
         cascade_ode(cand(pde_factor, pde_factor))
+
+
+@pytest.mark.parametrize("coeffs", [(1.0, -2.0, 0.5, 3.0), (-0.25, 0.0, 1.0, -7.0)])
+@pytest.mark.parametrize("interval, steps", [((-1.0, 1.0), 16), ((0.0, 3.0), 18)])
+def test_quadrature_is_exact_for_cubics_at_every_grid_index(coeffs, interval, steps):
+    # two interleaved Simpson chains started the odd one with a three point
+    # step, exact only for quadratics: odd indices carried an O(h^4) error
+    a, b, c, d = coeffs
+    grid, h = uniform_grid(interval, steps)
+
+    def prim(x):
+        return a * x ** 4 / 4 + b * x ** 3 / 3 + c * x ** 2 / 2 + d * x
+
+    got = _integral_from_midpoint([a * x ** 3 + b * x ** 2 + c * x + d for x in grid], h)
+    mid = grid[steps // 2]
+    for x, y in zip(grid, got):
+        assert y == pytest.approx(prim(x) - prim(mid), rel=1e-13, abs=1e-13)
+
+
+def _fixed_point_residual(P, traj, parts=32):
+    """max |P u| / max(1, sup |u|) by central differences at the parts - 1
+    interior points a + j (b - a) / parts."""
+    grid, vals = traj.grid, traj.values
+    n = len(grid) - 1
+    h = grid[1] - grid[0]
+    sup = max(1.0, max(abs(v) for v in vals))
+    worst = 0.0
+    for j in range(1, parts):
+        i = j * n // parts
+        d = (vals[i], (vals[i + 1] - vals[i - 1]) / (2 * h),
+             (vals[i + 1] - 2 * vals[i] + vals[i - 1]) / (h * h))
+        bind = {IndepVar(1): grid[i]}
+        worst = max(worst, abs(sum(evaluate(c, bind) * d[dv.k] for dv, c in P.coeffs)) / sup)
+    return worst
+
+
+def test_quadrature_u1_converges_at_second_order_at_fixed_points():
+    # a planted split whose u1 residual fell only 2.35x from 512 to 1024
+    # steps: the even/odd sawtooth of two Simpson chains, differenced twice
+    Q1 = op1({(1, 1): "1", (0, 1): "2*x1 + 2"})
+    Q2 = op1({(1, 1): "1", (0, 1): "x1^2 - 2*x1 - 3"})
+    P = operator_from_jet(expand_product([Q1, Q2]))
+    res = {}
+    for steps in (512, 1024):
+        sol = cascade_ode(cand(Q1, Q2), CascadeOptions(interval=(-1.0, 1.0), steps=steps))
+        assert sol.u1.provenance == "quadrature"
+        res[steps] = _fixed_point_residual(P, sol.u1.trajectory)
+    assert res[512] >= 2.5 * res[1024]
 
 
 def test_cascade_singular_leading_coefficient():
@@ -302,6 +352,25 @@ def test_system_cascade_singular_lead():
     N2 = MatrixOperator(1, 2, ((ident, zero), (zero, ident)))
     with pytest.raises(SingularLeadingCoefficient):
         cascade_system_numeric(cand(N1, N2), (0.0, 1.0))
+
+
+def test_system_cascade_checks_the_grid_before_the_stages():
+    # the grid scan of both factors runs first; RK4's right-hand side checks
+    # the leads where it evaluates them, at the stage abscissae in between
+    one = make_operator(1, 2, {(1, 1): ONE})
+    zero = make_operator(1, 2, {})
+
+    def diag(lead):
+        return MatrixOperator(1, 2, ((make_operator(1, 2, {(1, 1): E(lead)}), zero),
+                                     (zero, one)))
+
+    opts = CascadeOptions(steps=16)
+    for N1, N2, name, x in ((diag("x1 - 1/32"), diag("x1 - 1/2"), "N2[1,1]", "0.5"),
+                            (diag("x1 - 1/32"), diag("1"), "N1[1,1]", "0.03125"),
+                            (diag("1"), diag("x1 - 3/32"), "N2[1,1]", "0.09375")):
+        with pytest.raises(SingularLeadingCoefficient) as info:
+            cascade_system_numeric(cand(N1, N2), (0.0, 1.0), opts)
+        assert str(info.value) == f"leading coefficient of {name} vanishes near x1 = {x}"
 
 
 def test_system_cascade_step_floor():

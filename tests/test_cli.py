@@ -11,7 +11,7 @@ import time
 import pytest
 
 from opfactor.cascade import MAX_STEPS
-from opfactor.cli import BROKEN_PIPE_EXIT, main
+from opfactor.cli import BROKEN_PIPE_EXIT, COMMANDS, main
 from opfactor.conditions import MAX_COMPONENTS, MAX_SAMPLES, derive_conditions
 from opfactor.errors import CapacityExceeded, ValidationError
 from opfactor.expr import MAX_PRODUCT_PAIRS
@@ -538,14 +538,28 @@ def test_request_size_above_its_cap_is_a_capacity_error(capsys, command, flag, v
 @pytest.mark.parametrize("coeff", ["x1/(1/0)", "(1/0)^(-2)"])
 def test_dividing_by_an_undefined_quotient_is_a_domain_error(tmp_path, capsys, coeff):
     # the zero denominator of 1/0 used to become the zero numerator of
-    # its inverse, and the coefficient read as 0
+    # its inverse, and the coefficient read as 0; the error names the key
     ini = tmp_path / "zero.ini"
     ini.write_text('[problem]\nkind = linear-ode\n\n'
                    f'[operator]\ng[2,1] = "1"\ng[0,1] = "{coeff}"\n', encoding="utf-8")
     code, out, _ = run(capsys, "expand", "--json", str(ini))
     assert code == 1
-    assert json.loads(out)["error"] == {"message": "division by a zero expression",
-                                        "type": "DomainError"}
+    assert json.loads(out)["error"] == {
+        "message": "g[0,1] on line 6: division by a zero expression", "type": "DomainError"}
+
+
+@pytest.mark.parametrize("value", ["log(0)", "sqrt(-4)"])
+def test_undefined_constant_atom_fails_where_it_is_written(tmp_path, capsys, value):
+    # expand and cascade exited 0, check and factor failed far from the key
+    text = (PROBLEMS / "ode-const-factorable.ini").read_text(encoding="utf-8")
+    ini = tmp_path / "undefined.ini"
+    ini.write_text(text.replace('g[1,1] = "-3"', f'g[1,1] = "{value}"'), encoding="utf-8")
+    message = f"g[1,1] on line 7: {value} is not a real number"
+    for command in COMMANDS:
+        assert run(capsys, command, str(ini)) == (1, "", f"error: DomainError: {message}\n")
+        code, out, _ = run(capsys, command, "--json", str(ini))
+        assert (code, json.loads(out)["error"]) == (1, {"type": "DomainError",
+                                                        "message": message})
 
 
 def test_coefficient_nesting_limit(tmp_path, capsys):

@@ -10,6 +10,7 @@ import pytest
 
 from opfactor.conditions import (
     CheckOptions,
+    MAX_SAMPLES,
     FactorizationCandidate,
     TEMPLATES,
     _numeric_probe,
@@ -20,7 +21,7 @@ from opfactor.conditions import (
     render_condition_system,
     template_traits,
 )
-from opfactor.errors import UnsupportedTemplate
+from opfactor.errors import CapacityExceeded, UnsupportedTemplate, ValidationError
 from opfactor.expr import ONE, ZERO, const, is_zero, simplify, u_, x_
 from opfactor.operator import (
     MatrixOperator,
@@ -209,6 +210,20 @@ def test_check_report_fields():
     assert rep.tol == 1e-8
     assert rep.seed == 11
     assert rep.numeric_max == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("fields, kind, message", [
+    ({"samples": 0}, ValidationError, "0 probe samples; need at least 1"),
+    ({"tol": float("nan")}, ValidationError, "tolerance nan is not a finite number >= 0"),
+    ({"tol": -1.0}, ValidationError, "tolerance -1.0 is not a finite number >= 0"),
+    ({"samples": MAX_SAMPLES + 1}, CapacityExceeded,
+     f"{MAX_SAMPLES + 1} probe samples exceed {MAX_SAMPLES}"),
+])
+def test_check_options_check_their_own_fields(fields, kind, message):
+    # refused where the options are made, before any candidate is read
+    with pytest.raises(kind) as info:
+        CheckOptions(**fields)
+    assert type(info.value) is kind and str(info.value) == message
 
 
 def test_check_is_deterministic_in_seed():

@@ -1,6 +1,7 @@
 """Canonical form, differentiation, and evaluation of the expression core."""
 
 import math
+import re
 import struct
 import time
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opfactor import expr
+from opfactor.errors import DomainError
 from opfactor.expr import (
     _ONE_POLY,
     _poly_mul,
@@ -1053,6 +1055,27 @@ def test_caches_report_a_finite_size():
 ])
 def test_function_atoms_take_their_canonical_form(text, canonical):
     assert render(P(text)) == canonical
+
+
+@pytest.mark.parametrize("text, message", [
+    ("log(0) + x1", "log(0) is not a real number"), ("log(-1)", "log(-1) is not a real number"),
+    ("x1*sqrt(-4)", "sqrt(-4) is not a real number"),
+    ("sqrt(-1/2)", "sqrt(-1/2) is not a real number"),
+])
+def test_constant_atoms_outside_the_real_domain_raise_where_they_are_made(text, message):
+    # log(0) + x1 used to stay an atom, and its derivative by x1 raised
+    # "division by a zero expression" although it is 1
+    with pytest.raises(DomainError, match=re.escape(message)):
+        P(text)
+    with pytest.raises(DomainError, match=re.escape(message)):
+        diff(parse_expr(text), IndepVar(1))
+
+
+def test_atoms_at_the_edge_of_the_real_domain():
+    assert P("sqrt(0)") == ZERO and P("log(1)") == ZERO
+    # substituting into a variable argument meets the same rule
+    with pytest.raises(DomainError, match=r"log\(0\) is not a real number"):
+        substitute(P("log(x1)"), {IndepVar(1): ZERO})
 
 
 def test_substitution_rebuilds_atoms_under_their_rules():

@@ -64,7 +64,7 @@ def test_functions():
     assert e == ONE
     assert evaluate(P("sin(0)"), {}) == pytest.approx(0.0)
     assert evaluate(P("sqrt(9)"), {}) == pytest.approx(3.0)
-    assert P("log(1)") != ZERO or True  # log(1) stays symbolic or folds; both render
+    assert P("log(1)") == ZERO
 
 
 def test_mixed_expression():

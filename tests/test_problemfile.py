@@ -1,11 +1,12 @@
 """Problem file parsing, validation, and canonical printing."""
 
 import pathlib
+import time
 from fractions import Fraction
 
 import pytest
 
-from opfactor.errors import ParseError, ValidationError
+from opfactor.errors import DomainError, ParseError, ValidationError
 from opfactor.expr import ONE, const, simplify
 from opfactor.parse import parse_expr
 from opfactor.problemfile import parse_problem, print_problem
@@ -131,6 +132,36 @@ def test_wrong_key_family_for_scalar():
 def test_slot_out_of_range():
     bad('[problem]\nkind = linear-ode\n\n[operator]\ng[2,2] = "1"\n')
     bad('[problem]\nkind = linear-ode\n\n[operator]\ng[3,1] = "1"\n')
+
+
+SYSTEM_FACTORS = ('[problem]\nkind = linear-pde2-system\nm = 2\n\n[operator]\n'
+                  'f[1,1,2,1] = "1"\nf[2,2,2,1] = "1"\n\n'
+                  '[N1]\na[1,1,1,1] = "1"\na[2,2,1,1] = "1"\n\n[N2]\n')
+
+
+def test_order_bound_is_the_sections_own():
+    # a system factor is first order: its bound used to read "exceeds 2"
+    assert bad(SYSTEM_FACTORS + 'a[1,1,3,1] = "1"\n') == "a[1,1,3,1] on line 14: order 3 exceeds 1"
+    assert bad(SYSTEM_FACTORS + 'a[1,1,2,1] = "1"\n') == "a[1,1,2,1] on line 14: order 2 exceeds 1"
+    assert bad('[problem]\nkind = linear-pde2-system\nm = 2\n\n[operator]\n'
+               'f[1,1,3,1] = "1"\n') == "f[1,1,3,1] on line 6: order 3 exceeds 2"
+    # the bound comes before the slot range, so n ** k is never formed
+    start = time.monotonic()
+    msg = bad(SYSTEM_FACTORS + 'a[1,1,999999999999,1] = "1"\n')
+    assert time.monotonic() - start < 1.0
+    assert msg == "a[1,1,999999999999,1] on line 14: order 999999999999 exceeds 1"
+
+
+@pytest.mark.parametrize("value, message", [
+    ("log(0)", "g[1,1] on line 7: log(0) is not a real number"),
+    ("x1 + sqrt(-4)", "g[1,1] on line 7: sqrt(-4) is not a real number"),
+    ("1/0", "g[1,1] on line 7: division by a zero expression"),
+])
+def test_undefined_coefficient_names_its_key_and_line(value, message):
+    text = f'[problem]\nkind = linear-ode\n\n[operator]\ng[2,1] = "1"\n\ng[1,1] = "{value}"\n'
+    with pytest.raises(DomainError) as info:
+        parse_problem(text)
+    assert str(info.value) == message
 
 
 def test_missing_second_order_coefficient():
