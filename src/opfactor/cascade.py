@@ -13,8 +13,12 @@ exactly, never by sampling it.
 Every coefficient evaluated at many points (quadrature samples, RK4
 stages, trajectory residuals, `piece_values`) is compiled once per
 call with `compile_float`, which reproduces `evaluate` bit for bit.
-Closed-form residuals that are not symbolically zero are checked on
-`uniform_grid` points, the grid every sampler uses.
+The loops around those coefficients, the system RK4 right-hand side
+and the residual sweep of a trajectory, are generated straight-line
+code too: made once per shape (m, and each cell's derivative orders)
+and cached, each call binding its compiled coefficients as closure
+cells.  Closed-form residuals that are not symbolically zero are
+checked on `uniform_grid` points, the grid every sampler uses.
 
 Integration constants are canonical: table antiderivatives carry no
 constant term, numeric homogeneous solutions are normalized to value
@@ -25,6 +29,7 @@ cascading pairwise from the right.
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 
 from .errors import (CapacityExceeded, DomainError, QuadratureFailure,
@@ -38,7 +43,8 @@ from .conditions import FactorizationCandidate
 from .records import record
 
 MIN_STEPS = 16
-# largest step count (CapacityExceeded above); a 2x2 system costs 0.18 ms a step
+# largest step count (CapacityExceeded above); a 2x2 system costs about
+# 0.02 ms a step at 4096 steps and 0.03 ms at this cap (2 s in all)
 MAX_STEPS = 1 << 16
 # points at which a residual is checked: a grid over the interval for a
 # closed form, grid samples for a trajectory
@@ -312,11 +318,12 @@ def _quasilinear_u0(Q2, grid, h, opts) -> SolutionPiece:
         return SolutionPiece("u0", form, None, "closed-form", 0.0)
     mid = len(grid) // 2
     b0f, b1f = compile_float(b0, _XU), compile_float(b1, _XU)
+    floor = _lead_floor(b1)
 
     def f(x, y):
         u, = y
         lead = b1f(x, u)
-        if abs(lead) <= _TINY:
+        if abs(lead) <= floor:
             raise SingularLeadingCoefficient(
                 f"leading coefficient vanishes at x1 = {x:.6g}")
         return (-b0f(x, u) * u / lead,)
@@ -394,32 +401,16 @@ def _verify_trajectory(P: DiffOperator, traj: Trajectory) -> ResidualReport:
     return ResidualReport(max([0.0, *res]), False, rows)
 
 
-def _fd_residuals(grid, vals, table, idxs) -> list:
+def _fd_residuals(grid, vals, sweep, idxs) -> list:
     """Central-difference residuals of a compiled operator table on a
     trajectory whose vals[i] holds one float per component: |row p of
     the table applied to vals| / sup |vals| at each grid index of idxs,
     in (index, row) order.  A non-finite value is a QuadratureFailure."""
-    m = len(table)
     h = grid[1] - grid[0]
-    h2, hh = 2 * h, h * h
     mags = [abs(c) for row in vals for c in row]
     if not all(map(math.isfinite, mags)):
         raise QuadratureFailure("trajectory leaves the float range (inf or nan)")
-    sup = max(1.0, max(mags))
-    out = []
-    for i in idxs:
-        y, lo, hi = vals[i], vals[i - 1], vals[i + 1]
-        args = (grid[i], *y)
-        stencils = [(y[q], (hi[q] - lo[q]) / h2, (hi[q] - 2 * y[q] + lo[q]) / hh)
-                    for q in range(m)]
-        for p in range(m):
-            r = 0.0
-            for q in range(m):
-                d = stencils[q]
-                for k, coeff in table[p][q]:
-                    r += coeff(*args) * d[k]
-            out.append(abs(r) / sup)
-    return out
+    return sweep(grid, vals, idxs, 2 * h, h * h, max(1.0, max(mags)))
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +425,15 @@ def cascade_system_numeric(cand: FactorizationCandidate, interval,
     rides along with its own v1 and no interpolation is needed.  A
     diagonal lead that vanishes on the grid or at a stage is refused.
     Residuals difference the expanded product on the grid, O(h^2).
+
+    The right-hand side is `_system_rhs(m)`.  At each stage it calls
+    the leads A1 of N1, then the leads A2 of N2, each once; then, only
+    when a lead is at or below its floor (_lead_floor), the grid scan's
+    rule at x; then the entries B1 of N1 and B2 of N2, row by row, each
+    once.  Per column, row p of u0' is
+    -(0 + B2[p][0] u0[0] + ... + B2[p][m-1] u0[m-1]) / A2[p], of v1'
+    the same with B1, v1 and A1, and of u1' it is
+    (v1[p] - (0 + B2[p][0] u1[0] + ...)) / A2[p], summed left to right.
     """
     N1, N2 = cand.factors
     if not isinstance(N1, MatrixOperator):
@@ -445,26 +445,15 @@ def cascade_system_numeric(cand: FactorizationCandidate, interval,
     steps = _normalize_steps(opts.steps)
     grid, h = uniform_grid(interval, steps)
     m = N1.m
-    a1, a2 = _diag_leads(N1, grid, "N1"), _diag_leads(N2, grid, "N2")
-    b1, b2 = _entry_table(N1), _entry_table(N2)
 
-    def f(x, y):
-        # each lead and entry once per call, for every column's u0, v1 and u1
-        A1, A2 = [a(x) for a in a1], [a(x) for a in a2]
-        if not min(map(abs, A1 + A2)) > _TINY:
-            # a lead vanishes off the grid: the grid scan's rule at x names it
-            _diag_leads(N1, (x,), "N1")
-            _diag_leads(N2, (x,), "N2")
-        B1, B2 = [[b(x) for b in row] for row in b1], [[b(x) for b in row] for row in b2]
-        out = []
-        for c in range(0, len(y), 3 * m):
-            u0, v1, u1 = y[c:c + m], y[c + m:c + 2 * m], y[c + 2 * m:c + 3 * m]
-            out += [-sum([b * u for b, u in zip(row, u0)]) / a for row, a in zip(B2, A2)]
-            out += [-sum([b * v for b, v in zip(row, v1)]) / a for row, a in zip(B1, A1)]
-            out += [(v - sum([b * u for b, u in zip(row, u1)])) / a
-                    for v, row, a in zip(v1, B2, A2)]
-        return out
+    def off_grid(x):
+        # a lead vanishes off the grid: the grid scan's rule at x names it
+        _diag_leads(N1, (x,), "N1")
+        _diag_leads(N2, (x,), "N2")
 
+    f = _system_rhs(m)(_diag_leads(N1, grid, "N1"), _diag_leads(N2, grid, "N2"),
+                       _entry_table(N1), _entry_table(N2),
+                       _lead_floors(N1), _lead_floors(N2), off_grid)
     M = _compiled_table(_expanded_system(N1, N2))
     T1 = _compiled_table(N1.entries)
     # per column: u0 and v1 from the identity column, u1 from zero
@@ -482,7 +471,9 @@ def cascade_system_numeric(cand: FactorizationCandidate, interval,
 
 def _diag_leads(N: MatrixOperator, points, who: str) -> list:
     """Compiled diagonal leading coefficients of a first order factor,
-    checked nonzero at the points; a scalar factor is its 1x1 system."""
+    checked nonzero at the points; a scalar factor is its 1x1 system.
+    A nonzero constant lead is not sampled: only its float is checked,
+    once, for an underflow to 0."""
     leads = []
     for p in range(1, N.m + 1):
         lead = N.entries[p - 1][p - 1].coeff(1, 1)
@@ -491,16 +482,75 @@ def _diag_leads(N: MatrixOperator, points, who: str) -> list:
                 f"diagonal entry ({p},{p}) of {who} has no derivative slot")
         f = compile_float(lead, _X)
         name = f"{who}[{p},{p}]" if N.m > 1 else who
-        for x in points:
-            if abs(f(x)) <= _TINY:
+        floor = _lead_floor(lead)
+        for x in points if floor else points[:1]:
+            if abs(f(x)) <= floor:
                 raise SingularLeadingCoefficient(
                     f"leading coefficient of {name} vanishes near x1 = {x:.6g}")
         leads.append(f)
     return leads
 
 
+def _lead_floor(lead: Expr) -> float:
+    """The |value| at or below which a lead counts as vanishing: _TINY,
+    or 0.0 for a constant, which is decided exactly."""
+    return 0.0 if isinstance(lead, Const) else _TINY
+
+
+def _lead_floors(N: MatrixOperator) -> list:
+    return [_lead_floor(N.entries[p][p].coeff(1, 1)) for p in range(N.m)]
+
+
 def _entry_table(N: MatrixOperator) -> list:
     return [[compile_float(e.coeff(0, 1), _X) for e in row] for row in N.entries]
+
+
+def _generated(src: list, label: str):
+    """The function `make` defined by the lines src, compiled as file
+    <label> so that profiles tell the shapes apart.  Like
+    `compile_float`'s, the source holds names made from indices and
+    never an operator's constants or coefficient text."""
+    ns = {}
+    exec(compile("\n".join(src), f"<{label}>", "exec"), ns)
+    return ns["make"]
+
+
+def _unpack(names) -> str:
+    """'n0, n1, ': the targets of an unpacking, also of a 1-tuple."""
+    return "".join(f"{n}, " for n in names)
+
+
+@lru_cache(maxsize=None)
+def _system_rhs(m: int):
+    """make(a1, a2, b1, b2, z1, z2, off_grid): the RK4 right-hand side
+    of `cascade_system_numeric` for m x m factors, straight-line, with
+    the compiled leads a, entry tables b and lead floors z of N1 and N2
+    bound as closure cells.  Generated once per m."""
+    r = range(m)
+    src = ["def make(a1, a2, b1, b2, z1, z2, off_grid):"]
+    for k in (1, 2):
+        src.append(f"    {_unpack(f'a{k}_{p}' for p in r)}= a{k}")
+        src.append(f"    {_unpack(f'z{k}_{p}' for p in r)}= z{k}")
+        table = (f"({_unpack(f'b{k}_{p}_{q}' for q in r)})" for p in r)
+        src.append(f"    {_unpack(table)}= b{k}")
+    src.append("    def f(x, y):")
+    src += [f"        A{k}_{p} = a{k}_{p}(x)" for k in (1, 2) for p in r]
+    src.append("        if " + " or ".join(f"abs(A{k}_{p}) <= z{k}_{p}"
+                                           for k in (1, 2) for p in r) + ":")
+    src.append("            off_grid(x)")
+    src += [f"        B{k}_{p}_{q} = b{k}_{p}_{q}(x)" for k in (1, 2) for p in r for q in r]
+    src.append(f"        {_unpack(f'y{i}' for i in range(3 * m * m))}= y")
+
+    def row(k, p, start):
+        return "(0" + "".join(f" + B{k}_{p}_{q} * y{start + q}" for q in r) + ")"
+    out = []
+    for c in range(0, 3 * m * m, 3 * m):
+        out += [f"-{row(2, p, c)} / A2_{p}" for p in r]
+        out += [f"-{row(1, p, c + m)} / A1_{p}" for p in r]
+        out += [f"(y{c + m + p} - {row(2, p, c + 2 * m)}) / A2_{p}" for p in r]
+    src.append("        return [" + ", ".join(out) + "]")
+    src.append("    return f")
+    return _generated(src, f"system_rhs {m}")
 
 
 def _rk4_vector(f, xs, y0) -> list:
@@ -525,16 +575,53 @@ def _expanded_system(N1: MatrixOperator, N2: MatrixOperator) -> list:
              for q in range(N1.m)] for p in range(N1.m)]
 
 
-def _compiled_table(table) -> list:
-    """Cellwise (order, coefficient) lists of an m x m operator table,
-    each coefficient compiled over (x1, u1, ..., um) for _fd_residuals."""
+def _compiled_table(table):
+    """The residual sweep of an m x m operator table for _fd_residuals:
+    each coefficient compiled over (x1, u1, ..., um) and bound into the
+    sweep generated for the table's shape."""
     vids = _X + tuple(DepVar(j) for j in range(1, len(table) + 1))
-    return [[[(dv.k, compile_float(coeff, vids)) for dv, coeff in cell.coeffs]
-             for cell in row] for row in table]
+    shape = tuple(tuple(tuple(dv.k for dv, _ in cell.coeffs) for cell in row)
+                  for row in table)
+    return _residual_sweep(shape)([compile_float(coeff, vids) for row in table
+                                   for cell in row for _, coeff in cell.coeffs])
 
 
-def _system_piece(label, grid, vals, table) -> SolutionPiece:
-    """Trajectory piece with its residual under a compiled table."""
-    res = _fd_residuals(grid, vals, table, range(1, len(grid) - 1))
+# bounded: the shapes are few in practice (24 in 100 rounds of
+# cascade-solve's draws), but m does not bound them
+@lru_cache(maxsize=256)
+def _residual_sweep(shape: tuple):
+    """make(coeffs): sweep(grid, vals, idxs, h2, hh, sup) over the grid
+    indices idxs, with the table's rows and cells unrolled.  shape[p][q]
+    lists the derivative orders of cell (p, q), and coeffs its compiled
+    coefficients in that order, row by row.  Each residual sums
+    0.0 + coeff * d in cell order, where d is u_q, (hi - lo) / h2 or
+    (hi - 2 u_q + lo) / hh.  Generated once per shape."""
+    r = range(len(shape))
+    cells = [(p, q, k) for p in r for q in r for k in shape[p][q]]
+    args = ", ".join(["x", *(f"y{q}" for q in r)])
+    src = ["def make(coeffs):",
+           f"    {_unpack(f'c{j}' for j in range(len(cells)))}= coeffs",
+           "    def sweep(grid, vals, idxs, h2, hh, sup):",
+           "        out = []",
+           "        for i in idxs:",
+           "            x = grid[i]",
+           f"            {_unpack(f'y{q}' for q in r)}= vals[i]",
+           f"            {_unpack(f'lo{q}' for q in r)}= vals[i - 1]",
+           f"            {_unpack(f'hi{q}' for q in r)}= vals[i + 1]"]
+    used = {(q, k) for _, q, k in cells}
+    src += [f"            d1_{q} = (hi{q} - lo{q}) / h2" for q in r if (q, 1) in used]
+    src += [f"            d2_{q} = (hi{q} - 2 * y{q} + lo{q}) / hh" for q in r if (q, 2) in used]
+    rows = [["abs(0.0"] for p in r]
+    for j, (p, q, k) in enumerate(cells):
+        rows[p].append(f" + c{j}({args}) * {('y', 'd1_', 'd2_')[k]}{q}")
+    src += ["            out += [" + ", ".join("".join(t) + ") / sup" for t in rows) + "]",
+            "        return out",
+            "    return sweep"]
+    return _generated(src, f"residual_sweep {shape}")
+
+
+def _system_piece(label, grid, vals, sweep) -> SolutionPiece:
+    """Trajectory piece with its residual under a compiled table's sweep."""
+    res = _fd_residuals(grid, vals, sweep, range(1, len(grid) - 1))
     traj = Trajectory(tuple(grid), tuple(tuple(v) for v in vals))
     return SolutionPiece(label, None, traj, "rk4", max([0.0, *res]))

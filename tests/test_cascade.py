@@ -377,3 +377,45 @@ def test_system_cascade_step_floor():
     N1, N2 = sys_factors()
     with pytest.raises(StepCountTooSmall):
         cascade_system_numeric(cand(N1, N2), (0.0, 1.0), CascadeOptions(steps=8))
+
+
+# ---------------------------------------------------------------------------
+# constant leads are decided exactly
+
+
+def test_a_tiny_constant_lead_is_not_a_vanishing_one():
+    # Q2 = 10^-13 (D + 1): its kernel is exp(-x1), whatever the scale
+    Q1 = op1({(1, 1): "1", (0, 1): "1"})
+    Q2 = op1({(1, 1): "1/10^13", (0, 1): "1/10^13"})
+    sol = cascade_ode(cand(Q1, Q2), CascadeOptions(steps=64))
+    assert sol.u0.form == E("exp(-x1)")
+    assert [p.residual for p in sol.pieces] == [0.0, 0.0, 0.0]
+    # the quasi-linear RK4 route: u' = -x1 u^2, u = 1 at the midpoint 0
+    Q2 = op1({(1, 1): "1/10^13", (0, 1): "x1*u1/10^13"}, linear=False)
+    u0 = cascade_ode(cand(op1({(1, 1): "1"}, linear=False), Q2), CascadeOptions(steps=64)).u0
+    grid, values = u0.trajectory.grid, u0.trajectory.values
+    assert u0.provenance == "rk4"
+    assert all(abs(v - 1 / (1 + x * x / 2)) < 1e-8 for x, v in zip(grid, values))
+    # and a system lead, on the grid and at every stage
+    d = make_operator(1, 2, {(1, 1): E("1/10^13"), (0, 1): E("1/10^13")})
+    one = make_operator(1, 2, {(1, 1): ONE})
+    zero = make_operator(1, 2, {})
+    N = MatrixOperator(1, 2, ((d, zero), (zero, one)))
+    sol = cascade_system_numeric(cand(N, N), (0.0, 1.0), CascadeOptions(steps=16))
+    assert all(math.isfinite(p.residual) for p in sol.pieces)
+
+
+def test_a_constant_lead_whose_float_underflows_is_refused():
+    one = make_operator(1, 2, {(1, 1): ONE})
+    zero = make_operator(1, 2, {})
+    d = make_operator(1, 2, {(1, 1): E("1/10^400")})
+    N = MatrixOperator(1, 2, ((one, zero), (zero, d)))
+    with pytest.raises(SingularLeadingCoefficient,
+                       match=r"^leading coefficient of N2\[2,2\] vanishes near x1 = 0$"):
+        cascade_system_numeric(cand(MatrixOperator(1, 2, ((one, zero), (zero, one))), N),
+                               (0.0, 1.0), CascadeOptions(steps=16))
+    Q2 = op1({(1, 1): "1/10^400", (0, 1): "u1^2"}, linear=False)
+    with pytest.raises(SingularLeadingCoefficient,
+                       match=r"^leading coefficient vanishes at x1 = 0\.5$"):
+        cascade_ode(cand(op1({(1, 1): "1"}, linear=False), Q2),
+                    CascadeOptions(interval=(0.0, 1.0), steps=16))

@@ -1,0 +1,91 @@
+"""The generated kernels of the system cascade: the RK4 right-hand side,
+made once per component count m, and the residual sweep, made once per
+table shape.  Their source holds only names made from indices, and at
+the component cap they still reproduce the two-pass reference route of
+`test_cascade_system` bit for bit."""
+
+import io
+import tokenize
+from fractions import Fraction
+
+from test_cascade_system import E, assert_matches_the_two_pass_route, two_pass
+
+from opfactor import cascade
+from opfactor.cascade import CascadeOptions, cascade_system_numeric
+from opfactor.conditions import FactorizationCandidate
+from opfactor.operator import MatrixOperator, make_operator
+def _coupled(c):
+    """A 2x2 split whose cells all hold a nonzero coefficient, scaled by c."""
+    def factor(lead, a, b):
+        return MatrixOperator(1, 2, (
+            (make_operator(1, 2, {(1, 1): E(lead), (0, 1): E(f"{c}*x1 + {a}")}),
+             make_operator(1, 2, {(0, 1): E(f"{c} + {b}*x1")})),
+            (make_operator(1, 2, {(0, 1): E(f"{a}*x1^2 + {c}")}),
+             make_operator(1, 2, {(1, 1): E(f"x1 + {c}"), (0, 1): E(f"{b} - x1")}))))
+    return FactorizationCandidate((factor("x1 + 3", 2, 5), factor("2", 7, 11)))
+
+
+def test_two_2x2_splits_of_one_shape_generate_each_kernel_once():
+    cascade._system_rhs.cache_clear()
+    cascade._residual_sweep.cache_clear()
+    opts = CascadeOptions(steps=16)
+    cascade_system_numeric(_coupled(3), (0.0, 1.0), opts)
+    sweeps = cascade._residual_sweep.cache_info().misses
+    assert cascade._system_rhs.cache_info().misses == 1
+    # the product's cells and N1's entries: two table shapes
+    assert sweeps == 2
+    cascade_system_numeric(_coupled(13), (0.0, 1.0), opts)
+    assert cascade._system_rhs.cache_info().misses == 1
+    assert cascade._residual_sweep.cache_info().misses == sweeps
+
+
+def test_generated_kernel_source_holds_no_coefficient_text(monkeypatch):
+    sources = []
+    generated = cascade._generated
+
+    def spy(src, label):
+        sources.append("\n".join(src))
+        return generated(src, label)
+
+    monkeypatch.setattr(cascade, "_generated", spy)
+    cascade._system_rhs.cache_clear()
+    cascade._residual_sweep.cache_clear()
+    cascade_system_numeric(_coupled(Fraction(17, 3)), (0.0, 1.0), CascadeOptions(steps=16))
+    cascade._system_rhs.cache_clear()
+    cascade._residual_sweep.cache_clear()
+    assert len(sources) == 3
+    for src in sources:
+        tokens = list(tokenize.generate_tokens(io.StringIO(src + "\n").readline))
+        assert not [t for t in tokens if t.type == tokenize.STRING]
+        # only the sums' start values, the stencil's 2 and the neighbour offset
+        assert {t.string for t in tokens if t.type == tokenize.NUMBER} <= {"0", "0.0", "1", "2"}
+        assert "x1" not in src and "17" not in src and "/ 3" not in src
+
+
+def test_one_pass_matches_the_two_pass_route_at_the_component_cap():
+    # 9 x 9 upper triangular, most entries zero: rows summing only zero
+    # products start from 0 as the old sum did; constant and varying leads
+    m = 9
+    zero = make_operator(1, m, {})
+
+    def factor(shift):
+        rows = []
+        for p in range(m):
+            row = []
+            for q in range(m):
+                coeffs = {}
+                if p == q:
+                    coeffs[(1, 1)] = E(f"x1 + {p + shift}" if p % 2 else f"{p + 1}")
+                    coeffs[(0, 1)] = E(f"{p - 4}/{shift + 1}")
+                elif q == p + 1 + shift or (q > p and (p + q) % 5 == 0):
+                    coeffs[(0, 1)] = E(f"{q - p}*x1 - 1")
+                row.append(make_operator(1, m, coeffs) if coeffs else zero)
+            rows.append(tuple(row))
+        return MatrixOperator(1, m, tuple(rows))
+
+    cand = FactorizationCandidate((factor(1), factor(2)))
+    opts = CascadeOptions(interval=(-0.5, 0.25), steps=16)
+    assert_matches_the_two_pass_route(cand, opts.interval, opts)
+    # the signs of zeros too
+    assert repr(cascade_system_numeric(cand, opts.interval, opts)) == repr(
+        two_pass(cand, opts.interval, opts))

@@ -1037,3 +1037,18 @@ def test_csv_of_a_closed_form_that_leaves_the_float_range(tmp_path, capsys):
     assert csv == (1, "", f"error: QuadratureFailure: {message}\n", [])
     code, out, _ = run(capsys, "cascade", "--json", "--csv", str(tmp_path / "out.csv"), str(ini))
     assert (code, json.loads(out)["error"]) == (1, {"type": "QuadratureFailure", "message": message})
+
+
+def test_cascade_takes_a_split_with_a_tiny_constant_lead(tmp_path, capsys):
+    # P = 10^-13 (D + 1)^2 as (D + 1) * 10^-13 (D + 1): the lead of Q2 is a
+    # nonzero constant, so it never vanishes, however small
+    ini = tmp_path / "tiny-lead.ini"
+    ini.write_text('[problem]\nkind = linear-ode\n\n'
+                   '[operator]\ng[2,1] = "1/10^13"\ng[1,1] = "2/10^13"\ng[0,1] = "1/10^13"\n\n'
+                   '[Q1]\nb[1,1] = "1"\nb[0,1] = "1"\n\n'
+                   '[Q2]\nb[1,1] = "1/10^13"\nb[0,1] = "1/10^13"\n', encoding="utf-8")
+    assert run(capsys, "check", str(ini))[0] == 0
+    code, out, err = run(capsys, "cascade", str(ini))
+    assert (code, err) == (0, "")
+    assert "u0 [closed-form] = exp(-x1), max residual 0.000e+00" in out
+    assert "u1 [closed-form] = 10000000000000*x1*exp(-x1)" in out
