@@ -13,8 +13,9 @@ class EngineError(Exception):
 
 class CapacityExceeded(EngineError):
     """A size bound is passed: a slot count n**k past a 64-bit machine word,
-    or expr.MAX_PRODUCT_PAIRS term pairs in one product, factor.MAX_ANSATZ_DEGREE,
-    cascade.MAX_STEPS or conditions.MAX_SAMPLES."""
+    or expr.MAX_PRODUCT_PAIRS term pairs in one product, an exponent of 2^63
+    or more in a product, factor.MAX_ANSATZ_DEGREE, cascade.MAX_STEPS or
+    conditions.MAX_SAMPLES."""
 
 
 class OrderOverflow(EngineError):

@@ -38,6 +38,7 @@ coefficient functions.
 import math
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import count
 
 from .errors import (ArityMismatch, CapacityExceeded, DomainError, NotQuasiLinear,
                      UnboundVariable)
@@ -288,10 +289,22 @@ def sort_key(e: Expr):
 # constant term.  Monomials multiply only in `_poly_mul`, whose `_normal`
 # keeps the rules atoms obey, so a monomial holds an exp atom or a
 # constant surd at most once.  Polys are shared: never change one.
+#
+# Inside `_poly_mul` a monomial is an int packed once per process: the
+# atom table gives each atom a 64-bit field, `_PACKED` maps a monomial to
+# its int and `_UNPACKED` an int back.  An exponent of 2^63 or more is a
+# CapacityExceeded, so two fields add without a carry.  A product that
+# finds more than MAX_PACKED_MONOMIALS first empties the three tables.
 
 # term pairs one product may form (CapacityExceeded above); no test,
 # fixture, script or bench workload forms more than 8,464 (92 by 92)
 MAX_PRODUCT_PAIRS = 1_000_000
+# Tier-1 packs at most about 17,500 monomials, a 20 s bench run about 1,700
+MAX_PACKED_MONOMIALS = 1 << 16
+
+_FIELDS, _ATOMS = {}, []  # the atom table: {atom: field index} and atom by index
+_NORMAL_FIELDS = 0  # the bits of the fields of exp atoms and constant surds
+_FIELD, _TOP = 64, 1 << 63  # bits per field, and the least exponent refused
 
 _ONE_POLY = {(): Fraction(1)}
 
@@ -311,33 +324,73 @@ def _poly_add(p1, p2):
     return out
 
 
-def _rows(p, shift):
-    """Rows (exponent vector, integer c) and d, the lcm of p's
-    denominators, with p the sum of c * monomial / d.  The vector is an
-    int holding the exponent of atom a at bit shift[a]."""
-    d = math.lcm(*(c.denominator for c in p.values()))
-    return [(sum(e << shift[a] for a, e in m), c.numerator * (d // c.denominator))
-            for m, c in p.items()], d
+class _Packing(dict):
+    """{monomial: int}, whose field i, bits 64 i up, holds the exponent of
+    `_ATOMS[i]`; a missing monomial is packed once."""
+
+    def __missing__(self, mono):
+        global _NORMAL_FIELDS
+        v = 0
+        for a, e in mono:
+            if e >= _TOP:
+                raise CapacityExceeded(f"an exponent of {e} does not fit below 2^63")
+            if a not in _FIELDS:
+                _FIELDS[a] = len(_ATOMS)
+                _ATOMS.append(a)
+                if isinstance(a, Fun) and (a.name == "exp" or _is_surd(a)):
+                    _NORMAL_FIELDS |= ((1 << _FIELD) - 1) << _FIELD * _FIELDS[a]
+            v += e << _FIELD * _FIELDS[a]
+        self[mono] = v
+        return v
+
+
+class _Unpacking(dict):
+    """{int: monomial in `sort_key` order}; a missing int is read back
+    once, and its monomial enters `_PACKED` too."""
+
+    def __missing__(self, v):
+        items, rest = [], v
+        while rest:
+            i = ((rest & -rest).bit_length() - 1) // _FIELD
+            e = rest >> _FIELD * i & (1 << _FIELD) - 1
+            if e >= _TOP:
+                raise CapacityExceeded(f"an exponent of {e} does not fit below 2^63")
+            items.append((_ATOMS[i], e))
+            rest -= e << _FIELD * i
+        mono = self[v] = tuple(sorted(items, key=lambda t: sort_key(t[0])))
+        _PACKED[mono] = v
+        return mono
+
+
+_PACKED, _UNPACKED = _Packing(), _Unpacking()
 
 
 def _poly_mul(p1, p2):
     """Product of two polys, the only place where monomials multiply.
 
     Integer products, over one common denominator per operand, add up
-    per exponent vector: an int with one field per atom, the fields in
-    `sort_key` order from the low bits up, so that a vector read back
-    field by field is a sorted monomial.  When an exp atom or a constant
-    surd takes part, each result goes through `_normal`."""
+    per packed monomial in the order of the double loop: `_PACKED` gives
+    an operand's monomial its int, one 64-bit field per atom of the atom
+    table, and `_UNPACKED` reads a result back; either raises
+    CapacityExceeded at an exponent of 2^63.  When a field of an exp
+    atom or a constant surd takes part, each result goes through
+    `_normal`.  Past MAX_PACKED_MONOMIALS the tables are emptied first:
+    no packed int outlives the call that made it."""
+    global _NORMAL_FIELDS
     if len(p1) * len(p2) > MAX_PRODUCT_PAIRS:
         raise CapacityExceeded(f"a product of {len(p1)} by {len(p2)} terms "
                                f"exceeds {MAX_PRODUCT_PAIRS} term pairs")
     if p1 is _ONE_POLY or p2 is _ONE_POLY:
         return p2 if p1 is _ONE_POLY else p1
-    atoms = sorted({a for p in (p1, p2) for m in p for a, _ in m}, key=sort_key)
-    # wide enough that a sum of two exponents never carries
-    width = max((e for p in (p1, p2) for m in p for _, e in m), default=0).bit_length() + 1
-    shift = {a: width * i for i, a in enumerate(atoms)}
-    (r1, d1), (r2, d2) = _rows(p1, shift), _rows(p2, shift)
+    if len(_PACKED) > MAX_PACKED_MONOMIALS:
+        for table in (_FIELDS, _ATOMS, _PACKED, _UNPACKED):
+            table.clear()
+        _NORMAL_FIELDS = 0
+    rows = []
+    for p in (p1, p2):
+        d = math.lcm(*(c.denominator for c in p.values()))
+        rows.append(([(_PACKED[m], c.numerator * (d // c.denominator)) for m, c in p.items()], d))
+    (r1, d1), (r2, d2) = rows
     acc = {}
     for v1, c1 in r1:
         for v2, c2 in r2:
@@ -346,13 +399,14 @@ def _poly_mul(p1, p2):
                 acc[v] += c1 * c2
             else:
                 acc[v] = c1 * c2
-    fields, mask, d = tuple(shift.items()), (1 << width) - 1, d1 * d2
-    if not any(isinstance(a, Fun) and (a.name == "exp" or _is_surd(a)) for a in atoms):
-        return {tuple((a, e) for a, s in fields if (e := v >> s & mask)): Fraction(c, d)
-                for v, c in acc.items() if c}
+    d, normal = d1 * d2, _NORMAL_FIELDS
+    if not (normal and any(v & normal for r in (r1, r2) for v, _ in r)):
+        return {_UNPACKED[v]: Fraction(c, d) for v, c in acc.items() if c}
+    # read every int back first: `_normal` may multiply, and so empty the tables
+    terms = [(_UNPACKED[v], c) for v, c in acc.items()]
     out = {}
-    for v, c in acc.items():
-        m, c = _normal(tuple((a, e) for a, s in fields if (e := v >> s & mask)), c)
+    for m, c in terms:
+        m, c = _normal(m, c)
         out[m] = out.get(m, 0) + c
     return {m: Fraction(c, d) for m, c in out.items() if c}
 
@@ -1140,6 +1194,7 @@ def evaluate(e: Expr, bindings: dict):
 # operands per generated statement of a long Sum or Product, which keeps
 # each statement shallow for Python's compiler
 _CHAIN = 32
+_COMPILED = count(1)  # numbers the file names, which a profile keeps apart
 
 
 def compile_float(e: Expr, vids: tuple):
@@ -1215,7 +1270,7 @@ def compile_float(e: Expr, vids: tuple):
     result = emit(e)
     src = "\n".join([f"def compiled({', '.join(params.values())}):", *body,
                      f"    return {result}"])
-    exec(compile(src, "<compile_float>", "exec"), ns)
+    exec(compile(src, f"<compile_float {next(_COMPILED)}>", "exec"), ns)
     return ns["compiled"]
 
 

@@ -505,6 +505,20 @@ def test_huge_product_is_a_capacity_error(tmp_path, capsys):
     assert error["type"] == "CapacityExceeded"
     assert f"exceeds {MAX_PRODUCT_PAIRS} term pairs" in error["message"]
 
+
+@pytest.mark.parametrize("power, code", [("(((x1^10000)^10000)^10000)^10000", 0),
+                                         ("((((x1^10000)^10000)^10000)^10000)^10000", 3)])
+def test_an_exponent_from_2_to_the_63_is_a_capacity_error(tmp_path, capsys, power, code):
+    # a product packs each exponent into 64 bits: 10^16 fits, 10^20 does not
+    ini = tmp_path / "tall.ini"
+    ini.write_text(pathlib.Path(path("ode-const-factorable.ini")).read_text(encoding="utf-8")
+                   .replace('b[0,1] = "-1"', f'b[0,1] = "{power}*x1 + 1"'), encoding="utf-8")
+    got, out, err = run(capsys, "expand", str(ini))
+    assert got == code
+    assert ("x1^10000000000000001" in out) if code == 0 else \
+        err.startswith("error: CapacityExceeded: an exponent of ")
+
+
 @pytest.mark.parametrize("coeff", ["x1^²", "x²", "٣", "x٣"])
 def test_non_ascii_digits_are_a_parse_error(tmp_path, capsys, coeff):
     # x1^² and x² used to end in a traceback, with no JSON document

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opfactor import expr
-from opfactor.errors import DomainError
+from opfactor.errors import CapacityExceeded, DomainError
 from opfactor.expr import (
     _ONE_POLY,
     _poly_mul,
@@ -410,6 +410,14 @@ binding_floats = st.one_of(
 @given(float_exprs(), st.tuples(binding_floats, binding_floats, binding_floats))
 def test_compile_float_matches_evaluate_bitwise(e, xs):
     _same_as_evaluate(e, VIDS, xs)
+
+
+def test_each_compiled_function_has_its_own_file_name():
+    # a profile keys functions by file, line and name: one shared name
+    # folded every compiled coefficient into one entry
+    f, g = (compile_float(P("x1 + 1"), VIDS) for _ in range(2))
+    assert f.__code__.co_filename != g.__code__.co_filename
+    assert re.fullmatch(r"<compile_float \d+>", f.__code__.co_filename)
 
 
 def test_compile_float_long_sum_and_deep_nesting():
@@ -937,6 +945,83 @@ def test_cancel_keeps_the_quotient_over_surds_and_exps(p, q, r):
         return
     cn, cd = _cancel(num, den)
     assert _poly_mul(cn, den) == _poly_mul(num, cd)
+
+
+def _reference_rows(p, shift):
+    """Rows (exponent vector, integer c) and d, the lcm of p's
+    denominators, with the exponent of atom a at bit shift[a]."""
+    d = math.lcm(*(c.denominator for c in p.values()))
+    return [(sum(e << shift[a] for a, e in m), c.numerator * (d // c.denominator))
+            for m, c in p.items()], d
+
+
+def _reference_packed_mul(p1, p2):
+    """`_poly_mul` as it packed per call: the operands' atoms sorted by
+    `sort_key`, fields just wide enough for their largest exponent, both
+    operands re-packed and every result read back field by field."""
+    if p1 is _ONE_POLY or p2 is _ONE_POLY:
+        return p2 if p1 is _ONE_POLY else p1
+    atoms = sorted({a for p in (p1, p2) for m in p for a, _ in m}, key=sort_key)
+    width = max((e for p in (p1, p2) for m in p for _, e in m), default=0).bit_length() + 1
+    shift = {a: width * i for i, a in enumerate(atoms)}
+    (r1, d1), (r2, d2) = _reference_rows(p1, shift), _reference_rows(p2, shift)
+    acc = {}
+    for v1, c1 in r1:
+        for v2, c2 in r2:
+            v = v1 + v2
+            if v in acc:
+                acc[v] += c1 * c2
+            else:
+                acc[v] = c1 * c2
+    fields, mask, d = tuple(shift.items()), (1 << width) - 1, d1 * d2
+    if not any(isinstance(a, Fun) and (a.name == "exp" or expr._is_surd(a)) for a in atoms):
+        return {tuple((a, e) for a, s in fields if (e := v >> s & mask)): Fraction(c, d)
+                for v, c in acc.items() if c}
+    out = {}
+    for v, c in acc.items():
+        m, c = expr._normal(tuple((a, e) for a, s in fields if (e := v >> s & mask)), c)
+        out[m] = out.get(m, 0) + c
+    return {m: Fraction(c, d) for m, c in out.items() if c}
+
+
+@pytest.mark.parametrize("cap", [expr.MAX_PACKED_MONOMIALS, 4])
+@settings(max_examples=300, deadline=None)
+@given(p1=kernel_polys(), p2=kernel_polys())
+def test_poly_mul_keeps_the_terms_and_order_of_the_per_call_packing(cap, p1, p2):
+    # at a cap of 4 nearly every product empties the tables first, and
+    # an exp merge in `_normal` multiplies, so may empty them mid-call
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(expr, "MAX_PACKED_MONOMIALS", cap)
+        assert list(_poly_mul(p1, p2).items()) == list(_reference_packed_mul(p1, p2).items())
+
+
+def test_a_product_past_the_cap_empties_the_tables_first(monkeypatch):
+    monkeypatch.setattr(expr, "MAX_PACKED_MONOMIALS", 4)
+    wide = {((x_(1), k),): Fraction(k) for k in range(1, 6)}
+    _poly_mul(wide, {((x_(2), 1),): Fraction(1)})
+    assert len(expr._PACKED) > 4
+    p = {((u_(1), 1),): Fraction(1, 2)}
+    assert _poly_mul(p, p) == {((u_(1), 2),): Fraction(1, 4)}
+    assert expr._ATOMS == [u_(1)]
+    assert set(expr._PACKED) == {((u_(1), 1),), ((u_(1), 2),)}
+
+
+def test_exponents_stop_below_two_to_the_63():
+    e = P("(((x1^10000)^10000)^10000)^10000 * x2 + 1")
+    assert render(simplify(e * e)) == \
+        "x1^20000000000000000*x2^2 + 2*x1^10000000000000000*x2 + 1"
+    with pytest.raises(CapacityExceeded, match=r"below 2\^63"):
+        P("((((x1^10000)^10000)^10000)^10000)^10000 * x2 + 1")
+    # both checks at their edge: an operand's exponent as it is packed,
+    # and a product's as it is read back
+    top, one = 2 ** 63, {((x_(2), 1),): Fraction(1)}
+    assert _poly_mul({((x_(1), top - 1),): Fraction(1)}, one) == \
+        {((x_(1), top - 1), (x_(2), 1)): Fraction(1)}
+    with pytest.raises(CapacityExceeded):
+        _poly_mul({((x_(1), top),): Fraction(1)}, one)
+    half = {((x_(1), top // 2),): Fraction(1)}
+    with pytest.raises(CapacityExceeded):
+        _poly_mul(half, half)
 
 
 # ---------------------------------------------------------------------------

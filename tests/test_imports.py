@@ -5,7 +5,9 @@ module, every public top-level function is exported by `__init__.py`
 or read somewhere in the package, no module but `expr.py` imports or
 names the tree node classes Sum, Product, Power and Div, inside
 `expr.py` only `_fun_atom` builds a Fun and only the tree constructors
-build the other four, and every name `__init__.py` re-exports is
+build the other four, only `_poly_mul` and its pack and unpack helpers
+read the atom table and the two monomial tables, and every name
+`__init__.py` re-exports is
 referenced by another Python file of the repository or named in
 README.md.  No module imports `dataclasses`,
 and importing the CLI loads neither `dataclasses` nor `inspect`: each
@@ -272,6 +274,46 @@ def test_detects_an_atom_or_tree_built_outside_its_constructor():
     assert _misplaced_builds(tree) == [("Other.__add__", "Sum"), ("_fun_atom", "Product"),
                                        ("_normal", "Fun"), ("_atom_derivative.outer", "Div"),
                                        ("", "Fun")]
+
+
+PACKING_TABLES = {"_FIELDS", "_ATOMS", "_NORMAL_FIELDS", "_PACKED", "_UNPACKED"}
+PACKING_READERS = {"_poly_mul", "_Packing", "_Unpacking"}
+
+
+def _table_readers(tree) -> list:
+    """(scope, name) of each use, in source order, of a packing table
+    outside `_poly_mul` and the two table classes; a module-level
+    assignment to a table is its definition, not a use."""
+    out = []
+    for node in tree.body:
+        scope = getattr(node, "name", "")
+        if scope in PACKING_READERS:
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and sub.id in PACKING_TABLES and \
+                    (scope or not isinstance(sub.ctx, ast.Store)):
+                out.append((scope, sub.id))
+    return out
+
+
+def test_only_the_product_kernel_reads_the_packing_tables():
+    # packed monomials are the product kernel's own form: everything
+    # else sees polys as {monomial tuple: Fraction}
+    readers = _table_readers(ast.parse((PACKAGE / "expr.py").read_text(encoding="utf-8")))
+    assert not readers, f"expr.py: packing tables read outside `_poly_mul` {readers}"
+
+
+def test_detects_a_packing_table_read_elsewhere():
+    tree = ast.parse("_PACKED, _ATOMS = {}, []\n"
+                     "def _poly_mul(p1, p2):\n    return _PACKED[p1], _FIELDS\n"
+                     "class _Unpacking(dict):\n    def __missing__(self, v):\n"
+                     "        return _ATOMS[v]\n"
+                     "def cancel(pair):\n    return [_UNPACKED[v] for v in pair]\n"
+                     "class Other:\n    def peek(self):\n        global _NORMAL_FIELDS\n"
+                     "        _NORMAL_FIELDS = 0\n"
+                     "SIZE = len(_PACKED)\n")
+    assert _table_readers(tree) == [("cancel", "_UNPACKED"), ("Other", "_NORMAL_FIELDS"),
+                                    ("", "_PACKED")]
 
 
 def _references(tree) -> set:
