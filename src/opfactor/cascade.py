@@ -13,12 +13,15 @@ exactly, never by sampling it.
 Every coefficient evaluated at many points (quadrature samples, RK4
 stages, trajectory residuals, `piece_values`) is compiled once per
 call with `compile_float`, which reproduces `evaluate` bit for bit.
-The loops around those coefficients, the system RK4 right-hand side
-and the residual sweep of a trajectory, are generated straight-line
-code too: made once per shape (m, and each cell's derivative orders)
-and cached, each call binding its compiled coefficients as closure
-cells.  Closed-form residuals that are not symbolically zero are
-checked on `uniform_grid` points, the grid every sampler uses.
+The loops around those coefficients, the system RK4 pass and the
+residual sweep of a table, are generated straight-line code too: made
+once per shape (m, and each cell's derivative orders) and cached, each
+call binding its compiled coefficients as closure cells.  They
+evaluate each coefficient once per abscissa: the RK4 pass once per
+grid point and midpoint, a table's sweep once per grid point for all
+the trajectories it checks.  Closed-form residuals that are not
+symbolically zero are checked on `uniform_grid` points, the grid every
+sampler uses.
 
 Integration constants are canonical: table antiderivatives carry no
 constant term, numeric homogeneous solutions are normalized to value
@@ -50,6 +53,9 @@ MAX_STEPS = 1 << 16
 # closed form, grid samples for a trajectory
 RESIDUAL_POINTS = 32
 _TINY = 1e-12
+# grid points per residual sweep of a system's pieces: bounds the
+# residual lists held at once
+_SWEEP_BLOCK = 64
 
 
 @record
@@ -320,18 +326,32 @@ def _quasilinear_u0(Q2, grid, h, opts) -> SolutionPiece:
     b0f, b1f = compile_float(b0, _XU), compile_float(b1, _XU)
     floor = _lead_floor(b1)
 
-    def f(x, y):
-        u, = y
+    def f(x, u):
         lead = b1f(x, u)
         if abs(lead) <= floor:
             raise SingularLeadingCoefficient(
                 f"leading coefficient vanishes at x1 = {x:.6g}")
-        return (-b0f(x, u) * u / lead,)
+        return -b0f(x, u) * u / lead
 
-    fwd = [u for u, in _rk4_vector(f, grid[mid:], (1.0,))]
-    bwd = [u for u, in _rk4_vector(f, grid[mid::-1], (1.0,))]
-    ys = tuple(list(reversed(bwd))[:-1] + fwd)
+    fwd = _rk4(f, grid[mid:], 1.0)
+    ys = tuple(_rk4(f, grid[mid::-1], 1.0)[:0:-1] + fwd)
     return SolutionPiece("u0", None, Trajectory(grid, ys), "rk4", 0.0)
+
+
+def _rk4(f, xs, y) -> list:
+    """Classical RK4 for a scalar y' = f(x, y) from xs[0] through xs."""
+    ys = [y]
+    for i in range(len(xs) - 1):
+        x = xs[i]
+        h = xs[i + 1] - x
+        half = h / 2
+        p = f(x, y)
+        q = f(x + half, y + half * p)
+        r = f(x + half, y + half * q)
+        s = f(x + h, y + h * r)
+        y = y + h * (p + 2 * q + 2 * r + s) / 6
+        ys.append(y)
+    return ys
 
 
 def _separable_shape(b0: Expr, b1: Expr):
@@ -395,22 +415,32 @@ def _verify_trajectory(P: DiffOperator, traj: Trajectory) -> ResidualReport:
     inner = range(1, len(grid) - 1)
     idxs = sorted({inner[int(t * (len(inner) - 1) / (RESIDUAL_POINTS - 1))]
                    for t in range(RESIDUAL_POINTS)})
-    res = _fd_residuals(grid, [(v,) for v in vals],
-                        _compiled_table(as_matrix(P).entries), idxs)
-    rows = tuple(((grid[i],), r) for i, r in zip(idxs, res))
-    return ResidualReport(max([0.0, *res]), False, rows)
+    vals = [(v,) for v in vals]
+    sup = _sup(vals)
+    res, = _fd_residuals(grid, [vals], _compiled_table(as_matrix(P).entries, 1), idxs)
+    rows = tuple(((grid[i],), r / sup) for i, r in zip(idxs, res))
+    return ResidualReport(max([0.0, *(r for _, r in rows)]), False, rows)
 
 
-def _fd_residuals(grid, vals, sweep, idxs) -> list:
-    """Central-difference residuals of a compiled operator table on a
-    trajectory whose vals[i] holds one float per component: |row p of
-    the table applied to vals| / sup |vals| at each grid index of idxs,
-    in (index, row) order.  A non-finite value is a QuadratureFailure."""
-    h = grid[1] - grid[0]
+def _sup(vals) -> float:
+    """max(1, |c|) over a trajectory's floats c, which must be finite."""
     mags = [abs(c) for row in vals for c in row]
     if not all(map(math.isfinite, mags)):
         raise QuadratureFailure("trajectory leaves the float range (inf or nan)")
-    return sweep(grid, vals, idxs, 2 * h, h * h, max(1.0, max(mags)))
+    return max(1.0, max(mags))
+
+
+def _fd_residuals(grid, trajs, sweep, idxs) -> list:
+    """Central-difference residuals of a compiled operator table on each
+    trajectory of trajs (vals[i] holds one float per component): |row p
+    of the table applied to it| at each grid index of idxs, in (index,
+    row) order.  A step whose square underflows to 0 is a
+    QuadratureFailure."""
+    h = grid[1] - grid[0]
+    if h * h == 0.0:
+        raise QuadratureFailure(f"grid step {h:.3g} is too short to difference: "
+                                "its square underflows to 0")
+    return sweep(grid, trajs, idxs, 2 * h, h * h)
 
 
 # ---------------------------------------------------------------------------
@@ -426,14 +456,19 @@ def cascade_system_numeric(cand: FactorizationCandidate, interval,
     diagonal lead that vanishes on the grid or at a stage is refused.
     Residuals difference the expanded product on the grid, O(h^2).
 
-    The right-hand side is `_system_rhs(m)`.  At each stage it calls
-    the leads A1 of N1, then the leads A2 of N2, each once; then, only
-    when a lead is at or below its floor (_lead_floor), the grid scan's
-    rule at x; then the entries B1 of N1 and B2 of N2, row by row, each
-    once.  Per column, row p of u0' is
+    The pass is `_system_rk4(m)`, which evaluates each coefficient once
+    per abscissa: the leads A1 of N1, then the leads A2 of N2; then,
+    only when a lead is at or below its floor (_lead_floor), the grid
+    scan's rule at x; then the entries B1 of N1 and B2 of N2, row by
+    row.  Per column, row p of u0' is
     -(0 + B2[p][0] u0[0] + ... + B2[p][m-1] u0[m-1]) / A2[p], of v1'
     the same with B1, v1 and A1, and of u1' it is
     (v1[p] - (0 + B2[p][0] u1[0] + ...)) / A2[p], summed left to right.
+    One sweep per table calls each coefficient once per grid point for
+    all its pieces, the product's for u0 and u1, N1's for v1: both
+    factors are linear, so no coefficient reads u.  Errors come as
+    piece by piece: u0[1] must be finite before the product's sweep,
+    v1[1] before N1's, and every piece after both.
     """
     N1, N2 = cand.factors
     if not isinstance(N1, MatrixOperator):
@@ -451,21 +486,31 @@ def cascade_system_numeric(cand: FactorizationCandidate, interval,
         _diag_leads(N1, (x,), "N1")
         _diag_leads(N2, (x,), "N2")
 
-    f = _system_rhs(m)(_diag_leads(N1, grid, "N1"), _diag_leads(N2, grid, "N2"),
-                       _entry_table(N1), _entry_table(N2),
-                       _lead_floors(N1), _lead_floors(N2), off_grid)
-    M = _compiled_table(_expanded_system(N1, N2))
-    T1 = _compiled_table(N1.entries)
+    integrate = _system_rk4(m)(_diag_leads(N1, grid, "N1"), _diag_leads(N2, grid, "N2"),
+                               _entry_table(N1), _entry_table(N2),
+                               _lead_floors(N1), _lead_floors(N2), off_grid)
+    # the product's pieces and N1's, of u0[1], v1[1], u1[1], u0[2], ...
+    on_tables = ([k for k in range(3 * m) if k % 3 != 1], range(1, 3 * m, 3))
+    sweeps = (_compiled_table(_expanded_system(N1, N2), 2 * m), _compiled_table(N1.entries, m))
     # per column: u0 and v1 from the identity column, u1 from zero
-    ys = _rk4_vector(f, grid, [float(p == col and k < 2) for col in range(m)
-                               for k in range(3) for p in range(m)])
-    pieces = ([], [], [])
-    for col in range(m):
-        for k, (name, table) in enumerate((("u0", M), ("v1", T1), ("u1", M))):
-            c = (3 * col + k) * m
-            pieces[k].append(_system_piece(f"{name}[{col + 1}]", grid,
-                                           [y[c:c + m] for y in ys], table))
-    return CascadeSolution(*map(tuple, pieces),
+    ys = integrate(grid, [float(p == col and k < 2) for col in range(m)
+                          for k in range(3) for p in range(m)])
+    vals = [tuple(y[c:c + m] for y in ys) for c in range(0, 3 * m * m, m)]
+    del ys  # vals shares its floats; the stacked states would only add to the peak
+    # each piece's largest residual; max(r) / sup is max(r / sup), as
+    # division by sup > 0 is monotone
+    worst = [0.0] * (3 * m)
+    for on, sweep in zip(on_tables, sweeps):
+        _sup(vals[on[0]])  # finite first: the coefficients are called with it
+        for i in range(1, steps, _SWEEP_BLOCK):
+            block = _fd_residuals(grid, [vals[k] for k in on], sweep,
+                                  range(i, min(i + _SWEEP_BLOCK, steps)))
+            for k, res in zip(on, block):
+                worst[k] = max([worst[k], *res])
+    pieces = [SolutionPiece(f"{('u0', 'v1', 'u1')[k % 3]}[{k // 3 + 1}]", None,
+                            Trajectory(grid, v), "rk4", w / _sup(v))
+              for k, (v, w) in enumerate(zip(vals, worst))]
+    return CascadeSolution(*(tuple(pieces[k::3]) for k in range(3)),
                            (float(interval[0]), float(interval[1])), steps)
 
 
@@ -521,51 +566,73 @@ def _unpack(names) -> str:
 
 
 @lru_cache(maxsize=None)
-def _system_rhs(m: int):
-    """make(a1, a2, b1, b2, z1, z2, off_grid): the RK4 right-hand side
-    of `cascade_system_numeric` for m x m factors, straight-line, with
-    the compiled leads a, entry tables b and lead floors z of N1 and N2
-    bound as closure cells.  Generated once per m."""
+def _system_rk4(m: int):
+    """make(a1, a2, b1, b2, z1, z2, off_grid): integrate(xs, y0), the RK4
+    pass of `cascade_system_numeric` for m x m factors, with the compiled
+    leads a, entry tables b and lead floors z of N1 and N2 bound as
+    closure cells; it returns the state tuple at each point of xs.
+    Straight-line: each stage is a set of named locals, and coeffs(x)
+    evaluates the leads, their floor check and the entries, once at
+    x + h/2 and once at x + h, which the next step reuses when that float
+    is its x.  Generated once per m."""
     r = range(m)
+    n = 3 * m * m
     src = ["def make(a1, a2, b1, b2, z1, z2, off_grid):"]
     for k in (1, 2):
         src.append(f"    {_unpack(f'a{k}_{p}' for p in r)}= a{k}")
         src.append(f"    {_unpack(f'z{k}_{p}' for p in r)}= z{k}")
         table = (f"({_unpack(f'b{k}_{p}_{q}' for q in r)})" for p in r)
         src.append(f"    {_unpack(table)}= b{k}")
-    src.append("    def f(x, y):")
+    values = _unpack([f"A{k}_{p}" for k in (1, 2) for p in r] +
+                     [f"B{k}_{p}_{q}" for k in (1, 2) for p in r for q in r])
+    src.append("    def coeffs(x):")
     src += [f"        A{k}_{p} = a{k}_{p}(x)" for k in (1, 2) for p in r]
     src.append("        if " + " or ".join(f"abs(A{k}_{p}) <= z{k}_{p}"
                                            for k in (1, 2) for p in r) + ":")
     src.append("            off_grid(x)")
     src += [f"        B{k}_{p}_{q} = b{k}_{p}_{q}(x)" for k in (1, 2) for p in r for q in r]
-    src.append(f"        {_unpack(f'y{i}' for i in range(3 * m * m))}= y")
+    src.append(f"        return {values}")
 
-    def row(k, p, start):
-        return "(0" + "".join(f" + B{k}_{p}_{q} * y{start + q}" for q in r) + ")"
-    out = []
-    for c in range(0, 3 * m * m, 3 * m):
-        out += [f"-{row(2, p, c)} / A2_{p}" for p in r]
-        out += [f"-{row(1, p, c + m)} / A1_{p}" for p in r]
-        out += [f"(y{c + m + p} - {row(2, p, c + 2 * m)}) / A2_{p}" for p in r]
-    src.append("        return [" + ", ".join(out) + "]")
-    src.append("    return f")
-    return _generated(src, f"system_rhs {m}")
+    def stage(j, step):
+        # k{j} at the state s, or at t = s + step * k{j - 1}
+        y = "t" if step else "s"
 
-
-def _rk4_vector(f, xs, y0) -> list:
-    ys = [list(y0)]
-    for i in range(len(xs) - 1):
-        x, y = xs[i], ys[-1]
-        h = xs[i + 1] - x
-        half = h / 2
-        k1 = f(x, y)
-        k2 = f(x + half, [a + half * b for a, b in zip(y, k1)])
-        k3 = f(x + half, [a + half * b for a, b in zip(y, k2)])
-        k4 = f(x + h, [a + h * b for a, b in zip(y, k3)])
-        ys.append([a + h * (p + 2 * q + 2 * r + s) / 6
-                   for a, p, q, r, s in zip(y, k1, k2, k3, k4)])
-    return ys
+        def row(k, p, start):
+            return "(0" + "".join(f" + B{k}_{p}_{q} * {y}{start + q}" for q in r) + ")"
+        out = []
+        for c in range(0, n, 3 * m):
+            out += [f"-{row(2, p, c)} / A2_{p}" for p in r]
+            out += [f"-{row(1, p, c + m)} / A1_{p}" for p in r]
+            out += [f"({y}{c + m + p} - {row(2, p, c + 2 * m)}) / A2_{p}" for p in r]
+        return ([f"            t{i} = s{i} + {step} * k{j - 1}_{i}" for i in range(n) if step] +
+                [f"            k{j}_{i} = {e}" for i, e in enumerate(out)])
+    state = _unpack(f"s{i}" for i in range(n))
+    src += ["    def integrate(xs, y0):",
+            f"        {state}= y0",
+            f"        out = [({state})]",
+            "        xe = None",
+            "        for i in range(len(xs) - 1):",
+            "            x = xs[i]",
+            "            h = xs[i + 1] - x",
+            "            half = h / 2",
+            # the last step's values at x + h where that float is x, bit
+            # for bit: equal, and of the same sign when zero
+            "            if not (x == xe and (x or x.hex() == xe.hex())):",
+            "                E = coeffs(x)",
+            f"            {values}= E",
+            *stage(1, None),
+            f"            {values}= coeffs(x + half)",
+            *stage(2, "half"), *stage(3, "half"),
+            "            xe = x + h",
+            "            E = coeffs(xe)",
+            f"            {values}= E",
+            *stage(4, "h")]
+    src += [f"            s{i} = s{i} + h * (k1_{i} + 2 * k2_{i} + 2 * k3_{i} + k4_{i}) / 6"
+            for i in range(n)]
+    src += [f"            out.append(({state}))",
+            "        return out",
+            "    return integrate"]
+    return _generated(src, f"system_rk4 {m}")
 
 
 def _expanded_system(N1: MatrixOperator, N2: MatrixOperator) -> list:
@@ -575,53 +642,55 @@ def _expanded_system(N1: MatrixOperator, N2: MatrixOperator) -> list:
              for q in range(N1.m)] for p in range(N1.m)]
 
 
-def _compiled_table(table):
-    """The residual sweep of an m x m operator table for _fd_residuals:
-    each coefficient compiled over (x1, u1, ..., um) and bound into the
-    sweep generated for the table's shape."""
+def _compiled_table(table, n: int):
+    """The residual sweep of an m x m operator table over n trajectories
+    for _fd_residuals: each coefficient compiled over (x1, u1, ..., um)
+    and bound into the sweep generated for the table's shape."""
     vids = _X + tuple(DepVar(j) for j in range(1, len(table) + 1))
     shape = tuple(tuple(tuple(dv.k for dv, _ in cell.coeffs) for cell in row)
                   for row in table)
-    return _residual_sweep(shape)([compile_float(coeff, vids) for row in table
-                                   for cell in row for _, coeff in cell.coeffs])
+    return _residual_sweep(shape, n)([compile_float(coeff, vids) for row in table
+                                      for cell in row for _, coeff in cell.coeffs])
 
 
 # bounded: the shapes are few in practice (24 in 100 rounds of
 # cascade-solve's draws), but m does not bound them
 @lru_cache(maxsize=256)
-def _residual_sweep(shape: tuple):
-    """make(coeffs): sweep(grid, vals, idxs, h2, hh, sup) over the grid
-    indices idxs, with the table's rows and cells unrolled.  shape[p][q]
-    lists the derivative orders of cell (p, q), and coeffs its compiled
-    coefficients in that order, row by row.  Each residual sums
-    0.0 + coeff * d in cell order, where d is u_q, (hi - lo) / h2 or
-    (hi - 2 u_q + lo) / hh.  Generated once per shape."""
-    r = range(len(shape))
+def _residual_sweep(shape: tuple, n: int):
+    """make(coeffs): sweep(grid, trajs, idxs, h2, hh), the residual
+    lists of the n trajectories trajs over the grid indices idxs, rows
+    and cells unrolled.  shape[p][q] lists the derivative orders of cell
+    (p, q), and coeffs its compiled coefficients in that order, row by
+    row; each is called once per point, with trajs[0]'s values, which
+    for n > 1 it must not read.  A residual sums 0.0 + coeff * d in cell
+    order, d being u_q, (hi - lo) / h2 or (hi - 2 u_q + lo) / hh, and
+    takes its abs.  Generated once per shape and n."""
+    r, ts = range(len(shape)), range(n)
     cells = [(p, q, k) for p in r for q in r for k in shape[p][q]]
-    args = ", ".join(["x", *(f"y{q}" for q in r)])
+    used = {(q, k) for _, q, k in cells}
     src = ["def make(coeffs):",
            f"    {_unpack(f'c{j}' for j in range(len(cells)))}= coeffs",
-           "    def sweep(grid, vals, idxs, h2, hh, sup):",
-           "        out = []",
-           "        for i in idxs:",
-           "            x = grid[i]",
-           f"            {_unpack(f'y{q}' for q in r)}= vals[i]",
-           f"            {_unpack(f'lo{q}' for q in r)}= vals[i - 1]",
-           f"            {_unpack(f'hi{q}' for q in r)}= vals[i + 1]"]
-    used = {(q, k) for _, q, k in cells}
-    src += [f"            d1_{q} = (hi{q} - lo{q}) / h2" for q in r if (q, 1) in used]
-    src += [f"            d2_{q} = (hi{q} - 2 * y{q} + lo{q}) / hh" for q in r if (q, 2) in used]
-    rows = [["abs(0.0"] for p in r]
-    for j, (p, q, k) in enumerate(cells):
-        rows[p].append(f" + c{j}({args}) * {('y', 'd1_', 'd2_')[k]}{q}")
-    src += ["            out += [" + ", ".join("".join(t) + ") / sup" for t in rows) + "]",
-            "        return out",
+           "    def sweep(grid, trajs, idxs, h2, hh):",
+           f"        {_unpack(f'v{t}' for t in ts)}= trajs"]
+    src += [f"        out{t} = []" for t in ts]
+    src += ["        for i in idxs:",
+            "            x = grid[i]"]
+    for t in ts:
+        src += [f"            {_unpack(f'y{t}_{q}' for q in r)}= v{t}[i]",
+                f"            {_unpack(f'lo{t}_{q}' for q in r)}= v{t}[i - 1]",
+                f"            {_unpack(f'hi{t}_{q}' for q in r)}= v{t}[i + 1]"]
+        src += [f"            d1_{t}_{q} = (hi{t}_{q} - lo{t}_{q}) / h2"
+                for q in r if (q, 1) in used]
+        src += [f"            d2_{t}_{q} = (hi{t}_{q} - 2 * y{t}_{q} + lo{t}_{q}) / hh"
+                for q in r if (q, 2) in used]
+    args = ", ".join(["x", *(f"y0_{q}" for q in r)])
+    src += [f"            C{j} = c{j}({args})" for j in range(len(cells))]
+    for t in ts:
+        rows = [["abs(0.0"] for p in r]
+        for j, (p, q, k) in enumerate(cells):
+            rows[p].append(f" + C{j} * {('y', 'd1_', 'd2_')[k]}{t}_{q}")
+        src.append(f"            out{t} += [" +
+                   ", ".join("".join(row) + ")" for row in rows) + "]")
+    src += [f"        return [{', '.join(f'out{t}' for t in ts)}]",
             "    return sweep"]
-    return _generated(src, f"residual_sweep {shape}")
-
-
-def _system_piece(label, grid, vals, sweep) -> SolutionPiece:
-    """Trajectory piece with its residual under a compiled table's sweep."""
-    res = _fd_residuals(grid, vals, sweep, range(1, len(grid) - 1))
-    traj = Trajectory(tuple(grid), tuple(tuple(v) for v in vals))
-    return SolutionPiece(label, None, traj, "rk4", max([0.0, *res]))
+    return _generated(src, f"residual_sweep {shape} {n}")

@@ -1,8 +1,8 @@
-"""The generated kernels of the system cascade: the RK4 right-hand side,
-made once per component count m, and the residual sweep, made once per
-table shape.  Their source holds only names made from indices, and at
-the component cap they still reproduce the two-pass reference route of
-`test_cascade_system` bit for bit."""
+"""The generated kernels of the system cascade: the RK4 pass, made once
+per component count m, and the residual sweep, made once per table
+shape and trajectory count.  Their source holds only names made from
+indices, and at the component cap they still reproduce the two-pass
+reference route of `test_cascade_system` bit for bit."""
 
 import io
 import tokenize
@@ -26,16 +26,16 @@ def _coupled(c):
 
 
 def test_two_2x2_splits_of_one_shape_generate_each_kernel_once():
-    cascade._system_rhs.cache_clear()
+    cascade._system_rk4.cache_clear()
     cascade._residual_sweep.cache_clear()
     opts = CascadeOptions(steps=16)
     cascade_system_numeric(_coupled(3), (0.0, 1.0), opts)
     sweeps = cascade._residual_sweep.cache_info().misses
-    assert cascade._system_rhs.cache_info().misses == 1
+    assert cascade._system_rk4.cache_info().misses == 1
     # the product's cells and N1's entries: two table shapes
     assert sweeps == 2
     cascade_system_numeric(_coupled(13), (0.0, 1.0), opts)
-    assert cascade._system_rhs.cache_info().misses == 1
+    assert cascade._system_rk4.cache_info().misses == 1
     assert cascade._residual_sweep.cache_info().misses == sweeps
 
 
@@ -48,17 +48,19 @@ def test_generated_kernel_source_holds_no_coefficient_text(monkeypatch):
         return generated(src, label)
 
     monkeypatch.setattr(cascade, "_generated", spy)
-    cascade._system_rhs.cache_clear()
+    cascade._system_rk4.cache_clear()
     cascade._residual_sweep.cache_clear()
     cascade_system_numeric(_coupled(Fraction(17, 3)), (0.0, 1.0), CascadeOptions(steps=16))
-    cascade._system_rhs.cache_clear()
+    cascade._system_rk4.cache_clear()
     cascade._residual_sweep.cache_clear()
     assert len(sources) == 3
     for src in sources:
         tokens = list(tokenize.generate_tokens(io.StringIO(src + "\n").readline))
         assert not [t for t in tokens if t.type == tokenize.STRING]
-        # only the sums' start values, the stencil's 2 and the neighbour offset
-        assert {t.string for t in tokens if t.type == tokenize.NUMBER} <= {"0", "0.0", "1", "2"}
+        # only the sums' start values, the stencil's 2, the neighbour
+        # offset and the RK4 weights
+        assert {t.string for t in tokens if t.type == tokenize.NUMBER} <= {
+            "0", "0.0", "1", "2", "6"}
         assert "x1" not in src and "17" not in src and "/ 3" not in src
 
 

@@ -4,9 +4,12 @@
 u0 alone, then v1 and u1 together, with right-hand sides that evaluated
 the coefficients of N2 once per pass.  That loop is kept here, on the
 tuple RK4 it ran on, as a reference that the single pass over all
-columns must reproduce bit for bit.
+columns must reproduce bit for bit.  Its residuals keep the old route
+too: each piece swept on its own, by test-local copies of the
+per-piece helpers the cascade used to have.
 """
 
+import math
 import pathlib
 import re
 
@@ -15,13 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opfactor import cascade
-from opfactor.cascade import (CascadeOptions, CascadeSolution, _compiled_table,
-                              _diag_leads, _entry_table, _expanded_system,
-                              _normalize_steps, _system_piece, cascade_system_numeric,
-                              uniform_grid)
+from opfactor.cascade import (CascadeOptions, CascadeSolution, SolutionPiece, Trajectory,
+                              _X, _diag_leads, _entry_table, _expanded_system,
+                              _normalize_steps, cascade_system_numeric, uniform_grid)
 from opfactor.conditions import FactorizationCandidate
-from opfactor.errors import EngineError
-from opfactor.expr import simplify
+from opfactor.errors import EngineError, QuadratureFailure
+from opfactor.expr import DepVar, compile_float, expr_variables, simplify
 from opfactor.operator import MatrixOperator, make_operator
 from opfactor.parse import parse_expr
 from opfactor.problemfile import parse_problem
@@ -50,6 +52,27 @@ def _rk4_tuples(f, xs, y0):
         ys.append(tuple([a + h * (p + 2 * q + 2 * r + s) / 6
                          for a, p, q, r, s in zip(y, k1, k2, k3, k4)]))
     return ys
+
+
+def _compiled_table(table):
+    """The residual sweep of one trajectory under an operator table."""
+    vids = _X + tuple(DepVar(j) for j in range(1, len(table) + 1))
+    shape = tuple(tuple(tuple(dv.k for dv, _ in cell.coeffs) for cell in row)
+                  for row in table)
+    return cascade._residual_sweep(shape, 1)([compile_float(coeff, vids) for row in table
+                                              for cell in row for _, coeff in cell.coeffs])
+
+
+def _system_piece(label, grid, vals, sweep):
+    """A trajectory piece, its residual swept on its own."""
+    h = grid[1] - grid[0]
+    mags = [abs(c) for row in vals for c in row]
+    if not all(map(math.isfinite, mags)):
+        raise QuadratureFailure("trajectory leaves the float range (inf or nan)")
+    sup = max(1.0, max(mags))
+    res, = sweep(grid, [vals], range(1, len(grid) - 1), 2 * h, h * h)
+    traj = Trajectory(tuple(grid), tuple(tuple(v) for v in vals))
+    return SolutionPiece(label, None, traj, "rk4", max([0.0, *(r / sup for r in res)]))
 
 
 def two_pass(cand, interval, opts):
@@ -175,9 +198,9 @@ def test_one_pass_keeps_the_singular_lead_verdict_on_the_grid():
         cascade_system_numeric(cand, opts.interval, opts)
 
 
-def test_one_rk4_pass_evaluates_each_coefficient_once_per_call(monkeypatch):
+def test_one_rk4_pass_evaluates_each_coefficient_once_per_abscissa(monkeypatch):
     calls = {}
-    compile_float, rk4 = cascade.compile_float, cascade._rk4_vector
+    compile_float, rk4 = cascade.compile_float, cascade._system_rk4
 
     def counted(e, vids):
         f = compile_float(e, vids)
@@ -185,31 +208,84 @@ def test_one_rk4_pass_evaluates_each_coefficient_once_per_call(monkeypatch):
             return f
 
         def g(x):
-            calls[g] += 1
+            calls[g].append(x)
             return f(x)
-        calls[g] = 0
+        calls[g] = []
         return g
 
-    rhs_calls, passes = [], []
+    passes = []
 
-    def one_pass(f, xs, y0):
-        def rhs(x, y):
-            for key in calls:
-                calls[key] = 0
-            out = f(x, y)
-            rhs_calls.append(sorted(calls.values()))
-            return out
-        passes.append(len(y0))
-        return rk4(rhs, xs, y0)
+    def one_pass(m):
+        make = rk4(m)
+
+        def bind(*cells):
+            integrate = make(*cells)
+
+            def run(xs, y0):
+                # the grid scan before the pass samples the leads too
+                for key in calls:
+                    calls[key] = []
+                passes.append(len(y0))
+                return integrate(xs, y0)
+            return run
+        return bind
 
     monkeypatch.setattr(cascade, "compile_float", counted)
-    monkeypatch.setattr(cascade, "_rk4_vector", one_pass)
+    monkeypatch.setattr(cascade, "_system_rk4", one_pass)
     problem = parse_problem((PROBLEMS / "system-coupled.ini").read_text(encoding="utf-8"))
     cascade_system_numeric(problem.candidate, (0.0, 1.0), CascadeOptions(steps=16))
     m = 2
     # u0, v1 and u1 of every column in the one state
     assert passes == [3 * m * m]
-    # 2m leads and 2m^2 entries, each evaluated once per right-hand side
+    # the 17 grid points and the 16 midpoints, each once, left to right:
+    # a step's x + h is the next step's x, bit for bit, on this grid
+    grid, h = uniform_grid((0.0, 1.0), 16)
+    abscissae = sorted({*grid, *(x + h / 2 for x in grid[:-1])})
+    assert len(abscissae) == 33
+    # 2m leads and 2m^2 entries
     assert len(calls) == 2 * m + 2 * m * m
-    assert len(rhs_calls) == 4 * 16
-    assert all(c == [1] * len(calls) for c in rhs_calls)
+    assert all(xs == abscissae for xs in calls.values())
+
+
+def test_the_quasilinear_rk4_route_matches_the_tuple_rk4():
+    # u' = -(u1 + x1) u / (x1 + 2): not the separable shape, so RK4 from
+    # u = 1 at the midpoint, forward and then backward
+    def op(coeffs):
+        return make_operator(1, 1, {k: E(v) for k, v in coeffs.items()}, linear=False)
+    Q2 = op({(1, 1): "x1 + 2", (0, 1): "u1 + x1"})
+    cand = FactorizationCandidate((op({(1, 1): "1"}), Q2))
+    u0 = cascade.cascade_ode(cand, CascadeOptions(interval=(0.0, 1.0), steps=64)).u0
+    assert u0.provenance == "rk4"
+    b0, b1 = (compile_float(Q2.coeff(k, 1), cascade._XU) for k in (0, 1))
+
+    def f(x, y):
+        u, = y
+        return (-b0(x, u) * u / b1(x, u),)
+    grid = u0.trajectory.grid
+    mid = len(grid) // 2
+    fwd = [u for u, in _rk4_tuples(f, grid[mid:], (1.0,))]
+    bwd = [u for u, in _rk4_tuples(f, grid[mid::-1], (1.0,))]
+    assert u0.trajectory.values == tuple(list(reversed(bwd))[:-1] + fwd)
+
+
+@pytest.mark.parametrize("steps", [16, None])
+def test_a_trajectory_leaving_the_float_range_fails_as_on_the_two_pass_route(steps):
+    problem = parse_problem((PROBLEMS / "system-coupled.ini").read_text(encoding="utf-8"))
+    opts = CascadeOptions((1e308, 1.7e308), steps or problem.solve.steps)
+    with pytest.raises(EngineError) as want:
+        two_pass(problem.candidate, opts.interval, opts)
+    assert isinstance(want.value, QuadratureFailure)
+    with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+        cascade_system_numeric(problem.candidate, opts.interval, opts)
+
+
+@pytest.mark.parametrize("name", ["system-coupled.ini", "system-diag.ini"])
+def test_the_swept_tables_of_a_system_split_read_no_dependent_variable(name):
+    # one sweep per table calls each coefficient with one piece's values
+    # for all of them: sound only because no coefficient reads u
+    problem = parse_problem((PROBLEMS / name).read_text(encoding="utf-8"))
+    N1, N2 = problem.candidate.factors
+    for table in (_expanded_system(N1, N2), N1.entries):
+        coeffs = [c for row in table for cell in row for _, c in cell.coeffs]
+        assert coeffs
+        assert not [v for c in coeffs for v in expr_variables(c) if isinstance(v, DepVar)]

@@ -847,6 +847,25 @@ def test_cascade_trajectory_that_leaves_the_float_range_is_a_quadrature_failure(
     assert (code, out) == (1, "") and err.startswith("error: QuadratureFailure: ")
 
 
+@pytest.mark.parametrize("name", ["system-coupled.ini", "ode-var-candidate.ini"])
+def test_an_interval_too_short_to_difference_is_a_quadrature_failure(capsys, name):
+    # the step's square underflowed to 0.0, and the residual sweep ended in
+    # a ZeroDivisionError traceback with an empty --json stdout
+    message = "grid step 9.77e-204 is too short to difference: its square underflows to 0"
+    code, out, _ = run(capsys, "cascade", "--json", "--interval=0,1e-200", path(name))
+    assert code == 1
+    assert json.loads(out)["error"] == {"type": "QuadratureFailure", "message": message}
+    code, out, err = run(capsys, "cascade", "--interval=0,1e-200", path(name))
+    assert (code, out, err) == (1, "", f"error: QuadratureFailure: {message}\n")
+
+
+def test_a_closed_form_cascade_needs_no_difference_step(capsys):
+    code, out, _ = run(capsys, "cascade", "--interval=0,1e-320",
+                       path("nonlinear-ode-friction.ini"))
+    assert code == 0
+    assert "u0 [closed-form] = 2/(x1 + 1), max residual 0.000e+00" in out
+
+
 @pytest.mark.parametrize("steps, code, kind", [
     ("0", 2, "ValidationError"), ("-5", 2, "ValidationError"),
     ("1", 1, "StepCountTooSmall"), ("15", 1, "StepCountTooSmall"),
