@@ -19,9 +19,9 @@ once per shape (m, and each cell's derivative orders) and cached, each
 call binding its compiled coefficients as closure cells.  They
 evaluate each coefficient once per abscissa: the RK4 pass once per
 grid point and midpoint, a table's sweep once per grid point for all
-the trajectories it checks.  Closed-form residuals that are not
-symbolically zero are checked on `uniform_grid` points, the grid every
-sampler uses.
+the trajectories it checks, keeping each one's largest residual.
+Closed-form residuals that are not symbolically zero are checked on
+`uniform_grid` points, the grid every sampler uses.
 
 Integration constants are canonical: table antiderivatives carry no
 constant term, numeric homogeneous solutions are normalized to value
@@ -53,9 +53,6 @@ MAX_STEPS = 1 << 16
 # closed form, grid samples for a trajectory
 RESIDUAL_POINTS = 32
 _TINY = 1e-12
-# grid points per residual sweep of a system's pieces: bounds the
-# residual lists held at once
-_SWEEP_BLOCK = 64
 
 
 @record
@@ -111,7 +108,7 @@ class CascadeSolution:
 class ResidualReport:
     max_relative: float
     symbolic_zero: bool
-    per_point: tuple  # ((point, residual), ...)
+    per_point: tuple  # ((point, residual), ...) of a closed form; () otherwise
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +380,10 @@ def verify_solution(P: DiffOperator, u, points=None) -> ResidualReport:
     """Residual report of P u against zero.
 
     Closed forms are differentiated symbolically; an identically zero
-    residual is reported exactly.  Trajectories are differenced on
-    their own grid.  `points` (tuples for n > 1) defaults to
-    RESIDUAL_POINTS values spanning [-1, 1] for closed forms.
+    residual is reported exactly.  Trajectories, one float per grid
+    point, are differenced on their own grid and report no per-point
+    rows.  `points` (tuples for n > 1) defaults to RESIDUAL_POINTS
+    values spanning [-1, 1] for closed forms.
     """
     if isinstance(u, Trajectory):
         return _verify_trajectory(P, u)
@@ -410,6 +408,8 @@ def _verify_trajectory(P: DiffOperator, traj: Trajectory) -> ResidualReport:
     if P.n != 1:
         raise UnsupportedTemplate("trajectory residuals are one dimensional")
     grid, vals = traj.grid, traj.values
+    if any(isinstance(v, tuple) for v in vals):
+        raise UnsupportedTemplate("trajectory residuals need one float per grid point")
     if len(grid) < 3:
         raise StepCountTooSmall("need at least three samples to difference")
     inner = range(1, len(grid) - 1)
@@ -417,9 +417,9 @@ def _verify_trajectory(P: DiffOperator, traj: Trajectory) -> ResidualReport:
                    for t in range(RESIDUAL_POINTS)})
     vals = [(v,) for v in vals]
     sup = _sup(vals)
-    res, = _fd_residuals(grid, [vals], _compiled_table(as_matrix(P).entries, 1), idxs)
-    rows = tuple(((grid[i],), r / sup) for i, r in zip(idxs, res))
-    return ResidualReport(max([0.0, *(r for _, r in rows)]), False, rows)
+    worst, = _residuals(as_matrix(P).entries, grid, [vals], idxs)
+    # max(r) / sup is max(r / sup), as division by sup >= 1 is monotone
+    return ResidualReport(worst / sup, False, ())
 
 
 def _sup(vals) -> float:
@@ -430,16 +430,22 @@ def _sup(vals) -> float:
     return max(1.0, max(mags))
 
 
-def _fd_residuals(grid, trajs, sweep, idxs) -> list:
-    """Central-difference residuals of a compiled operator table on each
-    trajectory of trajs (vals[i] holds one float per component): |row p
-    of the table applied to it| at each grid index of idxs, in (index,
-    row) order.  A step whose square underflows to 0 is a
-    QuadratureFailure."""
+def _residuals(table, grid, trajs, idxs) -> list:
+    """Each trajectory's largest central-difference residual under an
+    m x m operator table (its vals[i] holds one float per component):
+    the max of 0.0 and |row p applied to it| over the grid indices idxs
+    and rows p, by the sweep generated for the table's shape, each
+    coefficient compiled over (x1, u1, ..., um).  A step whose square
+    underflows to 0 is a QuadratureFailure."""
     h = grid[1] - grid[0]
     if h * h == 0.0:
         raise QuadratureFailure(f"grid step {h:.3g} is too short to difference: "
                                 "its square underflows to 0")
+    vids = _X + tuple(DepVar(j) for j in range(1, len(table) + 1))
+    shape = tuple(tuple(tuple(dv.k for dv, _ in cell.coeffs) for cell in row)
+                  for row in table)
+    sweep = _residual_sweep(shape, len(trajs))([compile_float(coeff, vids) for row in table
+                                                for cell in row for _, coeff in cell.coeffs])
     return sweep(grid, trajs, idxs, 2 * h, h * h)
 
 
@@ -465,10 +471,11 @@ def cascade_system_numeric(cand: FactorizationCandidate, interval,
     the same with B1, v1 and A1, and of u1' it is
     (v1[p] - (0 + B2[p][0] u1[0] + ...)) / A2[p], summed left to right.
     One sweep per table calls each coefficient once per grid point for
-    all its pieces, the product's for u0 and u1, N1's for v1: both
-    factors are linear, so no coefficient reads u.  Errors come as
-    piece by piece: u0[1] must be finite before the product's sweep,
-    v1[1] before N1's, and every piece after both.
+    all its pieces, the product's for u0 and u1, N1's for v1, and keeps
+    each piece's largest residual: both factors are linear, so no
+    coefficient reads u.  Errors come as piece by piece: u0[1] must be
+    finite before the product's sweep, v1[1] before N1's, and every
+    piece after both.
     """
     N1, N2 = cand.factors
     if not isinstance(N1, MatrixOperator):
@@ -486,40 +493,35 @@ def cascade_system_numeric(cand: FactorizationCandidate, interval,
         _diag_leads(N1, (x,), "N1")
         _diag_leads(N2, (x,), "N2")
 
-    integrate = _system_rk4(m)(_diag_leads(N1, grid, "N1"), _diag_leads(N2, grid, "N2"),
-                               _entry_table(N1), _entry_table(N2),
-                               _lead_floors(N1), _lead_floors(N2), off_grid)
+    a1, z1 = _diag_leads(N1, grid, "N1")
+    a2, z2 = _diag_leads(N2, grid, "N2")
+    integrate = _system_rk4(m)(a1, a2, _entry_table(N1), _entry_table(N2), z1, z2, off_grid)
     # the product's pieces and N1's, of u0[1], v1[1], u1[1], u0[2], ...
     on_tables = ([k for k in range(3 * m) if k % 3 != 1], range(1, 3 * m, 3))
-    sweeps = (_compiled_table(_expanded_system(N1, N2), 2 * m), _compiled_table(N1.entries, m))
+    tables = (_expanded_system(N1, N2), N1.entries)
     # per column: u0 and v1 from the identity column, u1 from zero
     ys = integrate(grid, [float(p == col and k < 2) for col in range(m)
                           for k in range(3) for p in range(m)])
     vals = [tuple(y[c:c + m] for y in ys) for c in range(0, 3 * m * m, m)]
     del ys  # vals shares its floats; the stacked states would only add to the peak
-    # each piece's largest residual; max(r) / sup is max(r / sup), as
-    # division by sup > 0 is monotone
-    worst = [0.0] * (3 * m)
-    for on, sweep in zip(on_tables, sweeps):
+    worst = {}
+    for on, table in zip(on_tables, tables):
         _sup(vals[on[0]])  # finite first: the coefficients are called with it
-        for i in range(1, steps, _SWEEP_BLOCK):
-            block = _fd_residuals(grid, [vals[k] for k in on], sweep,
-                                  range(i, min(i + _SWEEP_BLOCK, steps)))
-            for k, res in zip(on, block):
-                worst[k] = max([worst[k], *res])
+        worst.update(zip(on, _residuals(table, grid, [vals[k] for k in on], range(1, steps))))
+    # max(r) / sup is max(r / sup), as division by sup >= 1 is monotone
     pieces = [SolutionPiece(f"{('u0', 'v1', 'u1')[k % 3]}[{k // 3 + 1}]", None,
-                            Trajectory(grid, v), "rk4", w / _sup(v))
-              for k, (v, w) in enumerate(zip(vals, worst))]
+                            Trajectory(grid, v), "rk4", worst[k] / _sup(v))
+              for k, v in enumerate(vals)]
     return CascadeSolution(*(tuple(pieces[k::3]) for k in range(3)),
                            (float(interval[0]), float(interval[1])), steps)
 
 
-def _diag_leads(N: MatrixOperator, points, who: str) -> list:
+def _diag_leads(N: MatrixOperator, points, who: str) -> tuple:
     """Compiled diagonal leading coefficients of a first order factor,
-    checked nonzero at the points; a scalar factor is its 1x1 system.
-    A nonzero constant lead is not sampled: only its float is checked,
-    once, for an underflow to 0."""
-    leads = []
+    checked nonzero at the points, and their floors (_lead_floor); a
+    scalar factor is its 1x1 system.  A nonzero constant lead is not
+    sampled: only its float is checked, once, for an underflow to 0."""
+    leads, floors = [], []
     for p in range(1, N.m + 1):
         lead = N.entries[p - 1][p - 1].coeff(1, 1)
         if lead == ZERO:
@@ -533,17 +535,14 @@ def _diag_leads(N: MatrixOperator, points, who: str) -> list:
                 raise SingularLeadingCoefficient(
                     f"leading coefficient of {name} vanishes near x1 = {x:.6g}")
         leads.append(f)
-    return leads
+        floors.append(floor)
+    return leads, floors
 
 
 def _lead_floor(lead: Expr) -> float:
     """The |value| at or below which a lead counts as vanishing: _TINY,
     or 0.0 for a constant, which is decided exactly."""
     return 0.0 if isinstance(lead, Const) else _TINY
-
-
-def _lead_floors(N: MatrixOperator) -> list:
-    return [_lead_floor(N.entries[p][p].coeff(1, 1)) for p in range(N.m)]
 
 
 def _entry_table(N: MatrixOperator) -> list:
@@ -642,29 +641,20 @@ def _expanded_system(N1: MatrixOperator, N2: MatrixOperator) -> list:
              for q in range(N1.m)] for p in range(N1.m)]
 
 
-def _compiled_table(table, n: int):
-    """The residual sweep of an m x m operator table over n trajectories
-    for _fd_residuals: each coefficient compiled over (x1, u1, ..., um)
-    and bound into the sweep generated for the table's shape."""
-    vids = _X + tuple(DepVar(j) for j in range(1, len(table) + 1))
-    shape = tuple(tuple(tuple(dv.k for dv, _ in cell.coeffs) for cell in row)
-                  for row in table)
-    return _residual_sweep(shape, n)([compile_float(coeff, vids) for row in table
-                                      for cell in row for _, coeff in cell.coeffs])
-
-
 # bounded: the shapes are few in practice (24 in 100 rounds of
 # cascade-solve's draws), but m does not bound them
 @lru_cache(maxsize=256)
 def _residual_sweep(shape: tuple, n: int):
-    """make(coeffs): sweep(grid, trajs, idxs, h2, hh), the residual
-    lists of the n trajectories trajs over the grid indices idxs, rows
-    and cells unrolled.  shape[p][q] lists the derivative orders of cell
-    (p, q), and coeffs its compiled coefficients in that order, row by
-    row; each is called once per point, with trajs[0]'s values, which
-    for n > 1 it must not read.  A residual sums 0.0 + coeff * d in cell
-    order, d being u_q, (hi - lo) / h2 or (hi - 2 u_q + lo) / hh, and
-    takes its abs.  Generated once per shape and n."""
+    """make(coeffs): sweep(grid, trajs, idxs, h2, hh), the largest
+    residual of each of the n trajectories trajs over the grid indices
+    idxs, rows and cells unrolled.  shape[p][q] lists the derivative
+    orders of cell (p, q), and coeffs its compiled coefficients in that
+    order, row by row; each is called once per point, with trajs[0]'s
+    values, which for n > 1 it must not read.  A residual sums
+    0.0 + coeff * d in cell order, d being u_q, (hi - lo) / h2 or
+    (hi - 2 u_q + lo) / hh, and takes its abs; a running maximum from
+    0.0 takes each residual that exceeds it, points then rows in order:
+    max([0.0, *residuals]), NaN included.  Generated once per shape and n."""
     r, ts = range(len(shape)), range(n)
     cells = [(p, q, k) for p in r for q in r for k in shape[p][q]]
     used = {(q, k) for _, q, k in cells}
@@ -672,7 +662,7 @@ def _residual_sweep(shape: tuple, n: int):
            f"    {_unpack(f'c{j}' for j in range(len(cells)))}= coeffs",
            "    def sweep(grid, trajs, idxs, h2, hh):",
            f"        {_unpack(f'v{t}' for t in ts)}= trajs"]
-    src += [f"        out{t} = []" for t in ts]
+    src += [f"        w{t} = 0.0" for t in ts]
     src += ["        for i in idxs:",
             "            x = grid[i]"]
     for t in ts:
@@ -689,8 +679,8 @@ def _residual_sweep(shape: tuple, n: int):
         rows = [["abs(0.0"] for p in r]
         for j, (p, q, k) in enumerate(cells):
             rows[p].append(f" + C{j} * {('y', 'd1_', 'd2_')[k]}{t}_{q}")
-        src.append(f"            out{t} += [" +
-                   ", ".join("".join(row) + ")" for row in rows) + "]")
-    src += [f"        return [{', '.join(f'out{t}' for t in ts)}]",
+        for row in rows:
+            src += [f"            a = {''.join(row)})", f"            if a > w{t}: w{t} = a"]
+    src += [f"        return [{', '.join(f'w{t}' for t in ts)}]",
             "    return sweep"]
     return _generated(src, f"residual_sweep {shape} {n}")

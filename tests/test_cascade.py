@@ -307,6 +307,18 @@ def test_system_cascade_residuals_small():
         assert piece.residual <= 1e-5
 
 
+def test_verify_solution_refuses_a_system_trajectory():
+    # a system piece's samples are tuples; a scalar P cannot difference them
+    N1, N2 = sys_factors()
+    sol = cascade_system_numeric(cand(N1, N2), (0.0, 1.0), CascadeOptions(steps=16))
+    P = operator_from_jet(expand_product([
+        op1({(1, 1): "1", (0, 1): "-1"}),
+        op1({(1, 1): "1", (0, 1): "-2"}),
+    ]))
+    with pytest.raises(UnsupportedTemplate, match="one float per grid point"):
+        verify_solution(P, sol.u0[0].trajectory)
+
+
 def test_system_cascade_converges_at_second_order():
     N1, N2 = sys_factors()
     worst = {}

@@ -70,9 +70,9 @@ def _system_piece(label, grid, vals, sweep):
     if not all(map(math.isfinite, mags)):
         raise QuadratureFailure("trajectory leaves the float range (inf or nan)")
     sup = max(1.0, max(mags))
-    res, = sweep(grid, [vals], range(1, len(grid) - 1), 2 * h, h * h)
+    worst, = sweep(grid, [vals], range(1, len(grid) - 1), 2 * h, h * h)
     traj = Trajectory(tuple(grid), tuple(tuple(v) for v in vals))
-    return SolutionPiece(label, None, traj, "rk4", max([0.0, *(r / sup for r in res)]))
+    return SolutionPiece(label, None, traj, "rk4", worst / sup)
 
 
 def two_pass(cand, interval, opts):
@@ -80,8 +80,8 @@ def two_pass(cand, interval, opts):
     steps = _normalize_steps(opts.steps)
     grid, h = uniform_grid(interval, steps)
     m = N1.m
-    a1 = _diag_leads(N1, grid, "N1")
-    a2 = _diag_leads(N2, grid, "N2")
+    a1, _ = _diag_leads(N1, grid, "N1")
+    a2, _ = _diag_leads(N2, grid, "N2")
     b1 = _entry_table(N1)
     b2 = _entry_table(N2)
 
